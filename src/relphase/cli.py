@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .fock import (
 )
 from .naimark import heterodyne_moments, y_moments
 from .pegg_barnett import pb_convergence, pb_pmf
-from .phase import phase_pdf, phase_wavefunction
+from .phase import phase_pdf
 from .polarization import XCoherent, XNumber, XSuperposition, db_view, to_circular
 from .pom import absolute_time_pdf, marginal_pdf, snapshot_sweep, time_grid_size
 
@@ -47,11 +46,17 @@ class SpecError(ValueError):
     """Malformed state/polarization spec string (usage error)."""
 
 
-def _float(token: str, what: str) -> float:
+def _mean(token: str) -> float:
+    """A finite, non-negative mean photon number."""
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise SpecError(f"bad {what} {token!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise SpecError(f"bad mean photon number {token!r}")
+    if value < 0:
+        raise SpecError(f"negative mean photon number {token!r}")
+    return value
 
 
 def _int(token: str, what: str) -> int:
@@ -67,10 +72,7 @@ def parse_single_spec(text: str, n_max: int | None, tail_tol: float) -> SingleMo
         n = _int(rest, "photon number")
         return make_number_state(n, n_max if n_max is not None else n)
     if kind == "coh":
-        mean = _float(rest, "mean photon number")
-        if mean < 0:
-            raise SpecError(f"negative mean photon number {rest!r}")
-        return make_coherent_state(math.sqrt(mean), n_max, tail_tol)
+        return make_coherent_state(math.sqrt(_mean(rest)), n_max, tail_tol)
     if kind == "file":
         state = state_from_json(_read(rest))
         if not isinstance(state, SingleModeState):
@@ -84,10 +86,7 @@ def parse_pol_spec(text: str, n_max: int | None, tail_tol: float) -> TwoModeStat
     if kind == "xnum":
         return to_circular(XNumber(_int(rest, "photon number")), n_max, tail_tol)
     if kind == "xcoh":
-        mean = _float(rest, "mean photon number")
-        if mean < 0:
-            raise SpecError(f"negative mean photon number {rest!r}")
-        return to_circular(XCoherent(mean), n_max, tail_tol)
+        return to_circular(XCoherent(_mean(rest)), n_max, tail_tol)
     if kind == "xsup":
         terms = []
         for part in rest.split(";"):
@@ -114,12 +113,19 @@ def _read(path: str) -> str:
 
 
 def _write(path: str | None, text: str) -> None:
-    """Write atomically (temp file + rename); '-' or None means stdout."""
+    """Write atomically (temp file + rename); '-' or None means stdout.
+
+    The file gets open()'s mode (0666 less the umask); errors name the path.
+    """
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".relphase-")
+    tmp = os.path.join(directory, f".relphase-{os.urandom(8).hex()}")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -188,13 +194,11 @@ def cmd_sweep(args) -> int:
         )
     times = np.linspace(0.0, np.pi, args.kt)
     slices = snapshot_sweep(jm, times, args.k)
-    rows = []
-    gaps = 0
-    for t, pdf in zip(times, slices):
-        if pdf is None:
-            gaps += 1
-            continue
-        rows.extend((t, phi, dens) for phi, dens in zip(pdf.phi, pdf.density))
+    rows = [
+        (t, phi, dens) for t, pdf in zip(times, slices) if pdf is not None
+        for phi, dens in zip(pdf.phi, pdf.density)
+    ]
+    gaps = slices.count(None)
     if gaps:
         print(f"skipped {gaps} time(s) of vanishing conditioning probability", file=sys.stderr)
     _write(args.out, _table(("t", "phi", "density"), rows, args.format))
@@ -202,8 +206,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ellipse(args) -> int:
-    state = parse_pol_spec(args.pol, args.n_max, args.tail_tol)
-    pdf = marginal_pdf(to_jm(state, PrimitiveConvention.PHOTONIC), args.k)
+    pdf = marginal_pdf(_pol_jm(args), args.k)
     if args.db:
         _write(args.out, _table(("phi", "db"), zip(pdf.phi, db_view(pdf)), args.format))
     else:
@@ -277,10 +280,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RelphaseError as exc:

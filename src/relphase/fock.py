@@ -31,6 +31,16 @@ class PrimitiveConvention(Enum):
     FERMIONIC = "fermionic"
 
 
+def _norm(amps: np.ndarray) -> float:
+    """The norm a constructor divides by; zero and non-finite norms are refused."""
+    norm = math.sqrt(float(np.vdot(amps, amps).real))
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot normalize a vector of norm {norm}")
+    return norm
+
+
 @dataclass(frozen=True)
 class SingleModeState:
     """Amplitudes over the number basis n = 0..n_max."""
@@ -48,10 +58,7 @@ class SingleModeState:
     def from_amplitudes(cls, amplitudes: Sequence[complex]) -> "SingleModeState":
         """Build and renormalize; rejects the zero vector."""
         amps = np.asarray(amplitudes, dtype=complex)
-        norm = math.sqrt(float(np.vdot(amps, amps).real))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(amps / norm)
+        return cls(amps / _norm(amps))
 
     @property
     def n_max(self) -> int:
@@ -95,11 +102,8 @@ class TwoModeState:
         """Build and renormalize; n_max defaults to the largest occupied total."""
         if n_max is None:
             n_max = max((ns + na for ns, na in amplitudes), default=0)
-        norm = math.sqrt(math.fsum(abs(v) ** 2 for v in amplitudes.values()))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        scaled = {k: v / norm for k, v in amplitudes.items()}
-        return cls(scaled, n_max)
+        norm = _norm(np.array(list(amplitudes.values()), dtype=complex))
+        return cls({k: v / norm for k, v in amplitudes.items()}, n_max)
 
     def norm_squared(self) -> float:
         return math.fsum(abs(v) ** 2 for v in self.amplitudes.values())
@@ -161,15 +165,38 @@ def poisson_tail(mean: float, n_max: int) -> float:
 
 
 def coherent_n_max(mean: float, tail_tol: float) -> int:
-    """Smallest n_max with Poisson tail mass below tail_tol."""
-    n = 0
+    """Smallest n_max with Poisson tail mass below tail_tol.
+
+    The tail falls monotonically in n_max, so a bisection finds the same
+    n_max as a scan upward from 0.
+    """
     # generous cap; the tail decays superexponentially past the mean
     cap = int(mean + 200 * math.sqrt(mean + 1) + 200)
-    while poisson_tail(mean, n) >= tail_tol:
-        n += 1
-        if n > cap:
-            raise TruncationError(f"no adequate truncation below n={cap} for mean {mean}")
-    return n
+    lo, hi = -1, cap + 1  # tail(lo) >= tail_tol > tail(hi), the ends taken on trust
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if poisson_tail(mean, mid) >= tail_tol:
+            lo = mid
+        else:
+            hi = mid
+    if hi > cap:
+        raise TruncationError(f"no adequate truncation below n={cap} for mean {mean}")
+    return hi
+
+
+def coherent_truncation(mean: float, n_max: int | None, tail_tol: float) -> int:
+    """Truncation for a coherent excitation: the smallest adequate one when n_max
+    is None; an explicit n_max below it keeps tail mass >= tail_tol and raises."""
+    needed = coherent_n_max(mean, tail_tol)
+    if n_max is None:
+        return needed
+    if n_max < needed:
+        raise TruncationError(
+            f"coherent tail mass at n_max={n_max} is not below {tail_tol:g}; "
+            f"need n_max >= {needed}",
+            required_n_max=needed,
+        )
+    return n_max
 
 
 def make_coherent_state(
@@ -181,15 +208,7 @@ def make_coherent_state(
     n_max is not below tail_tol; n_max=None picks the smallest adequate value.
     """
     mean = abs(alpha) ** 2
-    needed = coherent_n_max(mean, tail_tol)
-    if n_max is None:
-        n_max = needed
-    elif poisson_tail(mean, n_max) >= tail_tol:
-        raise TruncationError(
-            f"coherent tail mass at n_max={n_max} is not below {tail_tol:g}; "
-            f"need n_max >= {needed}",
-            required_n_max=needed,
-        )
+    n_max = coherent_truncation(mean, n_max, tail_tol)
     if mean == 0.0:
         return make_number_state(0, n_max)
     n = np.arange(n_max + 1)
@@ -254,33 +273,44 @@ def evolve(state: TwoModeState, t: float) -> TwoModeState:
 
 
 def state_to_json(state: SingleModeState | TwoModeState) -> str:
-    if isinstance(state, SingleModeState):
-        rows = [
-            [n, 0, state.amplitudes[n].real, state.amplitudes[n].imag]
-            for n in range(state.n_max + 1)
-            if state.amplitudes[n] != 0
-        ]
-        doc = {"kind": "single", "n_max": state.n_max, "amps": rows}
-    else:
-        rows = [
-            [ns, na, v.real, v.imag]
-            for (ns, na), v in sorted(state.amplitudes.items())
-        ]
-        doc = {"kind": "two", "n_max": state.n_max, "amps": rows}
-    return json.dumps(doc)
+    kind = "single" if isinstance(state, SingleModeState) else "two"
+    two = single_to_two_mode(state) if kind == "single" else state
+    rows = [[ns, na, v.real, v.imag] for (ns, na), v in sorted(two.amplitudes.items())]
+    return json.dumps({"kind": kind, "n_max": state.n_max, "amps": rows})
+
+
+def _json_int(value, hi: float, what: str) -> int:
+    if type(value) is not int or not 0 <= value <= hi:
+        raise ValueError(f"{what} {value!r} is not an integer in 0..{hi}")
+    return value
+
+
+def _json_real(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"amplitude part {value!r} is not a finite number")
+    return float(value)
 
 
 def state_from_json(text: str) -> SingleModeState | TwoModeState:
+    """Read a state document; any malformed field raises ValueError."""
     doc = json.loads(text)
-    kind, n_max, rows = doc["kind"], int(doc["n_max"]), doc["amps"]
+    if not isinstance(doc, dict) or not isinstance(doc.get("amps"), list):
+        raise ValueError('state document needs "kind", "n_max" and an "amps" list')
+    kind, n_max = doc.get("kind"), _json_int(doc.get("n_max"), math.inf, "n_max")
+    if kind not in ("single", "two"):
+        raise ValueError(f"unknown state kind {kind!r}")
+    amps: dict[tuple[int, int], complex] = {}
+    for row in doc["amps"]:
+        if not isinstance(row, list) or len(row) != 4:
+            raise ValueError(f"state row {row!r} is not [n_s, n_a, re, im]")
+        key = (_json_int(row[0], n_max, "occupation"), _json_int(row[1], n_max, "occupation"))
+        if kind == "single" and key[1] != 0:
+            raise ValueError("single-mode rows must have n_a = 0")
+        if key in amps:
+            raise ValueError(f"duplicate state row for {key}")
+        amps[key] = complex(_json_real(row[2]), _json_real(row[3]))
     if kind == "single":
-        amps = np.zeros(n_max + 1, dtype=complex)
-        for ns, na, re, im in rows:
-            if na != 0:
-                raise ValueError("single-mode rows must have n_a = 0")
-            amps[int(ns)] = complex(re, im)
-        return SingleModeState.from_amplitudes(amps)
-    if kind == "two":
-        amps = {(int(ns), int(na)): complex(re, im) for ns, na, re, im in rows}
-        return TwoModeState.from_amplitudes(amps, n_max)
-    raise ValueError(f"unknown state kind {kind!r}")
+        single = np.zeros(n_max + 1, dtype=complex)
+        single[[ns for ns, _ in amps]] = list(amps.values())
+        return SingleModeState.from_amplitudes(single)
+    return TwoModeState.from_amplitudes(amps, n_max)

@@ -139,26 +139,30 @@ def commutator_check(state: SingleModeState) -> CommutatorResiduals:
     )
 
 
-def two_sided_coefficients(state: TwoModeState) -> dict[int, complex]:
+def two_sided_coefficients(state: TwoModeState) -> tuple[int, np.ndarray]:
     """Coefficients psi_m of the two-sided series for a shift-subspace state.
 
-    m >= 0 reads psi_{m,0}; m < 0 reads psi_{0,-m}. Raises SupportError for
+    m >= 0 reads psi_{m,0}; m < 0 reads psi_{0,-m}. Returns the lowest m and
+    the coefficients over consecutive m from there. Raises SupportError for
     amplitudes with both modes excited.
     """
-    coeffs: dict[int, complex] = {}
+    by_m: dict[int, complex] = {}
     for (ns, na), v in state.amplitudes.items():
         if ns != 0 and na != 0:
             raise SupportError(
                 f"state has support at (n_s, n_a) = ({ns}, {na}); "
                 "need n_s * n_a = 0"
             )
-        coeffs[ns if na == 0 else -na] = v
-    return coeffs
+        by_m[ns - na] = v
+    lo = min(by_m)
+    coeffs = np.zeros(max(by_m) - lo + 1, dtype=complex)
+    coeffs[np.array(list(by_m)) - lo] = list(by_m.values())
+    return lo, coeffs
 
 
 def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
     """Two-sided phase density |sum_m psi_m e^{-i m phi}|^2 / 2pi."""
-    coeffs = two_sided_coefficients(state)
-    values = eval_fourier_series(coeffs, k)
-    norm = math.fsum(abs(c) ** 2 for c in coeffs.values())
+    lo, coeffs = two_sided_coefficients(state)
+    values = eval_fourier_series(coeffs, k, lo)
+    norm = math.fsum(abs(c) ** 2 for c in coeffs)
     return AngularPdf(angular_grid(k), np.abs(values) ** 2 / (2.0 * np.pi * norm))

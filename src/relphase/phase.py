@@ -25,20 +25,21 @@ def angular_grid(k: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(k) / k
 
 
-def eval_fourier_series(coeffs: dict[int, complex], k: int) -> np.ndarray:
-    """Evaluate f(phi_j) = sum_m c_m e^{-i m phi_j} on the K-point grid.
+def eval_fourier_series(coeffs: np.ndarray, k: int, lo: int = 0) -> np.ndarray:
+    """Evaluate f(phi_j) = sum_n c[..., n] e^{-i (lo + n) phi_j} on the K-point grid.
 
-    Integer frequencies only; the span of occupied m must be < K.
+    The last axis holds consecutive integer frequencies starting at lo; leading
+    axes are independent series. The frequency span must be < K.
     """
-    lo = min(coeffs)
-    hi = max(coeffs)
-    if hi - lo >= k:
-        raise AliasingError(f"frequency span {hi - lo} does not fit a {k}-point grid")
-    packed = np.zeros(k, dtype=complex)
-    for m, c in coeffs.items():
-        # e^{-i m phi_j} = (-1)^m e^{-2 pi i m j / K} on this grid
-        packed[m % k] += c * (-1) ** (m % 2)
-    return np.fft.fft(packed)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    span = coeffs.shape[-1]
+    if span > k:
+        raise AliasingError(f"frequency span {span - 1} does not fit a {k}-point grid")
+    m = lo + np.arange(span)
+    packed = np.zeros(coeffs.shape[:-1] + (k,), dtype=complex)
+    # e^{-i m phi_j} = (-1)^m e^{-2 pi i m j / K} on this grid
+    packed[..., m % k] = np.where(m % 2, -coeffs, coeffs)
+    return np.fft.fft(packed, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,7 @@ def _check_grid(state: SingleModeState, k: int) -> None:
 def phase_wavefunction(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> PhaseWavefunction:
     """psi(phi_k) = sum_n psi_n e^{-i n phi_k}, evaluated by FFT."""
     _check_grid(state, k)
-    coeffs = {n: state.amplitudes[n] for n in range(state.n_max + 1)}
-    return PhaseWavefunction(angular_grid(k), eval_fourier_series(coeffs, k))
+    return PhaseWavefunction(angular_grid(k), eval_fourier_series(state.amplitudes, k))
 
 
 def phase_pdf(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:

@@ -18,8 +18,8 @@ from .errors import TruncationError
 from .fock import (
     PrimitiveConvention,
     TwoModeState,
-    coherent_n_max,
-    poisson_tail,
+    coherent_truncation,
+    make_coherent_state,
     to_jm,
 )
 from .phase import DEFAULT_GRID_SIZE, AngularPdf
@@ -64,45 +64,27 @@ def to_circular(
 ) -> TwoModeState:
     """Expand a linear-polarization spec over the circular basis."""
     if isinstance(spec, XNumber):
-        if spec.n < 0:
-            raise ValueError("photon number must be >= 0")
-        if n_max is None:
-            n_max = spec.n
-        if spec.n > n_max:
-            raise TruncationError(
-                f"{spec.n} photons exceed n_max={n_max}", required_n_max=spec.n
-            )
-        return TwoModeState.from_amplitudes(_xnumber_amplitudes(spec.n), n_max)
+        spec = XSuperposition(((spec.n, 1.0),))
 
     if isinstance(spec, XCoherent):
         mean = float(spec.mean_n)
         if mean < 0:
             raise ValueError("mean photon number must be >= 0")
-        needed = coherent_n_max(mean, tail_tol)
-        if n_max is None:
-            n_max = needed
-        elif poisson_tail(mean, n_max) >= tail_tol:
-            raise TruncationError(
-                f"coherent tail mass at n_max={n_max} is not below {tail_tol:g}; "
-                f"need n_max >= {needed}",
-                required_n_max=needed,
-            )
-        if mean == 0.0:
-            return TwoModeState.from_amplitudes({(0, 0): 1.0}, n_max)
-        # product of R and L coherent amplitudes beta = sqrt(mean/2) each
-        log_beta = 0.5 * math.log(mean / 2.0)
-        amps: dict[tuple[int, int], float] = {}
-        lgam = [math.lgamma(k + 1) for k in range(n_max + 1)]
-        for nr in range(n_max + 1):
-            for nl in range(n_max + 1 - nr):
-                amps[(nr, nl)] = math.exp(
-                    (nr + nl) * log_beta - 0.5 * (lgam[nr] + lgam[nl]) - mean / 2.0
-                )
+        n_max = coherent_truncation(mean, n_max, tail_tol)
+        # product of R and L coherent states of mean mean/2 each, cut to the simplex
+        psi = make_coherent_state(math.sqrt(mean / 2.0), n_max, tail_tol).amplitudes.tolist()
+        amps = {
+            (nr, nl): psi[nr] * psi[nl]
+            for nr in range(n_max + 1)
+            for nl in range(n_max + 1 - nr)
+        }
         return TwoModeState.from_amplitudes(amps, n_max)
 
     if isinstance(spec, XSuperposition):
         if not spec.terms:
             raise ValueError("superposition needs at least one term")
+        if min(n for n, _ in spec.terms) < 0:
+            raise ValueError("photon numbers must be >= 0")
         top = max(n for n, _ in spec.terms)
         if n_max is None:
             n_max = top
@@ -110,8 +92,6 @@ def to_circular(
             raise TruncationError(f"{top} photons exceed n_max={n_max}", required_n_max=top)
         amps: dict[tuple[int, int], complex] = {}
         for n, w in spec.terms:
-            if n < 0:
-                raise ValueError("photon numbers must be >= 0")
             for key, v in _xnumber_amplitudes(n).items():
                 amps[key] = amps.get(key, 0j) + complex(w) * v
         return TwoModeState.from_amplitudes(amps, n_max)

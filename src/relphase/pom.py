@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AliasingError, ConditioningError, SupportError
 from .fock import JmState, PrimitiveConvention
-from .phase import DEFAULT_GRID_SIZE, AngularPdf, angular_grid
+from .phase import DEFAULT_GRID_SIZE, AngularPdf, angular_grid, eval_fourier_series
 
 C_MIN = 1e-12
 
@@ -54,8 +54,38 @@ class BranchSet:
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"branch norms sum to {total!r}, not 1")
 
-    def total_norm(self) -> float:
-        return math.fsum(float(np.mean(np.abs(v) ** 2)) for v in self.branches.values())
+
+def _pack(state: JmState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(js, ms, a): the sorted distinct j and m values and amplitudes a[j, m]."""
+    keys = np.array(list(state.amplitudes), dtype=float).reshape(-1, 2)
+    js, rows = np.unique(keys[:, 0], return_inverse=True)
+    ms, cols = np.unique(keys[:, 1], return_inverse=True)
+    a = np.zeros((js.size, ms.size), dtype=complex)
+    a[rows, cols] = list(state.amplitudes.values())
+    return js, ms, a
+
+
+def _angular_series(coeffs: np.ndarray, ms: np.ndarray, k: int) -> np.ndarray:
+    """sum_m c[..., m] e^{-i m phi} on the K-point grid, one series per leading index.
+
+    Half-integer m lose their factor e^{-i phi/2} (m = floor(m) + 1/2), which
+    cancels under |.|^2. Each series keeps to one m lattice, so no two of its
+    nonzero terms share a floor(m).
+    """
+    n = np.floor(ms).astype(int)
+    lo = int(n.min())
+    packed = np.zeros(coeffs.shape[:-1] + (int(n.max()) - lo + 1,), dtype=complex)
+    np.add.at(packed, (..., n - lo), coeffs)
+    return eval_fourier_series(packed, k, lo)
+
+
+def _conditioned(state: JmState, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ms, b, C): branch-summed amplitudes b[t, m] = sum_j a[j, m] e^{-i j t}
+    over the m values ms, and C(t) = sum_m |b[t, m]|^2."""
+    js, ms, a = _pack(state)
+    b = np.exp(np.outer(np.asarray(ts, dtype=float), -1j * js)) @ a
+    c = np.einsum("tm,tm->t", b.real, b.real) + np.einsum("tm,tm->t", b.imag, b.imag)
+    return ms, b, c
 
 
 def _check_grid(state: JmState, k: int) -> None:
@@ -64,32 +94,22 @@ def _check_grid(state: JmState, k: int) -> None:
         raise AliasingError(f"grid size {k} admits aliasing for |m| up to {m_max}")
 
 
-def _branch_values(state: JmState, phi: np.ndarray, t: float = 0.0) -> dict[float, np.ndarray]:
-    """Branch sums with the conditioning phase e^{-i j t} applied."""
-    by_j: dict[float, dict[float, complex]] = {}
-    for (j, m), v in state.amplitudes.items():
-        by_j.setdefault(j, {})[m] = v
-    out = {}
-    for j, terms in sorted(by_j.items()):
-        ms = np.array(sorted(terms))
-        amps = np.array([terms[m] for m in ms]) * np.exp(-1j * j * t)
-        out[j] = amps @ np.exp(-1j * np.outer(ms, phi))
-    return out
-
-
 def branch_wavefunctions(state: JmState, k: int = DEFAULT_GRID_SIZE) -> BranchSet:
     """Sample Psi_j(phi) = sum_m Psi_{j,m} e^{-i m phi} for every branch."""
     _check_grid(state, k)
     phi = angular_grid(k)
-    return BranchSet(state.convention, phi, _branch_values(state, phi))
+    js, ms, a = _pack(state)
+    values = _angular_series(a, ms, k)
+    # a branch keeps to the m lattice of its j; restore e^{-i phi/2} on half-integer ones
+    values[js % 1 != 0] *= np.exp(-0.5j * phi)
+    return BranchSet(state.convention, phi, dict(zip(js.tolist(), values)))
 
 
 def marginal_pdf(state: JmState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
     """Time-averaged distribution: branch probabilities added."""
     bs = branch_wavefunctions(state, k)
-    density = sum(np.abs(v) ** 2 for v in bs.branches.values()) / (2.0 * np.pi)
-    density /= float(np.mean(density)) * 2.0 * np.pi
-    return AngularPdf(bs.phi, density)
+    power = sum(np.abs(v) ** 2 for v in bs.branches.values())
+    return AngularPdf(bs.phi, power / (2.0 * np.pi * float(np.mean(power))))
 
 
 def _check_m_lattice(state: JmState) -> None:
@@ -103,17 +123,9 @@ def _check_m_lattice(state: JmState) -> None:
         )
 
 
-def _m_amplitudes(state: JmState, t: float) -> dict[float, complex]:
-    """Branch-summed amplitudes per m after the conditioning phase."""
-    out: dict[float, complex] = {}
-    for (j, m), v in state.amplitudes.items():
-        out[m] = out.get(m, 0j) + v * np.exp(-1j * j * t)
-    return out
-
-
 def conditioning_probability(state: JmState, t: float) -> float:
     """C(t) = sum_m |sum_j Psi_{j,m} e^{-i j t}|^2 (2pi times the time density)."""
-    return math.fsum(abs(v) ** 2 for v in _m_amplitudes(state, t).values())
+    return float(_conditioned(state, [t])[2][0])
 
 
 def snapshot_pdf(
@@ -124,44 +136,25 @@ def snapshot_pdf(
     Refuses times of numerically vanishing conditioning probability instead
     of renormalizing noise.
     """
-    _check_grid(state, k)
-    _check_m_lattice(state)
-    terms = _m_amplitudes(state, t)
-    c = math.fsum(abs(v) ** 2 for v in terms.values())
-    if c <= c_min:
+    (pdf,) = snapshot_sweep(state, [t], k, c_min)
+    if pdf is None:
+        c = conditioning_probability(state, t)
         raise ConditioningError(f"conditioning probability {c:.3e} at t={t} is below {c_min:g}")
-    phi = angular_grid(k)
-    ms = np.array(sorted(terms))
-    amps = np.array([terms[m] for m in ms])
-    values = amps @ np.exp(-1j * np.outer(ms, phi))
-    return AngularPdf(phi, np.abs(values) ** 2 / (2.0 * np.pi * c))
-
-
-def snapshot_pdf_branch_route(
-    state: JmState, t: float, k: int = DEFAULT_GRID_SIZE, c_min: float = C_MIN
-) -> AngularPdf:
-    """Same distribution assembled by summing branch wavefunctions first."""
-    _check_grid(state, k)
-    _check_m_lattice(state)
-    c = conditioning_probability(state, t)
-    if c <= c_min:
-        raise ConditioningError(f"conditioning probability {c:.3e} at t={t} is below {c_min:g}")
-    phi = angular_grid(k)
-    total = sum(_branch_values(state, phi, t).values())
-    return AngularPdf(phi, np.abs(total) ** 2 / (2.0 * np.pi * c))
+    return pdf
 
 
 def snapshot_sweep(
     state: JmState, times, k: int = DEFAULT_GRID_SIZE, c_min: float = C_MIN
 ) -> list[AngularPdf | None]:
     """Snapshots along a time grid; refused times yield None (gaps)."""
-    out: list[AngularPdf | None] = []
-    for t in times:
-        try:
-            out.append(snapshot_pdf(state, float(t), k, c_min))
-        except ConditioningError:
-            out.append(None)
-    return out
+    _check_grid(state, k)
+    _check_m_lattice(state)
+    ms, b, c = _conditioned(state, times)
+    refused = c <= c_min
+    values = _angular_series(b[~refused], ms, k)
+    densities = iter(np.abs(values) ** 2 / (2.0 * np.pi * c[~refused, None]))
+    phi = angular_grid(k)
+    return [None if gap else AngularPdf(phi, next(densities)) for gap in refused]
 
 
 def time_grid_size(state: JmState) -> int:
@@ -178,12 +171,4 @@ def absolute_time_pdf(state: JmState, k_t: int | None = None) -> AngularPdf:
             f"time grid {k_t} is below the exact-quadrature size {time_grid_size(state)}"
         )
     ts = angular_grid(k_t)
-    by_m: dict[float, dict[float, complex]] = {}
-    for (j, m), v in state.amplitudes.items():
-        by_m.setdefault(m, {})[j] = v
-    density = np.zeros(k_t)
-    for terms in by_m.values():
-        js = np.array(sorted(terms))
-        amps = np.array([terms[j] for j in js])
-        density += np.abs(amps @ np.exp(-1j * np.outer(js, ts))) ** 2
-    return AngularPdf(ts, density / (2.0 * np.pi))
+    return AngularPdf(ts, _conditioned(state, ts)[2] / (2.0 * np.pi))

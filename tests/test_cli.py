@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -208,3 +210,79 @@ def test_file_state_round_trip(capsys, tmp_path):
 def test_missing_file_is_exit_2(capsys):
     code, _, err = run(capsys, "phase", "--state", "file:/nonexistent.json")
     assert code == 2
+
+
+def one_line_error(code, err):
+    return code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_file_state(capsys, tmp_path, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    return run(capsys, "phase", "--state", f"file:{path}", "--k", "16")
+
+
+def test_json_negative_index_is_exit_2(capsys, tmp_path):
+    code, out, err = run_file_state(
+        capsys, tmp_path, '{"kind": "single", "n_max": 3, "amps": [[-1, 0, 1, 0]]}'
+    )
+    assert one_line_error(code, err) and out == ""
+
+
+def test_json_index_above_n_max_is_exit_2(capsys, tmp_path):
+    code, _, err = run_file_state(
+        capsys, tmp_path, '{"kind": "single", "n_max": 1, "amps": [[5, 0, 1, 0]]}'
+    )
+    assert one_line_error(code, err)
+
+
+def test_json_missing_kind_is_exit_2(capsys, tmp_path):
+    code, _, err = run_file_state(capsys, tmp_path, '{"n_max": 1, "amps": [[0, 0, 1, 0]]}')
+    assert one_line_error(code, err)
+    assert "kind" in err
+
+
+@pytest.mark.parametrize(
+    "command,kind,rows",
+    [
+        ("phase", "single", "[[0, 0, NaN, 0]]"),
+        ("phase", "single", "[[0, 0, 1, Infinity]]"),
+        ("phase", "single", "[[0, 0, 1e200, 0], [1, 0, 1e200, 0]]"),
+        ("ellipse", "two", "[[0, 0, NaN, 0]]"),
+        ("ellipse", "two", "[[0, 0, 1e200, 0], [1, 0, 1e200, 0]]"),
+    ],
+)
+def test_json_non_finite_or_huge_amplitude_is_exit_2(capsys, tmp_path, command, kind, rows):
+    path = tmp_path / "state.json"
+    path.write_text(f'{{"kind": "{kind}", "n_max": 1, "amps": {rows}}}')
+    flag = "--state" if command == "phase" else "--pol"
+    code, out, err = run(capsys, command, flag, f"file:{path}", "--k", "16")
+    assert one_line_error(code, err) and out == ""
+
+
+@pytest.mark.parametrize("spec", ["coh:inf", "coh:nan", "coh:-inf", "xcoh:inf", "xcoh:nan"])
+def test_non_finite_mean_is_exit_2(capsys, spec):
+    command = "phase" if spec.startswith("coh") else "ellipse"
+    flag = "--state" if spec.startswith("coh") else "--pol"
+    code, _, err = run(capsys, command, flag, spec)
+    assert one_line_error(code, err)
+    assert "bad mean photon number" in err
+
+
+def test_output_file_mode_follows_umask(capsys, tmp_path):
+    path = tmp_path / "out.csv"
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "phase", "--state", "num:1", "--k", "8", "--out", str(path))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]  # no temp file left
+
+
+def test_missing_output_directory_names_the_output(capsys, tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    code, _, err = run(capsys, "phase", "--state", "num:1", "--k", "8", "--out", str(path))
+    assert one_line_error(code, err)
+    assert str(path) in err and ".relphase-" not in err

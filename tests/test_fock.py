@@ -55,7 +55,7 @@ def test_coherent_rejects_inadequate_truncation():
 
 
 def test_coherent_default_truncation_obeys_tail():
-    for mean in (0.5, 1.0, 9.0):
+    for mean in (0.5, 1.0, 9.0, 100.0, 1000.0):
         s = make_coherent_state(math.sqrt(mean))
         assert oracles.poisson_tail(mean, s.n_max) < 1e-12
         assert oracles.poisson_tail(mean, s.n_max - 1) >= 1e-12
@@ -165,6 +165,35 @@ def test_json_field_names_fixed():
     assert set(doc) == {"kind", "n_max", "amps"}
     assert doc["kind"] == "single"
     assert doc["amps"] == [[1, 0, 1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "single", "n_max": 3, "amps": [[-1, 0, 1.0, 0.0]]},  # negative
+        {"kind": "single", "n_max": 3, "amps": [[1.5, 0, 1.0, 0.0]]},  # non-integer
+        {"kind": "single", "n_max": 3, "amps": [["1", 0, 1.0, 0.0]]},  # non-integer
+        {"kind": "single", "n_max": 1, "amps": [[5, 0, 1.0, 0.0]]},  # out of range
+        {"kind": "two", "n_max": 2, "amps": [[0, 3, 1.0, 0.0]]},  # out of range
+        {"kind": "two", "n_max": 2, "amps": [[1, 1, 1.0, 0.0], [1, 1, 0.5, 0.0]]},  # duplicate
+        {"n_max": 1, "amps": [[0, 0, 1.0, 0.0]]},  # missing kind
+        {"kind": "single", "amps": [[0, 0, 1.0, 0.0]]},  # missing n_max
+        {"kind": "single", "n_max": None, "amps": [[0, 0, 1.0, 0.0]]},
+        {"kind": "single", "n_max": 1, "amps": [[0, 0, 1.0]]},  # short row
+        {"kind": "single", "n_max": 1, "amps": [[0, 0, "1", 0.0]]},  # non-numeric
+        {"kind": "single", "n_max": 1, "amps": [[0, 0, float("nan"), 0.0]]},
+        {"kind": "two", "n_max": 1, "amps": [[0, 0, 1.0, float("inf")]]},
+        # the norm overflows
+        {"kind": "two", "n_max": 1, "amps": [[0, 0, 1e200, 0.0], [1, 0, 1e200, 0.0]]},
+        {"kind": "single", "n_max": 1, "amps": [[0, 0, 1e200, 0.0], [1, 0, 1e200, 0.0]]},
+        ["single", 1, []],
+    ],
+)
+def test_json_reader_rejects_malformed_documents(doc):
+    import json
+
+    with pytest.raises(ValueError):
+        state_from_json(json.dumps(doc))
 
 
 def test_two_mode_rejects_keys_beyond_truncation():

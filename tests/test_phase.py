@@ -15,6 +15,8 @@ from relphase import (
     phase_pdf,
     phase_wavefunction,
 )
+from relphase.phase import angular_grid, eval_fourier_series
+
 TWO_TERM = SingleModeState(np.array([1.0, 1.0]) / math.sqrt(2))
 
 
@@ -44,6 +46,20 @@ def test_fft_matches_direct_sum():
         wf = phase_wavefunction(SingleModeState(psi), 128)
         direct = oracles.direct_series({n: psi[n] for n in range(18)}, wf.phi)
         assert np.abs(wf.values - direct).max() < 1e-12
+
+
+def test_batched_series_with_offset_matches_direct_sum():
+    # rows are independent series over frequencies lo, lo + 1, ...
+    rng = np.random.default_rng(12)
+    coeffs = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
+    k = 16
+    values = eval_fourier_series(coeffs, k, lo=-4)
+    phi = angular_grid(k)
+    for row, got in zip(coeffs, values):
+        want = oracles.direct_series({m - 4: c for m, c in enumerate(row)}, phi)
+        assert np.abs(got - want).max() < 1e-12
+    with pytest.raises(AliasingError):
+        eval_fourier_series(coeffs, 8, lo=-4)
 
 
 def test_aliasing_guard():

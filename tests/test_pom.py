@@ -19,7 +19,7 @@ from relphase import (
     to_jm,
 )
 from relphase.phase import angular_grid
-from relphase.pom import snapshot_pdf_branch_route, time_grid_size
+from relphase.pom import time_grid_size
 
 PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC
@@ -119,16 +119,6 @@ def test_snapshot_matches_direct_oracle():
         got = snapshot_pdf(jm, t, 128)
         want = oracles.direct_snapshot(oracles.jm_map(amp), t, phis)
         assert np.abs(got.density - want).max() < 1e-11
-
-
-def test_snapshot_routes_agree():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        jm = random_jm(rng, 6)
-        t = float(rng.uniform(0, math.pi))
-        a = snapshot_pdf(jm, t, 128)
-        b = snapshot_pdf_branch_route(jm, t, 128)
-        assert np.abs(a.density - b.density).max() < 1e-12
 
 
 def test_snapshot_and_marginal_normalized():
