@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,13 +112,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write atomically (temp file + rename); '-' or None means stdout.
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    """Write text chunks atomically (temp file + rename); '-' or None means stdout.
 
     The file gets open()'s mode (0666 less the umask); errors name the path.
     """
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".relphase-{os.urandom(8).hex()}")
@@ -128,30 +128,33 @@ def _write(path: str | None, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
+BLOCK_ROWS = 8192  # CSV rows formatted per chunk: bounds the text held at once
 
 
-def _table(header: Sequence[str], rows: Iterable[Sequence[float]], fmt: str) -> str:
+def _table(header: Sequence[str], rows: np.ndarray, fmt: str) -> Iterator[str]:
+    """Text chunks of a table of the rows of a 2-d float array; '%.15g' is f"{x:.15g}"."""
     if fmt == "json":
-        doc = {"columns": list(header), "rows": [[float(v) for v in r] for r in rows]}
-        return json.dumps(doc) + "\n"
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in r) for r in rows)
-    return "\n".join(lines) + "\n"
+        yield json.dumps({"columns": list(header), "rows": rows.tolist()}) + "\n"
+        return
+    yield ",".join(header) + "\n"
+    line = ",".join(["%.15g"] * len(header)) + "\n"
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start : start + BLOCK_ROWS]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def cmd_phase(args) -> int:
     state = parse_single_spec(args.state, args.n_max, args.tail_tol)
     pdf = phase_pdf(state, args.k)
-    _write(args.out, _table(("phi", "density"), zip(pdf.phi, pdf.density), args.format))
+    rows = np.column_stack([pdf.phi, pdf.density])
+    _write(args.out, _table(("phi", "density"), rows, args.format))
     return 0
 
 
@@ -160,15 +163,17 @@ def cmd_pb(args) -> int:
     s_values = [_int(tok, "truncation") for tok in args.s.split(",") if tok]
     if not s_values:
         raise SpecError("need at least one truncation in --s")
-    rows = []
-    for s in s_values:
-        pmf = pb_pmf(state, s)
-        rows.extend((s, th, mass) for th, mass in zip(pmf.theta, pmf.masses))
+    pmfs = [pb_pmf(state, s) for s in s_values]
+    rows = np.column_stack([
+        np.concatenate([np.full(pmf.theta.size, pmf.s) for pmf in pmfs]),
+        np.concatenate([pmf.theta for pmf in pmfs]),
+        np.concatenate([pmf.masses for pmf in pmfs]),
+    ])
     _write(args.out, _table(("s", "theta", "mass"), rows, args.format))
     if args.report is not None:
         distances = pb_convergence(state, s_values)
         doc = [{"s": s, "distance": d} for s, d in zip(s_values, distances)]
-        _write(args.report, json.dumps(doc) + "\n")
+        _write(args.report, [json.dumps(doc) + "\n"])
     return 0
 
 
@@ -177,7 +182,7 @@ def cmd_moments(args) -> int:
     report = {}
     report.update(heterodyne_moments(state).as_dict())
     report.update(y_moments(state).as_dict())
-    _write(args.out, json.dumps(report, sort_keys=True) + "\n")
+    _write(args.out, [json.dumps(report, sort_keys=True) + "\n"])
     return 0
 
 
@@ -194,10 +199,12 @@ def cmd_sweep(args) -> int:
         )
     times = np.linspace(0.0, np.pi, args.kt)
     slices = snapshot_sweep(jm, times, args.k)
-    rows = [
-        (t, phi, dens) for t, pdf in zip(times, slices) if pdf is not None
-        for phi, dens in zip(pdf.phi, pdf.density)
-    ]
+    live = [(t, pdf) for t, pdf in zip(times, slices) if pdf is not None]
+    rows = np.column_stack([
+        np.ravel([np.full_like(pdf.phi, t) for t, pdf in live]),
+        np.ravel([pdf.phi for _, pdf in live]),
+        np.ravel([pdf.density for _, pdf in live]),
+    ])
     gaps = slices.count(None)
     if gaps:
         print(f"skipped {gaps} time(s) of vanishing conditioning probability", file=sys.stderr)
@@ -207,17 +214,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_ellipse(args) -> int:
     pdf = marginal_pdf(_pol_jm(args), args.k)
-    if args.db:
-        _write(args.out, _table(("phi", "db"), zip(pdf.phi, db_view(pdf)), args.format))
-    else:
-        _write(args.out, _table(("phi", "density"), zip(pdf.phi, pdf.density), args.format))
+    header, values = (("phi", "db"), db_view(pdf)) if args.db else (("phi", "density"), pdf.density)
+    _write(args.out, _table(header, np.column_stack([pdf.phi, values]), args.format))
     return 0
 
 
 def cmd_timepdf(args) -> int:
     jm = _pol_jm(args)
     pdf = absolute_time_pdf(jm, args.kt)
-    _write(args.out, _table(("t", "density"), zip(pdf.phi, pdf.density), args.format))
+    rows = np.column_stack([pdf.phi, pdf.density])
+    _write(args.out, _table(("t", "density"), rows, args.format))
     return 0
 
 

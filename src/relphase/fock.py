@@ -170,6 +170,8 @@ def coherent_n_max(mean: float, tail_tol: float) -> int:
     The tail falls monotonically in n_max, so a bisection finds the same
     n_max as a scan upward from 0.
     """
+    if not 0.0 < tail_tol < 1.0:  # nan included
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     # generous cap; the tail decays superexponentially past the mean
     cap = int(mean + 200 * math.sqrt(mean + 1) + 200)
     lo, hi = -1, cap + 1  # tail(lo) >= tail_tol > tail(hi), the ends taken on trust

@@ -62,16 +62,22 @@ def phase_cdf(state: SingleModeState, x: np.ndarray) -> np.ndarray:
     """Exact CDF of the continuous phase density, anchored at -pi.
 
     Uses the closed-form antiderivative of the density's trigonometric
-    polynomial, with coefficients c_k = sum_n psi*_n psi_{n+k}.
+    polynomial, with coefficients c_k = sum_n psi*_n psi_{n+k}; the series
+    sum_k c_k e^{-ikx}/(-ik) is evaluated by Horner's rule in z = e^{-ix}.
     """
     psi = state.amplitudes
     x = np.asarray(x, dtype=float)
-    out = float(np.vdot(psi, psi).real) * (x + np.pi) / (2.0 * np.pi)
-    for k in range(1, psi.size):
-        ck = np.vdot(psi[: psi.size - k], psi[k:])
-        term = ck * (np.exp(-1j * k * x) - np.exp(1j * k * np.pi)) / (-1j * k)
-        out += 2.0 * term.real / (2.0 * np.pi)
-    return out
+    c = np.correlate(psi, psi, "full")[psi.size - 1 :]
+    k = np.arange(1, psi.size)
+    d = c[1:] / (-1j * k)
+    z = np.exp(-1j * x)
+    series = np.zeros(x.shape, dtype=complex)
+    for dk in d[::-1]:
+        series *= z
+        series += dk
+    series *= z
+    anchor = np.sum(d * (-1.0) ** k)  # the series at x = -pi
+    return (c[0].real * (x + np.pi) + 2.0 * (series - anchor).real) / (2.0 * np.pi)
 
 
 def kolmogorov_distance(pmf: DiscretePhasePmf, state: SingleModeState) -> float:

@@ -5,6 +5,7 @@ matrices on padded spaces, direct trigonometric sums instead of FFTs, and
 explicit tensor products for the extended-space moments. Keep this module
 free of relphase imports.
 """
+import json
 import math
 
 import numpy as np
@@ -132,6 +133,31 @@ def numeric_cdf(psi, xs, fine=1 << 16):
     dens = direct_phase_pdf(psi, grid)
     cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2) * (grid[1] - grid[0])])
     return np.interp(xs, grid, cum)
+
+
+def series_cdf(psi, xs):
+    """Closed-form CDF anchored at -pi, one exponential per coefficient
+    c_k = sum_n psi*_n psi_{n+k}: the antiderivative of the density term by term."""
+    xs = np.asarray(xs, dtype=float)
+    out = float(np.vdot(psi, psi).real) * (xs + np.pi) / (2.0 * np.pi)
+    for k in range(1, len(psi)):
+        ck = np.vdot(psi[: len(psi) - k], psi[k:])
+        term = ck * (np.exp(-1j * k * xs) - np.exp(1j * k * np.pi)) / (-1j * k)
+        out += 2.0 * term.real / (2.0 * np.pi)
+    return out
+
+
+# --- output tables -------------------------------------------------------------
+
+
+def reference_table(header, rows, fmt):
+    """CSV or JSON text of a table, one f"{x:.15g}" per value."""
+    if fmt == "json":
+        doc = {"columns": list(header), "rows": [[float(v) for v in r] for r in rows]}
+        return json.dumps(doc) + "\n"
+    lines = [",".join(header)]
+    lines.extend(",".join(f"{v:.15g}" for v in r) for r in rows)
+    return "\n".join(lines) + "\n"
 
 
 # --- two-mode / (j, m) helpers ----------------------------------------------

@@ -6,8 +6,16 @@ import stat
 import numpy as np
 import pytest
 
-from relphase import TwoModeState, state_to_json
-from relphase.cli import main
+import oracles
+from relphase import (
+    PrimitiveConvention,
+    TwoModeState,
+    snapshot_sweep,
+    state_from_json,
+    state_to_json,
+    to_jm,
+)
+from relphase.cli import BLOCK_ROWS, _table, main
 
 
 def run(capsys, *argv):
@@ -97,13 +105,13 @@ def test_sweep_slices_normalized(capsys):
     assert abs(t0[np.argmax(t0[:, 2]), 1]) < 1e-12  # peak up along x
 
 
+# (|0,0> + |1,1>)/sqrt(2) loses all conditioning probability at t = pi/2
+GAP_STATE = TwoModeState({(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}, 2)
+
+
 def test_sweep_reports_gaps(capsys, tmp_path):
-    # (|0,0> + |1,1>)/sqrt(2) loses all conditioning probability at t = pi/2
-    state = TwoModeState(
-        {(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}, 2
-    )
     path = tmp_path / "state.json"
-    path.write_text(state_to_json(state))
+    path.write_text(state_to_json(GAP_STATE))
     code, out, err = run(
         capsys, "sweep", "--pol", f"file:{path}", "--kt", "17", "--k", "32"
     )
@@ -286,3 +294,69 @@ def test_missing_output_directory_names_the_output(capsys, tmp_path):
     code, _, err = run(capsys, "phase", "--state", "num:1", "--k", "8", "--out", str(path))
     assert one_line_error(code, err)
     assert str(path) in err and ".relphase-" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_tail_tol_outside_unit_interval_is_exit_2(capsys, tol):
+    code, out, err = run(capsys, "phase", "--state", "coh:9", "--tail-tol", tol)
+    assert one_line_error(code, err) and out == ""
+    assert "tail_tol" in err
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1e16, 123456789012345.6, 0.1, 1 / 3, 64.0, 3.0, -2.0,
+                  math.nan, math.inf, -math.inf]
+
+
+def first_difference(got, want):
+    """None for equal texts, else the first differing offset and the text around it
+    (pytest's own diff of megabyte strings takes minutes)."""
+    if got == want:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return i, got[max(i - 40, 0) : i + 40], want[max(i - 40, 0) : i + 40]
+
+
+def random_rows(n):
+    rng = np.random.default_rng(n)
+    return rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.reshape(SPECIAL_VALUES, (-1, 3)),
+        np.reshape(SPECIAL_VALUES, (-1, 2))[:, ::-1],  # not contiguous
+        np.empty((0, 3)),
+        random_rows(BLOCK_ROWS),
+        random_rows(BLOCK_ROWS + 1),
+        random_rows(3 * BLOCK_ROWS + 5),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_matches_per_value_writer(rows, fmt):
+    header = ("a", "b", "c")[: rows.shape[1]]
+    chunks = list(_table(header, rows, fmt))
+    assert first_difference("".join(chunks), oracles.reference_table(header, rows, fmt)) is None
+    if fmt == "csv":  # the header, then one chunk per block of rows
+        assert len(chunks) == 1 + -(-len(rows) // BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_multi_block_sweep_with_gaps_matches_per_value_writer(capsys, tmp_path, fmt):
+    path, out = tmp_path / "state.json", tmp_path / "sweep.out"
+    path.write_text(state_to_json(GAP_STATE))
+    code, _, err = run(
+        capsys, "sweep", "--pol", f"file:{path}", "--kt", "1025", "--k", "32",
+        "--format", fmt, "--out", str(out),
+    )
+    assert code == 0 and "skipped 1 time(s)" in err
+    times = np.linspace(0.0, np.pi, 1025)
+    jm = to_jm(state_from_json(path.read_text()), PrimitiveConvention.PHOTONIC)
+    slices = snapshot_sweep(jm, times, 32)
+    rows = [
+        (t, phi, dens) for t, pdf in zip(times, slices) if pdf is not None
+        for phi, dens in zip(pdf.phi, pdf.density)
+    ]
+    assert len(rows) > 3 * BLOCK_ROWS
+    want = oracles.reference_table(("t", "phi", "density"), rows, fmt)
+    assert first_difference(out.read_text(), want) is None

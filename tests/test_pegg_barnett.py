@@ -65,6 +65,16 @@ def test_phase_cdf_matches_numeric_integration():
     assert abs(phase_cdf(SingleModeState(psi), np.array([np.pi]))[0] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 300])
+def test_phase_cdf_matches_termwise_series(n_max):
+    rng = np.random.default_rng(n_max)
+    psi = oracles.random_single(rng, n_max)
+    on_grid = -np.pi + 2 * np.pi * np.arange(n_max + 2) / (n_max + 2)
+    xs = np.concatenate([on_grid, rng.uniform(-10.0, 10.0, 200), [-np.pi, np.pi, 7.5]])
+    got = phase_cdf(SingleModeState(psi), xs)
+    assert np.abs(got - oracles.series_cdf(psi, xs)).max() < 1e-12
+
+
 def test_vacuum_distance_bounded_by_grid_spacing():
     for s in (3, 10, 101):
         (d,) = pb_convergence(make_number_state(0, 0), [s])
