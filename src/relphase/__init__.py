@@ -10,18 +10,16 @@ from .errors import (
     TruncationError,
 )
 from .fock import (
-    JmState,
     PrimitiveConvention,
     SingleModeState,
     TwoModeState,
     evolve,
-    from_jm,
+    jm_labels,
     make_coherent_state,
     make_number_state,
     single_to_two_mode,
     state_from_json,
     state_to_json,
-    to_jm,
 )
 from .naimark import (
     YMoments,

@@ -24,14 +24,12 @@ import numpy as np
 from . import __version__
 from .errors import RelphaseError
 from .fock import (
-    PrimitiveConvention,
     SingleModeState,
     TwoModeState,
     make_coherent_state,
     make_number_state,
     single_to_two_mode,
     state_from_json,
-    to_jm,
 )
 from .naimark import heterodyne_moments, y_moments
 from .pegg_barnett import pb_convergence, pb_pmf
@@ -186,19 +184,14 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def _pol_jm(args):
-    state = parse_pol_spec(args.pol, args.n_max, args.tail_tol)
-    return to_jm(state, PrimitiveConvention.PHOTONIC)
-
-
 def cmd_sweep(args) -> int:
-    jm = _pol_jm(args)
-    if args.kt < time_grid_size(jm):
+    state = parse_pol_spec(args.pol, args.n_max, args.tail_tol)
+    if args.kt < time_grid_size(state):
         raise RelphaseError(
-            f"time grid {args.kt} is below the configured minimum {time_grid_size(jm)}"
+            f"time grid {args.kt} is below the configured minimum {time_grid_size(state)}"
         )
     times = np.linspace(0.0, np.pi, args.kt)
-    slices = snapshot_sweep(jm, times, args.k)
+    slices = snapshot_sweep(state, times, args.k)
     live = [(t, pdf) for t, pdf in zip(times, slices) if pdf is not None]
     rows = np.column_stack([
         np.ravel([np.full_like(pdf.phi, t) for t, pdf in live]),
@@ -213,15 +206,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ellipse(args) -> int:
-    pdf = marginal_pdf(_pol_jm(args), args.k)
+    pdf = marginal_pdf(parse_pol_spec(args.pol, args.n_max, args.tail_tol), args.k)
     header, values = (("phi", "db"), db_view(pdf)) if args.db else (("phi", "density"), pdf.density)
     _write(args.out, _table(header, np.column_stack([pdf.phi, values]), args.format))
     return 0
 
 
 def cmd_timepdf(args) -> int:
-    jm = _pol_jm(args)
-    pdf = absolute_time_pdf(jm, args.kt)
+    pdf = absolute_time_pdf(parse_pol_spec(args.pol, args.n_max, args.tail_tol), args.kt)
     rows = np.column_stack([pdf.phi, pdf.density])
     _write(args.out, _table(("t", "density"), rows, args.format))
     return 0

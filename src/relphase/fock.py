@@ -10,14 +10,15 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import TruncationError
 
 NORM_TOL = 1e-10
+# dense state budget: 2**24 complex128 amplitudes (256 MiB), a two-mode n_max <= 4095
+MAX_AMPLITUDES = 2**24
 
 
 class PrimitiveConvention(Enum):
@@ -71,84 +72,72 @@ class SingleModeState:
         return np.abs(self.amplitudes) ** 2
 
 
+def jm_labels(ns, na, convention: PrimitiveConvention = PrimitiveConvention.PHOTONIC):
+    """(j, m) of occupations (n_s, n_a), scalars or broadcasting arrays:
+    j = c (n_s + n_a), m = c (n_s - n_a), with c = 1 photonic and 1/2 fermionic."""
+    c = 1.0 if convention is PrimitiveConvention.PHOTONIC else 0.5
+    return c * np.add(ns, na), c * np.subtract(ns, na)
+
+
+def simplex(n_max: int) -> np.ndarray:
+    """Mask of the cells n_s + n_a <= n_max of an (n_max+1)^2 amplitude array."""
+    n = np.arange(n_max + 1)
+    return np.less_equal.outer(n, n_max - n)  # no (n_max+1)^2 integer temporary
+
+
+def check_budget(n_max: int, modes: int) -> None:
+    """Refuse, before allocating it, a state array of more than MAX_AMPLITUDES."""
+    size = (n_max + 1) ** modes
+    if size > MAX_AMPLITUDES:
+        raise TruncationError(
+            f"a {modes}-mode state at n_max={n_max} needs {size} amplitudes "
+            f"({size * 16 / 2**20:.1f} MiB); the budget is {MAX_AMPLITUDES} (256 MiB)"
+        )
+
+
 @dataclass(frozen=True)
 class TwoModeState:
-    """Sparse amplitudes over pairs (n_s, n_a) with n_s + n_a <= n_max.
+    """Amplitudes a[n_s, n_a] on the simplex n_s + n_a <= n_max, held dense.
 
+    The array is (n_max+1) x (n_max+1) and zero wherever n_s + n_a > n_max.
     The container itself admits any norm (operator images are returned
     unnormalized); the public constructors always produce unit norm.
     """
 
-    amplitudes: Mapping[tuple[int, int], complex]
-    n_max: int
+    amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = {}
-        for (ns, na), v in dict(self.amplitudes).items():
-            if ns < 0 or na < 0:
-                raise ValueError(f"negative occupation in key ({ns}, {na})")
-            if ns + na > self.n_max:
-                raise ValueError(f"key ({ns}, {na}) exceeds n_max={self.n_max}")
-            if v != 0:
-                amps[(int(ns), int(na))] = complex(v)
-        object.__setattr__(self, "amplitudes", MappingProxyType(amps))
+        amps = np.array(self.amplitudes, dtype=complex)
+        if amps.ndim != 2 or amps.shape[0] != amps.shape[1] or amps.size == 0:
+            raise ValueError("amplitudes must be a non-empty square 2-d array")
+        outside = np.argwhere((amps != 0) & ~simplex(amps.shape[0] - 1))
+        if outside.size:
+            ns, na = outside[0].tolist()
+            raise ValueError(f"amplitude at ({ns}, {na}) exceeds n_max={amps.shape[0] - 1}")
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def from_amplitudes(
-        cls,
-        amplitudes: Mapping[tuple[int, int], complex],
-        n_max: int | None = None,
-    ) -> "TwoModeState":
-        """Build and renormalize; n_max defaults to the largest occupied total."""
-        if n_max is None:
-            n_max = max((ns + na for ns, na in amplitudes), default=0)
-        norm = _norm(np.array(list(amplitudes.values()), dtype=complex))
-        return cls({k: v / norm for k, v in amplitudes.items()}, n_max)
+    def from_amplitudes(cls, amplitudes: np.ndarray) -> "TwoModeState":
+        """Build and renormalize; rejects the zero array."""
+        amps = np.ascontiguousarray(amplitudes, dtype=complex)
+        # the norm of the support alone, in row-major order, then real division of
+        # each part (numpy's complex / real multiplies by a rounded reciprocal)
+        return cls((amps.view(float) / _norm(amps[amps != 0])).view(complex))
+
+    @property
+    def n_max(self) -> int:
+        return self.amplitudes.shape[0] - 1
 
     def norm_squared(self) -> float:
-        return math.fsum(abs(v) ** 2 for v in self.amplitudes.values())
-
-
-@dataclass(frozen=True)
-class JmState:
-    """Sparse amplitudes keyed by (j, m) under a primitive convention.
-
-    Keys are integers for the photonic convention and exact half-integer
-    floats for the fermionic one.
-    """
-
-    amplitudes: Mapping[tuple[float, float], complex]
-    convention: PrimitiveConvention
-
-    def __post_init__(self):
-        amps = {}
-        for (j, m), v in dict(self.amplitudes).items():
-            if abs(m) > j + 1e-12:
-                raise ValueError(f"|m| > j for key ({j}, {m})")
-            if self.convention is PrimitiveConvention.PHOTONIC:
-                if (j - m) % 2 != 0:
-                    raise ValueError(f"photonic key ({j}, {m}) breaks m parity")
-            else:
-                if (2 * j) % 1 != 0 or (j - m) % 1 != 0:
-                    raise ValueError(f"fermionic key ({j}, {m}) off the half-integer lattice")
-            if v != 0:
-                amps[(j, m)] = complex(v)
-        object.__setattr__(self, "amplitudes", MappingProxyType(amps))
-
-    def j_values(self) -> list[float]:
-        return sorted({j for j, _ in self.amplitudes})
-
-    def j_max(self) -> float:
-        return max((j for j, _ in self.amplitudes), default=0.0)
-
-    def norm_squared(self) -> float:
-        return math.fsum(abs(v) ** 2 for v in self.amplitudes.values())
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 def make_number_state(n: int, n_max: int) -> SingleModeState:
     """|n> on the truncated basis 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    check_budget(n_max, 1)
     if not 0 <= n <= n_max:
         raise TruncationError(f"number state n={n} exceeds n_max={n_max}", required_n_max=n)
     amps = np.zeros(n_max + 1, dtype=complex)
@@ -170,8 +159,7 @@ def coherent_n_max(mean: float, tail_tol: float) -> int:
     The tail falls monotonically in n_max, so a bisection finds the same
     n_max as a scan upward from 0.
     """
-    if not 0.0 < tail_tol < 1.0:  # nan included
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
+    _check_tail_tol(tail_tol)
     # generous cap; the tail decays superexponentially past the mean
     cap = int(mean + 200 * math.sqrt(mean + 1) + 200)
     lo, hi = -1, cap + 1  # tail(lo) >= tail_tol > tail(hi), the ends taken on trust
@@ -186,19 +174,26 @@ def coherent_n_max(mean: float, tail_tol: float) -> int:
     return hi
 
 
+def _check_tail_tol(tail_tol: float) -> None:
+    if not 0.0 < tail_tol < 1.0:  # nan included
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
+
+
 def coherent_truncation(mean: float, n_max: int | None, tail_tol: float) -> int:
     """Truncation for a coherent excitation: the smallest adequate one when n_max
-    is None; an explicit n_max below it keeps tail mass >= tail_tol and raises."""
+    is None; an explicit n_max keeps it if its tail mass is below tail_tol and
+    otherwise raises with the smallest adequate one."""
+    _check_tail_tol(tail_tol)
+    if n_max is not None and poisson_tail(mean, n_max) < tail_tol:
+        return n_max
     needed = coherent_n_max(mean, tail_tol)
     if n_max is None:
         return needed
-    if n_max < needed:
-        raise TruncationError(
-            f"coherent tail mass at n_max={n_max} is not below {tail_tol:g}; "
-            f"need n_max >= {needed}",
-            required_n_max=needed,
-        )
-    return n_max
+    raise TruncationError(
+        f"coherent tail mass at n_max={n_max} is not below {tail_tol:g}; "
+        f"need n_max >= {needed}",
+        required_n_max=needed,
+    )
 
 
 def make_coherent_state(
@@ -210,6 +205,8 @@ def make_coherent_state(
     n_max is not below tail_tol; n_max=None picks the smallest adequate value.
     """
     mean = abs(alpha) ** 2
+    if n_max is not None:
+        check_budget(n_max, 1)  # before a tail sum over n_max terms
     n_max = coherent_truncation(mean, n_max, tail_tol)
     if mean == 0.0:
         return make_number_state(0, n_max)
@@ -224,49 +221,17 @@ def make_coherent_state(
 
 def single_to_two_mode(state: SingleModeState) -> TwoModeState:
     """Embed |psi>_s |0>_a as a two-mode state (auxiliary mode off)."""
-    amps = {(n, 0): state.amplitudes[n] for n in range(state.n_max + 1)}
-    return TwoModeState(amps, state.n_max)
-
-
-def _jm_key(ns: int, na: int, convention: PrimitiveConvention) -> tuple[float, float]:
-    if convention is PrimitiveConvention.PHOTONIC:
-        return (ns + na, ns - na)
-    return ((ns + na) / 2, (ns - na) / 2)
-
-
-def _occupations(j: float, m: float, convention: PrimitiveConvention) -> tuple[int, int]:
-    if convention is PrimitiveConvention.PHOTONIC:
-        ns, na = (j + m) / 2, (j - m) / 2
-    else:
-        ns, na = j + m, j - m
-    return int(round(ns)), int(round(na))
-
-
-def to_jm(state: TwoModeState, convention: PrimitiveConvention) -> JmState:
-    """Re-index occupation amplitudes by (j, m); amplitude preserving."""
-    amps = {
-        _jm_key(ns, na, convention): v for (ns, na), v in state.amplitudes.items()
-    }
-    return JmState(amps, convention)
-
-
-def from_jm(state: JmState, n_max: int | None = None) -> TwoModeState:
-    """Inverse of :func:`to_jm`; exact round trip."""
-    amps = {
-        _occupations(j, m, state.convention): v for (j, m), v in state.amplitudes.items()
-    }
-    if n_max is None:
-        n_max = max((ns + na for ns, na in amps), default=0)
-    return TwoModeState(amps, n_max)
+    check_budget(state.n_max, 2)
+    amps = np.zeros((state.n_max + 1,) * 2, dtype=complex)
+    amps[:, 0] = state.amplitudes
+    return TwoModeState(amps)
 
 
 def evolve(state: TwoModeState, t: float) -> TwoModeState:
     """Free evolution by t radians at unit frequency: phase e^{-i(n_s+n_a)t}."""
-    amps = {
-        (ns, na): v * np.exp(-1j * (ns + na) * t)
-        for (ns, na), v in state.amplitudes.items()
-    }
-    return TwoModeState(amps, state.n_max)
+    n = np.arange(state.n_max + 1)
+    j, _ = jm_labels(n[:, None], n)
+    return TwoModeState(state.amplitudes * np.exp(-1j * j * t))
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -275,9 +240,12 @@ def evolve(state: TwoModeState, t: float) -> TwoModeState:
 
 
 def state_to_json(state: SingleModeState | TwoModeState) -> str:
+    """One [n_s, n_a, re, im] row per nonzero amplitude, in (n_s, n_a) order."""
     kind = "single" if isinstance(state, SingleModeState) else "two"
-    two = single_to_two_mode(state) if kind == "single" else state
-    rows = [[ns, na, v.real, v.imag] for (ns, na), v in sorted(two.amplitudes.items())]
+    amps = state.amplitudes if kind == "two" else state.amplitudes[:, None]
+    ns, na = np.nonzero(amps)
+    values = amps[ns, na].tolist()
+    rows = [[s, a, v.real, v.imag] for s, a, v in zip(ns.tolist(), na.tolist(), values)]
     return json.dumps({"kind": kind, "n_max": state.n_max, "amps": rows})
 
 
@@ -301,6 +269,7 @@ def state_from_json(text: str) -> SingleModeState | TwoModeState:
     kind, n_max = doc.get("kind"), _json_int(doc.get("n_max"), math.inf, "n_max")
     if kind not in ("single", "two"):
         raise ValueError(f"unknown state kind {kind!r}")
+    check_budget(n_max, 1 if kind == "single" else 2)
     amps: dict[tuple[int, int], complex] = {}
     for row in doc["amps"]:
         if not isinstance(row, list) or len(row) != 4:
@@ -311,8 +280,8 @@ def state_from_json(text: str) -> SingleModeState | TwoModeState:
         if key in amps:
             raise ValueError(f"duplicate state row for {key}")
         amps[key] = complex(_json_real(row[2]), _json_real(row[3]))
+    array = np.zeros((n_max + 1, 1 if kind == "single" else n_max + 1), dtype=complex)
+    array[tuple(np.array(list(amps), dtype=int).reshape(-1, 2).T)] = list(amps.values())
     if kind == "single":
-        single = np.zeros(n_max + 1, dtype=complex)
-        single[[ns for ns, _ in amps]] = list(amps.values())
-        return SingleModeState.from_amplitudes(single)
-    return TwoModeState.from_amplitudes(amps, n_max)
+        return SingleModeState.from_amplitudes(array[:, 0])
+    return TwoModeState.from_amplitudes(array)

@@ -146,18 +146,15 @@ def two_sided_coefficients(state: TwoModeState) -> tuple[int, np.ndarray]:
     the coefficients over consecutive m from there. Raises SupportError for
     amplitudes with both modes excited.
     """
-    by_m: dict[int, complex] = {}
-    for (ns, na), v in state.amplitudes.items():
-        if ns != 0 and na != 0:
-            raise SupportError(
-                f"state has support at (n_s, n_a) = ({ns}, {na}); "
-                "need n_s * n_a = 0"
-            )
-        by_m[ns - na] = v
-    lo = min(by_m)
-    coeffs = np.zeros(max(by_m) - lo + 1, dtype=complex)
-    coeffs[np.array(list(by_m)) - lo] = list(by_m.values())
-    return lo, coeffs
+    a = state.amplitudes
+    both = np.argwhere(a[1:, 1:])
+    if both.size:
+        ns, na = (both[0] + 1).tolist()
+        raise SupportError(f"state has support at (n_s, n_a) = ({ns}, {na}); need n_s * n_a = 0")
+    # m = -n_max..-1 from row 0 (psi_{0,-m}), m = 0..n_max from column 0 (psi_{m,0})
+    coeffs = np.concatenate([a[0, :0:-1], a[:, 0]])
+    support = np.flatnonzero(coeffs)
+    return int(support[0]) - state.n_max, coeffs[support[0] : support[-1] + 1]
 
 
 def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:

@@ -24,10 +24,11 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AliasingError, ConditioningError, SupportError
-from .fock import JmState, PrimitiveConvention
+from .fock import PrimitiveConvention, TwoModeState, jm_labels
 from .phase import DEFAULT_GRID_SIZE, AngularPdf, angular_grid, eval_fourier_series
 
 C_MIN = 1e-12
+PHOTONIC = PrimitiveConvention.PHOTONIC
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,14 @@ class BranchSet:
             raise ValueError(f"branch norms sum to {total!r}, not 1")
 
 
-def _pack(state: JmState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(js, ms, a): the sorted distinct j and m values and amplitudes a[j, m]."""
-    keys = np.array(list(state.amplitudes), dtype=float).reshape(-1, 2)
-    js, rows = np.unique(keys[:, 0], return_inverse=True)
-    ms, cols = np.unique(keys[:, 1], return_inverse=True)
+def _pack(state: TwoModeState, convention: PrimitiveConvention):
+    """(js, ms, a): the sorted distinct occupied j and m and the amplitudes a[j, m]."""
+    ns, na = np.nonzero(state.amplitudes)
+    j, m = jm_labels(ns, na, convention)
+    js, rows = np.unique(j, return_inverse=True)
+    ms, cols = np.unique(m, return_inverse=True)
     a = np.zeros((js.size, ms.size), dtype=complex)
-    a[rows, cols] = list(state.amplitudes.values())
+    a[rows, cols] = state.amplitudes[ns, na]
     return js, ms, a
 
 
@@ -79,77 +81,85 @@ def _angular_series(coeffs: np.ndarray, ms: np.ndarray, k: int) -> np.ndarray:
     return eval_fourier_series(packed, k, lo)
 
 
-def _conditioned(state: JmState, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ms, b, C): branch-summed amplitudes b[t, m] = sum_j a[j, m] e^{-i j t}
-    over the m values ms, and C(t) = sum_m |b[t, m]|^2."""
-    js, ms, a = _pack(state)
+def _conditioned(js, a, ts) -> tuple[np.ndarray, np.ndarray]:
+    """(b, C): branch-summed amplitudes b[t, m] = sum_j a[j, m] e^{-i j t} over
+    the packed m values, and C(t) = sum_m |b[t, m]|^2."""
     b = np.exp(np.outer(np.asarray(ts, dtype=float), -1j * js)) @ a
     c = np.einsum("tm,tm->t", b.real, b.real) + np.einsum("tm,tm->t", b.imag, b.imag)
-    return ms, b, c
+    return b, c
 
 
-def _check_grid(state: JmState, k: int) -> None:
-    m_max = max((abs(m) for _, m in state.amplitudes), default=0.0)
+def _check_grid(ms: np.ndarray, k: int) -> None:
+    m_max = np.abs(ms).max()
     if k <= 2 * m_max:
-        raise AliasingError(f"grid size {k} admits aliasing for |m| up to {m_max}")
+        raise AliasingError(f"grid size {k} admits aliasing for |m| up to {m_max:g}")
 
 
-def branch_wavefunctions(state: JmState, k: int = DEFAULT_GRID_SIZE) -> BranchSet:
+def branch_wavefunctions(
+    state: TwoModeState, k: int = DEFAULT_GRID_SIZE, *, convention: PrimitiveConvention = PHOTONIC
+) -> BranchSet:
     """Sample Psi_j(phi) = sum_m Psi_{j,m} e^{-i m phi} for every branch."""
-    _check_grid(state, k)
+    js, ms, a = _pack(state, convention)
+    _check_grid(ms, k)
     phi = angular_grid(k)
-    js, ms, a = _pack(state)
     values = _angular_series(a, ms, k)
     # a branch keeps to the m lattice of its j; restore e^{-i phi/2} on half-integer ones
     values[js % 1 != 0] *= np.exp(-0.5j * phi)
-    return BranchSet(state.convention, phi, dict(zip(js.tolist(), values)))
+    return BranchSet(convention, phi, dict(zip(js.tolist(), values)))
 
 
-def marginal_pdf(state: JmState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
+def marginal_pdf(
+    state: TwoModeState, k: int = DEFAULT_GRID_SIZE, *, convention: PrimitiveConvention = PHOTONIC
+) -> AngularPdf:
     """Time-averaged distribution: branch probabilities added."""
-    bs = branch_wavefunctions(state, k)
+    bs = branch_wavefunctions(state, k, convention=convention)
     power = sum(np.abs(v) ** 2 for v in bs.branches.values())
     return AngularPdf(bs.phi, power / (2.0 * np.pi * float(np.mean(power))))
 
 
-def _check_m_lattice(state: JmState) -> None:
+def _check_m_lattice(ms: np.ndarray) -> None:
     """Snapshots add amplitudes across m; mixed integer/half-integer support
     makes that interference 4pi-periodic, outside the [-pi, pi) domain."""
-    fracs = {m % 1 for _, m in state.amplitudes}
-    if len(fracs) > 1:
+    if np.any(ms % 1 != ms[0] % 1):
         raise SupportError(
             "state mixes integer and half-integer m; its relative-phase "
             "interference is 4pi-periodic and has no density on [-pi, pi)"
         )
 
 
-def conditioning_probability(state: JmState, t: float) -> float:
+def conditioning_probability(
+    state: TwoModeState, t: float, *, convention: PrimitiveConvention = PHOTONIC
+) -> float:
     """C(t) = sum_m |sum_j Psi_{j,m} e^{-i j t}|^2 (2pi times the time density)."""
-    return float(_conditioned(state, [t])[2][0])
+    js, _, a = _pack(state, convention)
+    return float(_conditioned(js, a, [t])[1][0])
 
 
 def snapshot_pdf(
-    state: JmState, t: float, k: int = DEFAULT_GRID_SIZE, c_min: float = C_MIN
+    state: TwoModeState, t: float, k: int = DEFAULT_GRID_SIZE, c_min: float = C_MIN,
+    *, convention: PrimitiveConvention = PHOTONIC,
 ) -> AngularPdf:
     """Conditional distribution at time t: branch amplitudes added.
 
     Refuses times of numerically vanishing conditioning probability instead
     of renormalizing noise.
     """
-    (pdf,) = snapshot_sweep(state, [t], k, c_min)
+    (pdf,) = snapshot_sweep(state, [t], k, c_min, convention=convention)
     if pdf is None:
-        c = conditioning_probability(state, t)
+        c = conditioning_probability(state, t, convention=convention)
         raise ConditioningError(f"conditioning probability {c:.3e} at t={t} is below {c_min:g}")
     return pdf
 
 
 def snapshot_sweep(
-    state: JmState, times, k: int = DEFAULT_GRID_SIZE, c_min: float = C_MIN
+    state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE, c_min: float = C_MIN,
+    *, convention: PrimitiveConvention = PHOTONIC,
 ) -> list[AngularPdf | None]:
     """Snapshots along a time grid; refused times yield None (gaps)."""
-    _check_grid(state, k)
-    _check_m_lattice(state)
-    ms, b, c = _conditioned(state, times)
+    js, ms, a = _pack(state, convention)
+    _check_grid(ms, k)
+    _check_m_lattice(ms)
+    b, c = _conditioned(js, a, times)
     refused = c <= c_min
     values = _angular_series(b[~refused], ms, k)
     densities = iter(np.abs(values) ** 2 / (2.0 * np.pi * c[~refused, None]))
@@ -157,18 +167,20 @@ def snapshot_sweep(
     return [None if gap else AngularPdf(phi, next(densities)) for gap in refused]
 
 
-def time_grid_size(state: JmState) -> int:
+def time_grid_size(state: TwoModeState, convention: PrimitiveConvention = PHOTONIC) -> int:
     """Grid large enough to integrate every branch-difference exponential exactly."""
-    return 4 * (int(math.ceil(state.j_max())) + 1)
+    return 4 * (int(math.ceil(_pack(state, convention)[0].max())) + 1)
 
 
-def absolute_time_pdf(state: JmState, k_t: int | None = None) -> AngularPdf:
+def absolute_time_pdf(
+    state: TwoModeState, k_t: int | None = None, *, convention: PrimitiveConvention = PHOTONIC
+) -> AngularPdf:
     """Density of the conditioning time, C(t)/2pi, on a uniform grid of [-pi, pi)."""
+    needed = time_grid_size(state, convention)
     if k_t is None:
-        k_t = time_grid_size(state)
-    if k_t < time_grid_size(state):
-        raise AliasingError(
-            f"time grid {k_t} is below the exact-quadrature size {time_grid_size(state)}"
-        )
+        k_t = needed
+    if k_t < needed:
+        raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
+    js, _, a = _pack(state, convention)
     ts = angular_grid(k_t)
-    return AngularPdf(ts, _conditioned(state, ts)[2] / (2.0 * np.pi))
+    return AngularPdf(ts, _conditioned(js, a, ts)[1] / (2.0 * np.pi))

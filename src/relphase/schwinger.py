@@ -12,52 +12,40 @@ closed under the algebra and the commutation relations hold on it exactly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SupportError
-from .fock import PrimitiveConvention, TwoModeState, to_jm
+from .fock import PrimitiveConvention, TwoModeState, jm_labels, simplex
 
 
 def _scale(convention: PrimitiveConvention) -> float:
     return 2.0 if convention is PrimitiveConvention.PHOTONIC else 1.0
 
 
-def _m_value(ns: int, na: int, convention: PrimitiveConvention) -> float:
-    diff = ns - na
-    return float(diff) if convention is PrimitiveConvention.PHOTONIC else diff / 2.0
-
-
 def apply_jz(state: TwoModeState, convention: PrimitiveConvention) -> TwoModeState:
     """J_z image (unnormalized): amplitude times m."""
-    amps = {
-        key: v * _m_value(*key, convention) for key, v in state.amplitudes.items()
-    }
-    return TwoModeState(amps, state.n_max)
+    n = np.arange(state.n_max + 1)
+    return TwoModeState(state.amplitudes * jm_labels(n[:, None], n, convention)[1])
 
 
 def apply_jplus(state: TwoModeState, convention: PrimitiveConvention) -> TwoModeState:
     """J_+ image (unnormalized): moves one quantum from the second mode to the first."""
-    c = _scale(convention)
-    amps: dict[tuple[int, int], complex] = {}
-    for (ns, na), v in state.amplitudes.items():
-        if na >= 1:
-            key = (ns + 1, na - 1)
-            amps[key] = amps.get(key, 0j) + c * math.sqrt((ns + 1) * na) * v
-    return TwoModeState(amps, state.n_max)
+    n = np.arange(1, state.n_max + 1)
+    out = np.zeros_like(state.amplitudes)
+    # (n_s, n_a) -> (n_s + 1, n_a - 1) with weight sqrt((n_s + 1) n_a)
+    out[1:, :-1] = _scale(convention) * np.sqrt(np.outer(n, n)) * state.amplitudes[:-1, 1:]
+    return TwoModeState(out)
 
 
 def apply_jminus(state: TwoModeState, convention: PrimitiveConvention) -> TwoModeState:
     """J_- image (unnormalized): moves one quantum from the first mode to the second."""
-    c = _scale(convention)
-    amps: dict[tuple[int, int], complex] = {}
-    for (ns, na), v in state.amplitudes.items():
-        if ns >= 1:
-            key = (ns - 1, na + 1)
-            amps[key] = amps.get(key, 0j) + c * math.sqrt(ns * (na + 1)) * v
-    return TwoModeState(amps, state.n_max)
+    n = np.arange(1, state.n_max + 1)
+    out = np.zeros_like(state.amplitudes)
+    # (n_s, n_a) -> (n_s - 1, n_a + 1) with weight sqrt(n_s (n_a + 1))
+    out[:-1, 1:] = _scale(convention) * np.sqrt(np.outer(n, n)) * state.amplitudes[1:, :-1]
+    return TwoModeState(out)
 
 
 def casimir_eigenvalue(j: float, convention: PrimitiveConvention) -> float:
@@ -68,8 +56,7 @@ def casimir_eigenvalue(j: float, convention: PrimitiveConvention) -> float:
 
 
 def _overlap(a: TwoModeState, b: TwoModeState) -> complex:
-    keys = set(a.amplitudes) & set(b.amplitudes)
-    return complex(sum(np.conj(a.amplitudes[k]) * b.amplitudes[k] for k in keys))
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def j_squared_eigencheck(state: TwoModeState, convention: PrimitiveConvention) -> float:
@@ -78,8 +65,7 @@ def j_squared_eigencheck(state: TwoModeState, convention: PrimitiveConvention) -
     Applies (J_+ J_- + J_- J_+)/2 + J_z^2 and checks the result against the
     closed form to 1e-12. Mixed-j support is a domain error.
     """
-    jm = to_jm(state, convention)
-    js = jm.j_values()
+    js = np.unique(jm_labels(*np.nonzero(state.amplitudes), convention)[0]).tolist()
     if len(js) != 1:
         raise SupportError(f"state spans several branches j = {js}")
     norm = state.norm_squared()
@@ -103,11 +89,9 @@ def j_squared_eigencheck(state: TwoModeState, convention: PrimitiveConvention) -
 
 def rotate_z(state: TwoModeState, phi: float) -> TwoModeState:
     """Rotation about z in the circular (photonic) basis: phase e^{-i(n_r-n_l)phi}."""
-    amps = {
-        (nr, nl): v * np.exp(-1j * (nr - nl) * phi)
-        for (nr, nl), v in state.amplitudes.items()
-    }
-    return TwoModeState(amps, state.n_max)
+    n = np.arange(state.n_max + 1)
+    _, m = jm_labels(n[:, None], n, PrimitiveConvention.PHOTONIC)
+    return TwoModeState(state.amplitudes * np.exp(-1j * m * phi))
 
 
 @dataclass(frozen=True)
@@ -124,16 +108,14 @@ class CommutatorReport:
 
 
 def _dense_operators(convention: PrimitiveConvention, n_max: int):
-    basis = [(ns, na) for ns in range(n_max + 1) for na in range(n_max + 1 - ns)]
-    index = {key: i for i, key in enumerate(basis)}
-    dim = len(basis)
+    basis = np.nonzero(simplex(n_max))
 
     def build(apply_fn):
-        mat = np.zeros((dim, dim), dtype=complex)
-        for col, key in enumerate(basis):
-            img = apply_fn(TwoModeState({key: 1.0}, n_max), convention)
-            for k, v in img.amplitudes.items():
-                mat[index[k], col] = v
+        mat = np.zeros((basis[0].size,) * 2, dtype=complex)
+        for col, key in enumerate(zip(*basis)):
+            unit = np.zeros((n_max + 1,) * 2, dtype=complex)
+            unit[key] = 1.0
+            mat[:, col] = apply_fn(TwoModeState(unit), convention).amplitudes[basis]
         return mat
 
     return build(apply_jplus), build(apply_jminus), build(apply_jz)

@@ -163,6 +163,26 @@ def reference_table(header, rows, fmt):
 # --- two-mode / (j, m) helpers ----------------------------------------------
 
 
+def to_array(amp, n_max):
+    """(n_max+1)^2 amplitude array of a {(ns, na): v} literal (no simplex check)."""
+    out = np.zeros((n_max + 1, n_max + 1), complex)
+    for (ns, na), v in amp.items():
+        out[ns, na] = v
+    return out
+
+
+def to_dict(array):
+    """{(ns, na): v} of the nonzero cells of an amplitude array."""
+    return {(int(ns), int(na)): complex(array[ns, na]) for ns, na in zip(*np.nonzero(array))}
+
+
+def state_json_reference(kind, n_max, amp):
+    """The state document of {(ns, na): v}, one row per nonzero amplitude in key
+    order (single-mode states use na = 0 keys)."""
+    rows = [[ns, na, v.real, v.imag] for (ns, na), v in sorted(amp.items()) if v != 0]
+    return json.dumps({"kind": kind, "n_max": n_max, "amps": rows})
+
+
 def jm_map(amp, photonic=True):
     """Re-index {(ns, na): v} by (j, m) under the chosen convention."""
     out = {}

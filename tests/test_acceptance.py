@@ -32,7 +32,6 @@ from relphase import (
     polarization_ellipse,
     snapshot_pdf,
     to_circular,
-    to_jm,
     y_moments,
 )
 from relphase.phase import angular_grid
@@ -46,14 +45,13 @@ def report(num, text):
     print(f"PASS criterion {num}: {text}")
 
 
-def eq67_jm():
-    spec = XSuperposition(((1, 1.0), (2, 1.0)))
-    return to_jm(to_circular(spec), PHOTONIC)
+def eq67_state():
+    return to_circular(XSuperposition(((1, 1.0), (2, 1.0))))
 
 
 def test_criterion_01_branch_wavefunction_golden():
     start = time.perf_counter()
-    bs = branch_wavefunctions(eq67_jm(), 1024)
+    bs = branch_wavefunctions(eq67_state(), 1024)
     # paper normalization carries sqrt(2) relative to the unit-norm state
     got1 = math.sqrt(2) * bs.branches[1]
     got2 = math.sqrt(2) * bs.branches[2]
@@ -67,15 +65,15 @@ def test_criterion_01_branch_wavefunction_golden():
 
 
 def test_criterion_02_snapshot_suppression():
-    jm = eq67_jm()
-    snap0 = snapshot_pdf(jm, 0.0, 1024)
+    state = eq67_state()
+    snap0 = snapshot_pdf(state, 0.0, 1024)
     ratio = snap0.value_at(-np.pi) / snap0.value_at(0.0)
     analytic = ((1 - math.sqrt(2) + 2**-0.5) / (1 + math.sqrt(2) + 2**-0.5)) ** 2
     assert abs(ratio - analytic) < 1e-10
     # single visible maximum at phi=0 (0.1 density floor, the plotted contour base)
     visible = local_maxima(snap0.density, floor=0.1)
     assert len(visible) == 1 and snap0.phi[visible[0]] == 0.0
-    snap_pi = snapshot_pdf(jm, math.pi, 1024)
+    snap_pi = snapshot_pdf(state, math.pi, 1024)
     assert snap_pi.phi[np.argmax(snap_pi.density)] == -np.pi
     report(2, f"P_C(pi)/P_C(0) = {ratio:.6e} (analytic {analytic:.6e}); peak flips to +-pi")
 
@@ -107,28 +105,28 @@ def test_criterion_04_db_contrasts():
 
 
 def test_criterion_05_n9_snapshot_and_time_facts():
-    jm = to_jm(to_circular(XCoherent(9.0)), PHOTONIC)
-    peak0 = snapshot_pdf(jm, 0.0, 1024).density.max()
-    peak_half = snapshot_pdf(jm, math.pi / 2, 1024).density.max()
+    state = to_circular(XCoherent(9.0))
+    peak0 = snapshot_pdf(state, 0.0, 1024).density.max()
+    peak_half = snapshot_pdf(state, math.pi / 2, 1024).density.max()
     ratio = peak_half / peak0
     assert 0.25 < ratio < 1.0
-    time_ratio = conditioning_probability(jm, math.pi / 2) / conditioning_probability(jm, 0.0)
+    time_ratio = conditioning_probability(state, math.pi / 2) / conditioning_probability(state, 0.0)
     assert time_ratio < 1e-3
     report(5, f"snapshot peak ratio {ratio:.4f} in (1/4, 1); time density ratio {time_ratio:.2e}")
 
 
 def test_criterion_06_odd_even_rule():
     for n in (1, 3, 5):
-        jm = to_jm(to_circular(XNumber(n)), PHOTONIC)
-        pm = marginal_pdf(jm, 1024)
+        state = to_circular(XNumber(n))
+        pm = marginal_pdf(state, 1024)
         assert pm.value_at(np.pi / 2) < 1e-14
         assert pm.value_at(-np.pi / 2) < 1e-14
         for t in (0.0, 0.8, 2.3):
-            snap = snapshot_pdf(jm, t, 1024)
+            snap = snapshot_pdf(state, t, 1024)
             assert snap.value_at(np.pi / 2) < 1e-14
             assert snap.value_at(-np.pi / 2) < 1e-14
     for n in (2, 4):
-        pm = marginal_pdf(to_jm(to_circular(XNumber(n)), PHOTONIC), 1024)
+        pm = marginal_pdf(to_circular(XNumber(n)), 1024)
         assert pm.value_at(np.pi / 2) > 1e-6
         assert pm.value_at(-np.pi / 2) > 1e-6
     report(6, "odd x-photon numbers vanish at +-pi/2 (<1e-14); even exceed 1e-6")
@@ -169,12 +167,13 @@ def test_criterion_08_mixture_identity():
     worst = 0.0
     for _ in range(20):
         amp = oracles.random_two_amp(rng, 8)
-        jm = to_jm(TwoModeState(amp, 8), PHOTONIC)
-        ts = angular_grid(time_grid_size(jm))
+        state = TwoModeState(oracles.to_array(amp, 8))
+        ts = angular_grid(time_grid_size(state))
         acc = np.zeros(k)
         for t in ts:
-            acc += conditioning_probability(jm, float(t)) * snapshot_pdf(jm, float(t), k).density
-        worst = max(worst, np.abs(acc / ts.size - marginal_pdf(jm, k).density).max())
+            c = conditioning_probability(state, float(t))
+            acc += c * snapshot_pdf(state, float(t), k).density
+        worst = max(worst, np.abs(acc / ts.size - marginal_pdf(state, k).density).max())
     assert worst < 1e-8
     report(8, f"C-weighted snapshot average = marginal, max dev {worst:.2e} (20 states)")
 
@@ -213,8 +212,8 @@ def test_criterion_11_subspace_equivalence_and_normalization():
     worst_equiv = worst_parseval = worst_norm = 0.0
     for _ in range(20):
         amp = oracles.random_hprime_amp(rng, 9)
-        state = TwoModeState(amp, 9)
-        snap = snapshot_pdf(to_jm(state, PHOTONIC), 0.0, 256)
+        state = TwoModeState(oracles.to_array(amp, 9))
+        snap = snapshot_pdf(state, 0.0, 256)
         gen = generalized_phase_pdf(state, 256)
         worst_equiv = max(worst_equiv, np.abs(snap.density - gen.density).max())
     for _ in range(20):
@@ -222,9 +221,9 @@ def test_criterion_11_subspace_equivalence_and_normalization():
         wf = phase_wavefunction(SingleModeState(psi), 256)
         worst_parseval = max(worst_parseval, abs(wf.norm_squared() - 1.0))
         amp = oracles.random_two_amp(rng, 7)
-        jm = to_jm(TwoModeState(amp, 7), PHOTONIC)
-        worst_norm = max(worst_norm, abs(marginal_pdf(jm, 64).integral() - 1.0))
-        worst_norm = max(worst_norm, abs(snapshot_pdf(jm, 0.4, 64).integral() - 1.0))
+        state = TwoModeState(oracles.to_array(amp, 7))
+        worst_norm = max(worst_norm, abs(marginal_pdf(state, 64).integral() - 1.0))
+        worst_norm = max(worst_norm, abs(snapshot_pdf(state, 0.4, 64).integral() - 1.0))
     assert worst_equiv < 1e-10
     assert worst_parseval < 1e-10
     assert worst_norm < 1e-8

@@ -8,12 +8,10 @@ import pytest
 
 import oracles
 from relphase import (
-    PrimitiveConvention,
     TwoModeState,
     snapshot_sweep,
     state_from_json,
     state_to_json,
-    to_jm,
 )
 from relphase.cli import BLOCK_ROWS, _table, main
 
@@ -106,7 +104,7 @@ def test_sweep_slices_normalized(capsys):
 
 
 # (|0,0> + |1,1>)/sqrt(2) loses all conditioning probability at t = pi/2
-GAP_STATE = TwoModeState({(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}, 2)
+GAP_STATE = TwoModeState(oracles.to_array({(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}, 2))
 
 
 def test_sweep_reports_gaps(capsys, tmp_path):
@@ -268,6 +266,31 @@ def test_json_non_finite_or_huge_amplitude_is_exit_2(capsys, tmp_path, command, 
     assert one_line_error(code, err) and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a single-mode document declaring 1e11 levels (a numpy memory-error traceback before)
+        ["phase", "--state",
+         'file:{"kind": "single", "n_max": 100000000000, "amps": [[0, 0, 1, 0]]}'],
+        # a huge declared n_max with a tiny support: exit 0 before, with a dict state
+        ["ellipse", "--pol", 'file:{"kind": "two", "n_max": 100000, "amps": [[1, 0, 1, 0]]}'],
+        ["ellipse", "--pol", "xcoh:9", "--n-max", "5000"],
+        ["ellipse", "--pol", "xnum:5000"],
+        ["phase", "--state", "num:0", "--n-max", "100000000000"],
+        ["phase", "--state", "coh:1", "--n-max", "100000000000"],
+    ],
+)
+def test_state_over_size_budget_is_exit_3(capsys, tmp_path, argv):
+    if argv[2].startswith("file:"):
+        path = tmp_path / "state.json"
+        path.write_text(argv[2][len("file:"):])
+        argv = [argv[0], argv[1], f"file:{path}"]
+    code, out, err = run(capsys, *argv, "--k", "16")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "amplitudes" in err and "budget is 16777216" in err
+
+
 @pytest.mark.parametrize("spec", ["coh:inf", "coh:nan", "coh:-inf", "xcoh:inf", "xcoh:nan"])
 def test_non_finite_mean_is_exit_2(capsys, spec):
     command = "phase" if spec.startswith("coh") else "ellipse"
@@ -351,8 +374,7 @@ def test_multi_block_sweep_with_gaps_matches_per_value_writer(capsys, tmp_path, 
     )
     assert code == 0 and "skipped 1 time(s)" in err
     times = np.linspace(0.0, np.pi, 1025)
-    jm = to_jm(state_from_json(path.read_text()), PrimitiveConvention.PHOTONIC)
-    slices = snapshot_sweep(jm, times, 32)
+    slices = snapshot_sweep(state_from_json(path.read_text()), times, 32)
     rows = [
         (t, phi, dens) for t, pdf in zip(times, slices) if pdf is not None
         for phi, dens in zip(pdf.phi, pdf.density)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,14 +11,17 @@ from relphase import (
     TwoModeState,
     TruncationError,
     evolve,
-    from_jm,
     generalized_phase_pdf,
+    jm_labels,
     make_coherent_state,
     make_number_state,
+    single_to_two_mode,
     state_from_json,
     state_to_json,
-    to_jm,
 )
+from relphase import fock
+from relphase.polarization import XCoherent, to_circular
+from relphase.schwinger import rotate_z
 
 PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC
@@ -70,30 +74,31 @@ def test_coherent_default_truncation_obeys_tail():
     ],
 )
 def test_to_jm_single_key(key, convention, expected):
-    state = TwoModeState({key: 1.0}, n_max=2)
-    jm = to_jm(state, convention)
-    assert set(jm.amplitudes) == {expected}
+    assert jm_labels(*key, convention) == expected
 
 
 @pytest.mark.parametrize("convention", [PHOTONIC, FERMIONIC])
-def test_jm_round_trip(convention):
+def test_jm_labels_match_oracle_map(convention):
     rng = np.random.default_rng(7)
     amp = oracles.random_two_amp(rng, 6)
-    state = TwoModeState(amp, 6)
-    back = from_jm(to_jm(state, convention), n_max=6)
-    assert set(back.amplitudes) == set(state.amplitudes)
-    for k, v in state.amplitudes.items():
-        assert back.amplitudes[k] == v  # exact, phases untouched
+    ns, na = np.array(list(amp)).T
+    js, ms = jm_labels(ns, na, convention)
+    want = oracles.jm_map(amp, photonic=convention is PHOTONIC)
+    assert dict(zip(zip(js.tolist(), ms.tolist()), amp.values())) == want
+
+
+def two_mode(amp, n_max):
+    return TwoModeState(oracles.to_array(amp, n_max))
 
 
 def test_evolve_identity_at_t0():
-    state = TwoModeState({(1, 0): 1.0}, 1)
+    state = two_mode({(1, 0): 1.0}, 1)
     out = evolve(state, 0.0)
     assert out.amplitudes[(1, 0)] == 1.0
 
 
 def test_evolve_pi_flips_one_photon():
-    state = TwoModeState({(1, 0): 1.0}, 1)
+    state = two_mode({(1, 0): 1.0}, 1)
     out = evolve(state, math.pi)
     assert abs(out.amplitudes[(1, 0)] + 1.0) < 1e-15
 
@@ -102,9 +107,9 @@ def test_evolve_multiplies_each_branch_by_exp_minus_ijt():
     amp = {k: v / math.sqrt(2) for k, v in oracles.xnumber_amp(1).items()}
     for k, v in oracles.xnumber_amp(2).items():
         amp[k] = amp.get(k, 0) + v / math.sqrt(2)
-    state = TwoModeState(amp, 2)
+    state = two_mode(amp, 2)
     out = evolve(state, math.pi)
-    for (ns, na), v in state.amplitudes.items():
+    for (ns, na), v in amp.items():
         expected = v * np.exp(-1j * (ns + na) * math.pi)
         assert abs(out.amplitudes[(ns, na)] - expected) < 1e-15
     # j=1 branch flips sign relative to j=2
@@ -113,12 +118,11 @@ def test_evolve_multiplies_each_branch_by_exp_minus_ijt():
 
 def test_evolve_preserves_norm_exactly_and_composes():
     rng = np.random.default_rng(3)
-    state = TwoModeState(oracles.random_two_amp(rng, 5), 5)
+    state = two_mode(oracles.random_two_amp(rng, 5), 5)
     assert abs(evolve(state, 2.31).norm_squared() - state.norm_squared()) < 1e-15
     once = evolve(state, 0.7 + 1.1)
     twice = evolve(evolve(state, 0.7), 1.1)
-    for k in state.amplitudes:
-        assert abs(once.amplitudes[k] - twice.amplitudes[k]) < 1e-12
+    assert np.abs(once.amplitudes - twice.amplitudes).max() < 1e-12
 
 
 @pytest.mark.parametrize("side", ["s", "a"])
@@ -134,7 +138,7 @@ def test_evolution_shifts_generalized_phase_wavefunction(side):
         amp = {(n, 0): vec[n] for n in range(6)}
     else:
         amp = {(0, n): vec[n] for n in range(6)}
-    state = TwoModeState(amp, 6)
+    state = two_mode(amp, 6)
     before = generalized_phase_pdf(state, k).density
     after = generalized_phase_pdf(evolve(state, tau), k).density
     shift = -steps if side == "s" else steps
@@ -150,17 +154,14 @@ def test_json_round_trip_single():
 
 def test_json_round_trip_two():
     rng = np.random.default_rng(5)
-    s = TwoModeState(oracles.random_two_amp(rng, 4), 4)
+    s = two_mode(oracles.random_two_amp(rng, 4), 4)
     back = state_from_json(state_to_json(s))
     assert isinstance(back, TwoModeState)
     assert back.n_max == 4
-    for k, v in s.amplitudes.items():
-        assert abs(back.amplitudes[k] - v) < 1e-15
+    assert np.abs(back.amplitudes - s.amplitudes).max() < 1e-15
 
 
 def test_json_field_names_fixed():
-    import json
-
     doc = json.loads(state_to_json(make_number_state(1, 2)))
     assert set(doc) == {"kind", "n_max", "amps"}
     assert doc["kind"] == "single"
@@ -190,19 +191,92 @@ def test_json_field_names_fixed():
     ],
 )
 def test_json_reader_rejects_malformed_documents(doc):
-    import json
-
     with pytest.raises(ValueError):
         state_from_json(json.dumps(doc))
 
 
 def test_two_mode_rejects_keys_beyond_truncation():
+    with pytest.raises(ValueError, match=r"\(2, 1\) exceeds n_max=2"):
+        two_mode({(2, 1): 1.0}, 2)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4,), (0, 0), (2, 2, 2)])
+def test_two_mode_needs_a_square_array(shape):
     with pytest.raises(ValueError):
-        TwoModeState({(2, 1): 1.0}, n_max=2)
+        TwoModeState(np.ones(shape))
+
+
+def test_two_mode_array_is_read_only():
+    state = two_mode({(0, 0): 1.0}, 1)
+    assert isinstance(state.amplitudes, np.ndarray) and state.n_max == 1
+    with pytest.raises(ValueError):
+        state.amplitudes[0, 0] = 0.5
 
 
 def test_constructors_normalize():
     rng = np.random.default_rng(9)
     amp = {k: 3.7 * v for k, v in oracles.random_two_amp(rng, 5).items()}
-    state = TwoModeState.from_amplitudes(amp)
+    state = TwoModeState.from_amplitudes(oracles.to_array(amp, 5))
     assert abs(state.norm_squared() - 1.0) < 1e-10
+
+
+def test_state_to_json_matches_reference_writer():
+    rng = np.random.default_rng(12)
+    for n_max in (0, 1, 4, 9):
+        psi = oracles.random_single(rng, n_max)
+        psi[rng.random(n_max + 1) < 0.3] = 0.0  # exact zeros are left out
+        if not psi.any():
+            psi[0] = 1.0
+        single = SingleModeState(psi)
+        amp = {(n, 0): complex(v) for n, v in enumerate(psi)}
+        assert state_to_json(single) == oracles.state_json_reference("single", n_max, amp)
+        two = two_mode(oracles.random_two_amp(rng, n_max, density=0.6), n_max)
+        want = oracles.state_json_reference("two", n_max, oracles.to_dict(two.amplitudes))
+        assert state_to_json(two) == want
+    rotated = rotate_z(to_circular(XCoherent(9.0)), 0.83)
+    want = oracles.state_json_reference("two", rotated.n_max, oracles.to_dict(rotated.amplitudes))
+    assert state_to_json(rotated) == want
+
+
+# --- size budget: every refusal happens before the array is allocated --------
+
+
+def test_single_mode_document_over_budget_is_refused():
+    doc = {"kind": "single", "n_max": 10**11, "amps": [[0, 0, 1.0, 0.0]]}
+    with pytest.raises(TruncationError, match="amplitudes"):
+        state_from_json(json.dumps(doc))
+
+
+def test_two_mode_document_over_budget_is_refused():
+    # a tiny support does not shrink the dense array the document declares
+    doc = {"kind": "two", "n_max": 4096, "amps": [[1, 0, 1.0, 0.0]]}
+    with pytest.raises(TruncationError, match="16785409 amplitudes"):
+        state_from_json(json.dumps(doc))
+
+
+def test_budget_edge_is_n_max_4095():
+    assert (4095 + 1) ** 2 == fock.MAX_AMPLITUDES
+    fock.check_budget(4095, 2)
+    with pytest.raises(TruncationError):
+        fock.check_budget(4096, 2)
+
+
+def test_single_to_two_mode_over_budget_is_refused():
+    with pytest.raises(TruncationError):
+        single_to_two_mode(make_number_state(0, 4096))
+
+
+def test_coherent_truncation_searches_only_when_explicit_n_max_fails(monkeypatch):
+    calls = []
+    search = fock.coherent_n_max
+    monkeypatch.setattr(fock, "coherent_n_max", lambda *a: calls.append(a) or search(*a))
+    state = to_circular(XCoherent(100.0))
+    assert state.n_max == 178 and len(calls) == 1
+    message = r"n_max=9 is not below 1e-12; need n_max >= 37"
+    with pytest.raises(TruncationError, match=message) as err:
+        to_circular(XCoherent(9.0), n_max=9)
+    assert err.value.required_n_max == 37
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="tail_tol"):
+        to_circular(XCoherent(9.0), n_max=40, tail_tol=0.0)  # checked on the explicit path too
+

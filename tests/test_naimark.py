@@ -127,7 +127,7 @@ def test_commutator_check_edge_state():
 def test_generalized_pdf_reduces_to_single_mode():
     rng = np.random.default_rng(5)
     psi = oracles.random_single(rng, 9)
-    two = TwoModeState({(n, 0): psi[n] for n in range(10)}, 9)
+    two = TwoModeState(oracles.to_array({(n, 0): psi[n] for n in range(10)}, 9))
     got = generalized_phase_pdf(two, 128)
     want = phase_pdf(SingleModeState(psi), 128)
     assert np.abs(got.density - want.density).max() < 1e-13
@@ -138,7 +138,7 @@ def test_generalized_pdf_flat_two_sided_is_dirichlet():
         count = 2 * m_range + 1
         amp = {(m, 0): 1 / math.sqrt(count) for m in range(m_range + 1)}
         amp.update({(0, m): 1 / math.sqrt(count) for m in range(1, m_range + 1)})
-        pdf = generalized_phase_pdf(TwoModeState(amp, m_range), 256)
+        pdf = generalized_phase_pdf(TwoModeState(oracles.to_array(amp, m_range)), 256)
         assert abs(pdf.value_at(0.0) - count / (2 * np.pi)) < 1e-10
 
 
@@ -148,18 +148,18 @@ def test_two_sided_peak_grows_without_single_mode_bound():
         count = 2 * m_range + 1
         amp = {(m, 0): 1 / math.sqrt(count) for m in range(m_range + 1)}
         amp.update({(0, m): 1 / math.sqrt(count) for m in range(1, m_range + 1)})
-        pdf = generalized_phase_pdf(TwoModeState(amp, m_range), 256)
+        pdf = generalized_phase_pdf(TwoModeState(oracles.to_array(amp, m_range)), 256)
         peaks.append(pdf.density.max())
     assert all(a < b for a, b in zip(peaks, peaks[1:]))
 
 
 def test_one_auxiliary_photon_is_uniform():
-    pdf = generalized_phase_pdf(TwoModeState({(0, 1): 1.0}, 1), 64)
+    pdf = generalized_phase_pdf(TwoModeState(oracles.to_array({(0, 1): 1.0}, 1)), 64)
     assert np.allclose(pdf.density, 1 / (2 * np.pi))
 
 
 def test_off_subspace_support_is_rejected():
-    state = TwoModeState({(1, 1): 1.0}, 2)
+    state = TwoModeState(oracles.to_array({(1, 1): 1.0, (1, 2): 0.5, (2, 1): 0.5}, 3))
     with pytest.raises(SupportError) as err:
         generalized_phase_pdf(state, 64)
-    assert "(1, 1)" in str(err.value)
+    assert "(1, 1)" in str(err.value)  # the first such cell in (n_s, n_a) order

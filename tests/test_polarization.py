@@ -5,9 +5,8 @@ import pytest
 
 import oracles
 from relphase import (
-    JmState,
-    PrimitiveConvention,
     TruncationError,
+    TwoModeState,
     XCoherent,
     XNumber,
     XSuperposition,
@@ -18,10 +17,8 @@ from relphase import (
     snapshot_sequence,
     snapshot_sweep,
     to_circular,
-    to_jm,
 )
-
-PHOTONIC = PrimitiveConvention.PHOTONIC
+from relphase.cli import main
 
 
 def test_one_photon_expansion():
@@ -41,14 +38,13 @@ def test_two_photon_expansion():
 
 def test_coherent_zero_mean_is_vacuum():
     state = to_circular(XCoherent(0.0))
-    assert dict(state.amplitudes) == {(0, 0): (1 + 0j)}
+    assert oracles.to_dict(state.amplitudes) == {(0, 0): (1 + 0j)}
 
 
 def test_coherent_expansion_matches_oracle():
     state = to_circular(XCoherent(4.0))
     want = oracles.xcoherent_amp(4.0, state.n_max)
-    for k, v in want.items():
-        assert abs(state.amplitudes.get(k, 0j) - v) < 1e-13
+    assert np.abs(state.amplitudes - oracles.to_array(want, state.n_max)).max() < 1e-13
 
 
 def test_coherent_truncation_guard():
@@ -57,11 +53,11 @@ def test_coherent_truncation_guard():
 
 
 def test_superposition_normalizes_weights():
+    # (j, m) = (1, 1), (2, 0), (2, 2) sit at (n_s, n_a) = (1, 0), (1, 1), (2, 0)
     state = to_circular(XSuperposition(((1, 1.0), (2, 1.0))))
-    jm = to_jm(state, PHOTONIC)
-    assert abs(jm.amplitudes[(1, 1)] - 0.5) < 1e-15
-    assert abs(jm.amplitudes[(2, 0)] - 0.5) < 1e-15
-    assert abs(jm.amplitudes[(2, 2)] - 1 / (2 * math.sqrt(2))) < 1e-15
+    assert abs(state.amplitudes[(1, 0)] - 0.5) < 1e-15
+    assert abs(state.amplitudes[(1, 1)] - 0.5) < 1e-15
+    assert abs(state.amplitudes[(2, 0)] - 1 / (2 * math.sqrt(2))) < 1e-15
 
 
 def test_ellipse_one_photon():
@@ -83,9 +79,9 @@ def test_odd_photon_numbers_never_point_along_y(n):
     pdf = polarization_ellipse(XNumber(n), 512)
     assert pdf.value_at(np.pi / 2) < 1e-14
     assert pdf.value_at(-np.pi / 2) < 1e-14
-    jm = to_jm(to_circular(XNumber(n)), PHOTONIC)
+    state = to_circular(XNumber(n))
     for t in (0.0, 1.1):
-        snap = snapshot_pdf(jm, t, 512)
+        snap = snapshot_pdf(state, t, 512)
         assert snap.value_at(np.pi / 2) < 1e-14
 
 
@@ -104,10 +100,10 @@ def test_x_axis_mirror_symmetry():
 
 
 def test_number_state_ellipse_equals_any_snapshot():
-    jm = to_jm(to_circular(XNumber(4)), PHOTONIC)
+    state = to_circular(XNumber(4))
     pdf = polarization_ellipse(XNumber(4), 128)
     for t in (0.0, 0.9, 2.2):
-        assert np.abs(snapshot_pdf(jm, t, 128).density - pdf.density).max() < 1e-12
+        assert np.abs(snapshot_pdf(state, t, 128).density - pdf.density).max() < 1e-12
 
 
 def test_y_axis_probability_decreases_with_mean():
@@ -173,7 +169,29 @@ def test_n9_sidelobes_near_half_pi_on_db_scale():
 def test_snapshot_gaps_reported_as_none():
     # an x-polarization spec never loses its |m| = j amplitudes, so the gap
     # path needs a state with only shared-m support: C(pi/2) = 0 exactly here
-    jm = JmState({(0, 0): 1 / math.sqrt(2), (2, 0): 1 / math.sqrt(2)}, PHOTONIC)
-    slices = snapshot_sweep(jm, [0.0, math.pi / 2], 256)
+    amp = {(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}  # (j, m) = (0, 0), (2, 0)
+    slices = snapshot_sweep(TwoModeState(oracles.to_array(amp, 2)), [0.0, math.pi / 2], 256)
     assert slices[0] is not None
     assert slices[1] is None
+
+
+def test_large_x_number_state_matches_exact_binomial():
+    # 2.0**n overflows a float for n >= 1024; the integer ratio comb(n, k) / 2**n does not
+    state = to_circular(XNumber(1100))
+    want = oracles.to_array(oracles.xnumber_amp(1100), 1100)
+    assert np.abs(state.amplitudes - want).max() < 1e-15
+
+
+def test_large_x_number_ellipse_cli(tmp_path, capsys):
+    out = tmp_path / "ellipse.csv"
+    assert main(["ellipse", "--pol", "xnum:1100", "--k", "4096", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4097
+
+
+@pytest.mark.parametrize(
+    "spec,n_max",
+    [(XCoherent(9.0), 5000), (XCoherent(9.0), 10**11), (XSuperposition(((5000, 1.0),)), None)],
+)
+def test_circular_state_over_budget_is_refused(spec, n_max):
+    with pytest.raises(TruncationError, match="amplitudes"):
+        to_circular(spec, n_max)

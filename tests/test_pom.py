@@ -6,7 +6,6 @@ import pytest
 import oracles
 from relphase import (
     ConditioningError,
-    JmState,
     PrimitiveConvention,
     SupportError,
     TwoModeState,
@@ -15,29 +14,36 @@ from relphase import (
     conditioning_probability,
     generalized_phase_pdf,
     marginal_pdf,
+    jm_labels,
     snapshot_pdf,
-    to_jm,
 )
 from relphase.phase import angular_grid
 from relphase.pom import time_grid_size
 
-PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC
 
 
-def eq67_jm():
+def two_mode(amp, n_max):
+    return TwoModeState(oracles.to_array(amp, n_max))
+
+
+def eq67_state():
     amp = {k: v / math.sqrt(2) for k, v in oracles.xnumber_amp(1).items()}
     for k, v in oracles.xnumber_amp(2).items():
         amp[k] = amp.get(k, 0) + v / math.sqrt(2)
-    return to_jm(TwoModeState(amp, 2), PHOTONIC)
+    return two_mode(amp, 2)
 
 
-def random_jm(rng, n_max):
-    return to_jm(TwoModeState(oracles.random_two_amp(rng, n_max), n_max), PHOTONIC)
+def random_state(rng, n_max):
+    return two_mode(oracles.random_two_amp(rng, n_max), n_max)
+
+
+# |j=0, m=0> and |j=2, m=0> (photonic) in equal parts: both branches share m = 0
+SHARED_M = {(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}
 
 
 def test_branch_wavefunctions_one_plus_two_photons():
-    bs = branch_wavefunctions(eq67_jm(), 512)
+    bs = branch_wavefunctions(eq67_state(), 512)
     phi = bs.phi
     # normalized state: the branch pair is cos(phi) and (cos 2 phi + 1/sqrt 2)/sqrt 2
     assert np.abs(bs.branches[1] - np.cos(phi)).max() < 1e-12
@@ -45,14 +51,12 @@ def test_branch_wavefunctions_one_plus_two_photons():
 
 
 def test_single_branch_is_plain_exponential():
-    jm = to_jm(TwoModeState({(1, 0): 1.0}, 1), PHOTONIC)
-    bs = branch_wavefunctions(jm, 64)
+    bs = branch_wavefunctions(two_mode({(1, 0): 1.0}, 1), 64)
     assert np.abs(bs.branches[1] - np.exp(-1j * bs.phi)).max() < 1e-13
 
 
 def test_vacuum_branch_is_constant():
-    jm = to_jm(TwoModeState({(0, 0): 1.0}, 0), PHOTONIC)
-    bs = branch_wavefunctions(jm, 32)
+    bs = branch_wavefunctions(two_mode({(0, 0): 1.0}, 0), 32)
     assert np.allclose(bs.branches[0], 1.0)
 
 
@@ -60,18 +64,18 @@ def test_marginal_matches_direct_oracle():
     rng = np.random.default_rng(0)
     for _ in range(10):
         amp = oracles.random_two_amp(rng, 6)
-        pdf = marginal_pdf(to_jm(TwoModeState(amp, 6), PHOTONIC), 128)
+        pdf = marginal_pdf(two_mode(amp, 6), 128)
         want = oracles.direct_marginal(oracles.jm_map(amp), pdf.phi)
         assert np.abs(pdf.density - want).max() < 1e-12
 
 
 def test_marginal_vacuum_uniform():
-    pdf = marginal_pdf(to_jm(TwoModeState({(0, 0): 1.0}, 0), PHOTONIC), 64)
+    pdf = marginal_pdf(two_mode({(0, 0): 1.0}, 0), 64)
     assert np.allclose(pdf.density, 1 / (2 * np.pi))
 
 
 def test_marginal_of_superposition_peaks_both_ends():
-    pdf = marginal_pdf(eq67_jm(), 512)
+    pdf = marginal_pdf(eq67_state(), 512)
     mid = pdf.value_at(0.0)
     edge = pdf.value_at(-np.pi)
     interior_min = pdf.density.min()
@@ -85,26 +89,26 @@ def test_marginal_of_superposition_peaks_both_ends():
 
 def test_single_j_snapshot_equals_marginal_everywhere():
     amp = oracles.xnumber_amp(3)
-    jm = to_jm(TwoModeState(amp, 3), PHOTONIC)
-    pm = marginal_pdf(jm, 128)
+    state = two_mode(amp, 3)
+    pm = marginal_pdf(state, 128)
     for t in (0.0, 0.7, 2.9):
-        ps = snapshot_pdf(jm, t, 128)
+        ps = snapshot_pdf(state, t, 128)
         assert np.abs(ps.density - pm.density).max() < 1e-12
-        assert abs(conditioning_probability(jm, t) - 1.0) < 1e-12
+        assert abs(conditioning_probability(state, t) - 1.0) < 1e-12
 
 
 def test_conditioning_probability_values():
-    jm = eq67_jm()
+    state = eq67_state()
     for t in (0.0, 0.4, math.pi):
-        assert abs(conditioning_probability(jm, t) - 1.0) < 1e-12  # no shared m
-    mixed = JmState({(0, 0): 1 / math.sqrt(2), (2, 0): 1 / math.sqrt(2)}, PHOTONIC)
+        assert abs(conditioning_probability(state, t) - 1.0) < 1e-12  # no shared m
+    mixed = two_mode(SHARED_M, 2)
     assert abs(conditioning_probability(mixed, 0.0) - 2.0) < 1e-12
     assert abs(conditioning_probability(mixed, math.pi / 2)) < 1e-12
     assert abs(conditioning_probability(mixed, math.pi) - 2.0) < 1e-12
 
 
 def test_snapshot_refuses_vanishing_conditioning():
-    mixed = JmState({(0, 0): 1 / math.sqrt(2), (2, 0): 1 / math.sqrt(2)}, PHOTONIC)
+    mixed = two_mode(SHARED_M, 2)
     with pytest.raises(ConditioningError):
         snapshot_pdf(mixed, math.pi / 2, 64)
 
@@ -114,9 +118,9 @@ def test_snapshot_matches_direct_oracle():
     phis = angular_grid(128)
     for _ in range(10):
         amp = oracles.random_two_amp(rng, 6)
-        jm = to_jm(TwoModeState(amp, 6), PHOTONIC)
+        state = two_mode(amp, 6)
         t = float(rng.uniform(-math.pi, math.pi))
-        got = snapshot_pdf(jm, t, 128)
+        got = snapshot_pdf(state, t, 128)
         want = oracles.direct_snapshot(oracles.jm_map(amp), t, phis)
         assert np.abs(got.density - want).max() < 1e-11
 
@@ -124,9 +128,9 @@ def test_snapshot_matches_direct_oracle():
 def test_snapshot_and_marginal_normalized():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        jm = random_jm(rng, 8)
-        assert abs(marginal_pdf(jm, 64).integral() - 1.0) < 1e-8
-        assert abs(snapshot_pdf(jm, 0.3, 64).integral() - 1.0) < 1e-8
+        state = random_state(rng, 8)
+        assert abs(marginal_pdf(state, 64).integral() - 1.0) < 1e-8
+        assert abs(snapshot_pdf(state, 0.3, 64).integral() - 1.0) < 1e-8
 
 
 def test_mixture_identity():
@@ -134,15 +138,15 @@ def test_mixture_identity():
     rng = np.random.default_rng(4)
     k = 64
     for _ in range(10):
-        jm = random_jm(rng, 8)
-        k_t = time_grid_size(jm)
+        state = random_state(rng, 8)
+        k_t = time_grid_size(state)
         ts = angular_grid(k_t)
         acc = np.zeros(k)
         for t in ts:
-            c = conditioning_probability(jm, float(t))
-            acc += c * snapshot_pdf(jm, float(t), k).density
+            c = conditioning_probability(state, float(t))
+            acc += c * snapshot_pdf(state, float(t), k).density
         mixture = acc / k_t
-        want = marginal_pdf(jm, k).density
+        want = marginal_pdf(state, k).density
         assert np.abs(mixture - want).max() < 1e-8
 
 
@@ -150,22 +154,19 @@ def test_hprime_snapshot_equals_generalized_pdf():
     rng = np.random.default_rng(5)
     for _ in range(10):
         amp = oracles.random_hprime_amp(rng, 7)
-        state = TwoModeState(amp, 7)
-        jm = to_jm(state, PHOTONIC)
-        snap = snapshot_pdf(jm, 0.0, 128)
+        state = two_mode(amp, 7)
+        snap = snapshot_pdf(state, 0.0, 128)
         gen = generalized_phase_pdf(state, 128)
         assert np.abs(snap.density - gen.density).max() < 1e-10
 
 
 def test_absolute_time_pdf_single_branch_uniform():
-    jm = to_jm(TwoModeState(oracles.xnumber_amp(2), 2), PHOTONIC)
-    pdf = absolute_time_pdf(jm, 64)
+    pdf = absolute_time_pdf(two_mode(oracles.xnumber_amp(2), 2), 64)
     assert np.allclose(pdf.density, 1 / (2 * np.pi))
 
 
 def test_absolute_time_pdf_two_branch_interference():
-    jm = JmState({(0, 0): 1 / math.sqrt(2), (2, 0): 1 / math.sqrt(2)}, PHOTONIC)
-    pdf = absolute_time_pdf(jm, 64)
+    pdf = absolute_time_pdf(two_mode(SHARED_M, 2), 64)
     want = (1 + np.cos(2 * pdf.phi)) / (2 * np.pi)
     assert np.abs(pdf.density - want).max() < 1e-12
 
@@ -173,34 +174,34 @@ def test_absolute_time_pdf_two_branch_interference():
 def test_absolute_time_pdf_normalized_and_matches_c():
     rng = np.random.default_rng(6)
     for _ in range(10):
-        jm = random_jm(rng, 7)
-        pdf = absolute_time_pdf(jm)
+        state = random_state(rng, 7)
+        pdf = absolute_time_pdf(state)
         assert abs(pdf.integral() - 1.0) < 1e-8
         for idx in (0, 5, 11):
             t = float(pdf.phi[idx])
-            assert abs(pdf.density[idx] - conditioning_probability(jm, t) / (2 * np.pi)) < 1e-12
+            assert abs(pdf.density[idx] - conditioning_probability(state, t) / (2 * np.pi)) < 1e-12
 
 
 def test_fermionic_branches_and_time_density():
     # half-integer branches: marginal and time density stay 2 pi-periodic
     rng = np.random.default_rng(7)
     amp = oracles.random_two_amp(rng, 5)
-    jm = to_jm(TwoModeState(amp, 5), FERMIONIC)
-    assert any(j % 1 for j, _ in jm.amplitudes)  # genuinely half-integer
-    assert abs(marginal_pdf(jm, 64).integral() - 1.0) < 1e-10
-    pdf = absolute_time_pdf(jm)
+    state = two_mode(amp, 5)
+    assert any(jm_labels(*key, FERMIONIC)[0] % 1 for key in amp)  # genuinely half-integer
+    assert abs(marginal_pdf(state, 64, convention=FERMIONIC).integral() - 1.0) < 1e-10
+    pdf = absolute_time_pdf(state, convention=FERMIONIC)
     assert abs(pdf.integral() - 1.0) < 1e-8
 
 
 def test_fermionic_snapshot_needs_single_m_lattice():
     # mixed integer/half-integer m interferes with period 4 pi: refused
     rng = np.random.default_rng(7)
-    mixed = to_jm(TwoModeState(oracles.random_two_amp(rng, 5), 5), FERMIONIC)
+    mixed = random_state(rng, 5)
     with pytest.raises(SupportError):
-        snapshot_pdf(mixed, 0.9, 64)
+        snapshot_pdf(mixed, 0.9, 64, convention=FERMIONIC)
     # same-parity totals keep all m on one lattice: snapshot is well defined
     amp = {k: v for k, v in oracles.random_two_amp(rng, 6).items() if (k[0] + k[1]) % 2 == 1}
     norm = math.sqrt(sum(abs(v) ** 2 for v in amp.values()))
     amp = {k: v / norm for k, v in amp.items()}
-    odd = to_jm(TwoModeState(amp, 6), FERMIONIC)
-    assert abs(snapshot_pdf(odd, 0.9, 64).integral() - 1.0) < 1e-10
+    odd = two_mode(amp, 6)
+    assert abs(snapshot_pdf(odd, 0.9, 64, convention=FERMIONIC).integral() - 1.0) < 1e-10

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 import oracles
 from relphase import (
-    JmState,
     PrimitiveConvention,
     TwoModeState,
     absolute_time_pdf,
     branch_wavefunctions,
     marginal_pdf,
     snapshot_sweep,
-    to_jm,
 )
 from relphase.phase import angular_grid
 from relphase.pom import C_MIN, time_grid_size
@@ -36,7 +34,16 @@ def two_mode_states(draw, max_total=5):
     occupations = st.tuples(st.integers(0, max_total), st.integers(0, max_total))
     occupations = occupations.filter(lambda key: sum(key) <= max_total)
     keys = draw(st.lists(occupations, min_size=1, max_size=8, unique=True))
-    return TwoModeState.from_amplitudes({key: draw(amplitudes) for key in keys}, max_total)
+    amps = {key: draw(amplitudes) for key in keys}
+    return TwoModeState.from_amplitudes(oracles.to_array(amps, max_total))
+
+
+def occupation_state(jm_amps, convention):
+    """The two-mode state of (j, m) amplitudes: n_s, n_a = (j +- m)/c, with
+    c = 2 photonic and 1 fermionic."""
+    c = 2 if convention is PHOTONIC else 1
+    amps = {(round((j + m) / c), round((j - m) / c)): v for (j, m), v in jm_amps.items()}
+    return TwoModeState(oracles.to_array(amps, max(ns + na for ns, na in amps)))
 
 
 @st.composite
@@ -71,13 +78,13 @@ def one_lattice_sweeps(draw):
 def test_branch_wavefunctions_and_marginal_match_oracle(state, convention):
     # fermionic states carry half-integer branches, with and without integer ones
     k = 16
-    bs = branch_wavefunctions(to_jm(state, convention), k)
-    jm = oracles.jm_map(state.amplitudes, photonic=convention is PHOTONIC)
+    bs = branch_wavefunctions(state, k, convention=convention)
+    jm = oracles.jm_map(oracles.to_dict(state.amplitudes), photonic=convention is PHOTONIC)
     want = oracles.branch_values(jm, bs.phi)
     assert set(bs.branches) == set(want)
     for j, values in want.items():
         assert np.abs(bs.branches[j] - values).max() < 1e-12
-    marginal = marginal_pdf(to_jm(state, convention), k)
+    marginal = marginal_pdf(state, k, convention=convention)
     assert np.abs(marginal.density - oracles.direct_marginal(jm, marginal.phi)).max() < 1e-12
 
 
@@ -85,7 +92,7 @@ def test_branch_wavefunctions_and_marginal_match_oracle(state, convention):
 @given(one_lattice_sweeps(), st.sampled_from([8, 9, 16]))
 def test_snapshot_sweep_matches_oracle_with_gaps(sweep, k):
     amps, convention, times = sweep
-    slices = snapshot_sweep(JmState(amps, convention), times, k)
+    slices = snapshot_sweep(occupation_state(amps, convention), times, k, convention=convention)
     assert len(slices) == times.size
     phis = angular_grid(k)
     for t, pdf in zip(times, slices):
@@ -100,8 +107,8 @@ def test_snapshot_sweep_matches_oracle_with_gaps(sweep, k):
 @PROPERTY
 @given(two_mode_states(), conventions, st.integers(0, 5))
 def test_absolute_time_pdf_matches_oracle(state, convention, extra):
-    jm = to_jm(state, convention)
-    pdf = absolute_time_pdf(jm, time_grid_size(jm) + extra)
-    amps = oracles.jm_map(state.amplitudes, photonic=convention is PHOTONIC)
+    k_t = time_grid_size(state, convention) + extra
+    pdf = absolute_time_pdf(state, k_t, convention=convention)
+    amps = oracles.jm_map(oracles.to_dict(state.amplitudes), photonic=convention is PHOTONIC)
     want = [oracles.direct_C(amps, t) / (2 * np.pi) for t in pdf.phi]
     assert np.abs(pdf.density - want).max() < 1e-12
