@@ -33,11 +33,12 @@ from .fock import (
 )
 from .naimark import heterodyne_moments, y_moments
 from .pegg_barnett import pb_convergence, pb_pmf
-from .phase import phase_pdf
+from .phase import AngularPdf, phase_pdf
 from .polarization import XCoherent, XNumber, XSuperposition, db_view, to_circular
-from .pom import absolute_time_pdf, marginal_pdf, snapshot_sweep, time_grid_size
+from .pom import absolute_time_pdf, check_time_grid, marginal_pdf, snapshot_sweep, time_grid_size
 
 STATE_FORMAT_VERSION = 1
+DEFAULT_KT = 256  # smallest default time grid of sweep and timepdf
 
 
 class SpecError(ValueError):
@@ -184,24 +185,51 @@ def cmd_moments(args) -> int:
     return 0
 
 
+def _kt(args, state: TwoModeState) -> int:
+    """--kt; by default the larger of DEFAULT_KT and the state's exact-quadrature
+    size. A given --kt below that size is refused (exit 3)."""
+    needed = time_grid_size(state)
+    kt = max(DEFAULT_KT, needed) if args.kt is None else args.kt
+    check_time_grid(kt, needed)
+    return kt
+
+
+def _sweep_table(live: Sequence[tuple[float, AngularPdf]], fmt: str) -> Iterator[str]:
+    """Text chunks of the live (t, slice) pairs of a sweep, byte for byte _table's.
+
+    CSV formats the phi grid once into row templates "T,<phi>,%.15g" of at
+    most BLOCK_ROWS rows; each slice fills in its t with one replace and its
+    densities with one % operation per template.
+    """
+    if fmt == "json":
+        rows = np.column_stack([
+            np.ravel([np.full_like(pdf.phi, t) for t, pdf in live]),
+            np.ravel([pdf.phi for _, pdf in live]),
+            np.ravel([pdf.density for _, pdf in live]),
+        ])
+        yield from _table(("t", "phi", "density"), rows, fmt)
+        return
+    yield "t,phi,density\n"
+    if not live:
+        return
+    phi = live[0][1].phi
+    spans = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, phi.size, BLOCK_ROWS)]
+    templates = [("T,%.15g,%%.15g\n" * phi[s].size) % tuple(phi[s].tolist()) for s in spans]
+    for t, pdf in live:
+        t_text = "%.15g" % t
+        for s, template in zip(spans, templates):
+            yield template.replace("T", t_text) % tuple(pdf.density[s].tolist())
+
+
 def cmd_sweep(args) -> int:
     state = parse_pol_spec(args.pol, args.n_max, args.tail_tol)
-    if args.kt < time_grid_size(state):
-        raise RelphaseError(
-            f"time grid {args.kt} is below the configured minimum {time_grid_size(state)}"
-        )
-    times = np.linspace(0.0, np.pi, args.kt)
+    times = np.linspace(0.0, np.pi, _kt(args, state))
     slices = snapshot_sweep(state, times, args.k)
-    live = [(t, pdf) for t, pdf in zip(times, slices) if pdf is not None]
-    rows = np.column_stack([
-        np.ravel([np.full_like(pdf.phi, t) for t, pdf in live]),
-        np.ravel([pdf.phi for _, pdf in live]),
-        np.ravel([pdf.density for _, pdf in live]),
-    ])
     gaps = slices.count(None)
     if gaps:
         print(f"skipped {gaps} time(s) of vanishing conditioning probability", file=sys.stderr)
-    _write(args.out, _table(("t", "phi", "density"), rows, args.format))
+    live = [(t, pdf) for t, pdf in zip(times.tolist(), slices) if pdf is not None]
+    _write(args.out, _sweep_table(live, args.format))
     return 0
 
 
@@ -213,7 +241,8 @@ def cmd_ellipse(args) -> int:
 
 
 def cmd_timepdf(args) -> int:
-    pdf = absolute_time_pdf(parse_pol_spec(args.pol, args.n_max, args.tail_tol), args.kt)
+    state = parse_pol_spec(args.pol, args.n_max, args.tail_tol)
+    pdf = absolute_time_pdf(state, _kt(args, state))
     rows = np.column_stack([pdf.phi, pdf.density])
     _write(args.out, _table(("t", "density"), rows, args.format))
     return 0
@@ -233,7 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, pol=False):
         p.add_argument("--k", type=int, default=1024, help="angular grid size (default 1024)")
-        p.add_argument("--kt", type=int, default=256, help="time grid size (default 256)")
+        p.add_argument(
+            "--kt", type=int, default=None,
+            help=f"time grid size (default: the larger of {DEFAULT_KT} and the state's "
+            "exact-quadrature size)",
+        )
         p.add_argument("--n-max", type=int, default=None, help="Fock truncation override")
         p.add_argument("--tail-tol", type=float, default=1e-12, help="coherent tail tolerance")
         p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -153,15 +153,22 @@ def poisson_tail(mean: float, n_max: int) -> float:
     return max(0.0, 1.0 - math.fsum(math.exp(v) for v in logs))
 
 
-def coherent_n_max(mean: float, tail_tol: float) -> int:
+def budget_n_max(modes: int) -> int:
+    """Largest n_max whose state array fits MAX_AMPLITUDES: 4095 for two modes."""
+    return (math.isqrt(MAX_AMPLITUDES) if modes == 2 else MAX_AMPLITUDES) - 1
+
+
+def coherent_n_max(mean: float, tail_tol: float, modes: int = 1) -> int:
     """Smallest n_max with Poisson tail mass below tail_tol.
 
     The tail falls monotonically in n_max, so a bisection finds the same
-    n_max as a scan upward from 0.
+    n_max as a scan upward from 0. The search looks no further than the
+    largest n_max a `modes`-mode state can hold within the size budget.
     """
     _check_tail_tol(tail_tol)
     # generous cap; the tail decays superexponentially past the mean
-    cap = int(mean + 200 * math.sqrt(mean + 1) + 200)
+    limit = budget_n_max(modes)
+    cap = min(int(mean + 200 * math.sqrt(mean + 1) + 200), limit)
     lo, hi = -1, cap + 1  # tail(lo) >= tail_tol > tail(hi), the ends taken on trust
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -169,9 +176,15 @@ def coherent_n_max(mean: float, tail_tol: float) -> int:
             lo = mid
         else:
             hi = mid
-    if hi > cap:
-        raise TruncationError(f"no adequate truncation below n={cap} for mean {mean}")
-    return hi
+    if hi <= cap:
+        return hi
+    if cap == limit:
+        raise TruncationError(
+            f"mean {mean:g} needs n_max > {limit} for tail mass below {tail_tol:g}, so a "
+            f"{modes}-mode state needs more than {MAX_AMPLITUDES} amplitudes; "
+            f"the budget is {MAX_AMPLITUDES} (256 MiB)"
+        )
+    raise TruncationError(f"no adequate truncation below n={cap} for mean {mean}")
 
 
 def _check_tail_tol(tail_tol: float) -> None:
@@ -179,14 +192,15 @@ def _check_tail_tol(tail_tol: float) -> None:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
 
 
-def coherent_truncation(mean: float, n_max: int | None, tail_tol: float) -> int:
+def coherent_truncation(mean: float, n_max: int | None, tail_tol: float, modes: int = 1) -> int:
     """Truncation for a coherent excitation: the smallest adequate one when n_max
     is None; an explicit n_max keeps it if its tail mass is below tail_tol and
-    otherwise raises with the smallest adequate one."""
+    otherwise raises with the smallest adequate one. `modes` sets the size
+    budget the search stays within."""
     _check_tail_tol(tail_tol)
     if n_max is not None and poisson_tail(mean, n_max) < tail_tol:
         return n_max
-    needed = coherent_n_max(mean, tail_tol)
+    needed = coherent_n_max(mean, tail_tol, modes)
     if n_max is None:
         return needed
     raise TruncationError(

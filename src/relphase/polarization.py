@@ -61,8 +61,7 @@ def to_circular(
             raise ValueError("mean photon number must be >= 0")
         if n_max is not None:
             check_budget(n_max, 2)  # before a tail sum over n_max terms
-        n_max = coherent_truncation(mean, n_max, tail_tol)
-        check_budget(n_max, 2)
+        n_max = coherent_truncation(mean, n_max, tail_tol, modes=2)
         # product of R and L coherent states of mean mean/2 each, cut to the simplex
         psi = make_coherent_state(math.sqrt(mean / 2.0), n_max, tail_tol).amplitudes
         return TwoModeState.from_amplitudes(np.outer(psi, psi) * simplex(n_max))

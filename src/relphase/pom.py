@@ -169,18 +169,27 @@ def snapshot_sweep(
 
 def time_grid_size(state: TwoModeState, convention: PrimitiveConvention = PHOTONIC) -> int:
     """Grid large enough to integrate every branch-difference exponential exactly."""
-    return 4 * (int(math.ceil(_pack(state, convention)[0].max())) + 1)
+    return _time_grid_size(_pack(state, convention)[0])
+
+
+def _time_grid_size(js: np.ndarray) -> int:
+    return 4 * (int(math.ceil(js.max())) + 1)
+
+
+def check_time_grid(k_t: int, needed: int) -> None:
+    """Refuse a time grid below the exact-quadrature size `needed`."""
+    if k_t < needed:
+        raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
 
 
 def absolute_time_pdf(
     state: TwoModeState, k_t: int | None = None, *, convention: PrimitiveConvention = PHOTONIC
 ) -> AngularPdf:
     """Density of the conditioning time, C(t)/2pi, on a uniform grid of [-pi, pi)."""
-    needed = time_grid_size(state, convention)
+    js, _, a = _pack(state, convention)
+    needed = _time_grid_size(js)
     if k_t is None:
         k_t = needed
-    if k_t < needed:
-        raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
-    js, _, a = _pack(state, convention)
+    check_time_grid(k_t, needed)
     ts = angular_grid(k_t)
     return AngularPdf(ts, _conditioned(js, a, ts)[1] / (2.0 * np.pi))

@@ -30,7 +30,7 @@ import numpy as np
 sys.path.insert(0, "bench")
 import run
 report = {}
-for name in ("sweep-contour", "pol-marginals"):
+for name in run.WORKLOADS:
     with tempfile.TemporaryDirectory() as tmp:
         cmds = run.WORKLOADS[name](np.random.default_rng(1), Path(tmp))
         tally = run.Tally()
@@ -42,8 +42,9 @@ print(json.dumps(report))
 
 
 def test_bench_workloads_pass_their_checks():
-    """One in-process pass of two workloads' builders and checks: a state-API
-    change that breaks the harness fails here, not only in a benchmark run."""
+    """One in-process pass of every workload's builders and checks: a state-API
+    or command change that breaks the harness fails here, not only in a
+    benchmark run."""
     proc = subprocess.run(
         [sys.executable, "-c", HARNESS_PASS],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -51,6 +52,6 @@ def test_bench_workloads_pass_their_checks():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert {name: tally["attempted"] for name, tally in report.items()} == {
-        "sweep-contour": 2, "pol-marginals": 3,
+        "sweep-contour": 2, "pol-marginals": 3, "single-mode": 3,
     }
     assert all(tally["failed"] == 0 for tally in report.values()), report

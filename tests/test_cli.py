@@ -13,7 +13,8 @@ from relphase import (
     state_from_json,
     state_to_json,
 )
-from relphase.cli import BLOCK_ROWS, _table, main
+from relphase import cli
+from relphase.cli import BLOCK_ROWS, _sweep_table, _table, main
 
 
 def run(capsys, *argv):
@@ -118,6 +119,30 @@ def test_sweep_reports_gaps(capsys, tmp_path):
     _, data = rows_of(out)
     times = set(data[:, 0])
     assert not any(abs(t - math.pi / 2) < 1e-9 for t in times)
+
+
+@pytest.mark.parametrize(
+    "default, explicit",
+    [
+        # xcoh:30 needs 308 times, above the default floor of 256
+        (["sweep", "--pol", "xcoh:30", "--k", "256"], ["--kt", "308"]),
+        (["timepdf", "--pol", "xcoh:100"], ["--kt", "716"]),
+        # xcoh:9 needs 152: the default stays 256
+        (["sweep", "--pol", "xcoh:9", "--k", "128"], ["--kt", "256"]),
+        (["timepdf", "--pol", "xcoh:9"], ["--kt", "256"]),
+    ],
+)
+def test_default_time_grid_is_the_larger_of_256_and_the_state_size(capsys, default, explicit):
+    code, out, err = run(capsys, *default)
+    assert code == 0 and err == ""
+    assert run(capsys, *default, *explicit) == (0, out, "")
+
+
+@pytest.mark.parametrize("command", ["sweep", "timepdf"])
+def test_explicit_time_grid_below_state_size_is_exit_3(capsys, command):
+    code, out, err = run(capsys, command, "--pol", "xcoh:30", "--kt", "255", "--k", "256")
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert "time grid 255 is below the exact-quadrature size 308" in err
 
 
 def test_ellipse_db_contrast(capsys):
@@ -278,6 +303,8 @@ def test_json_non_finite_or_huge_amplitude_is_exit_2(capsys, tmp_path, command, 
         ["ellipse", "--pol", "xnum:5000"],
         ["phase", "--state", "num:0", "--n-max", "100000000000"],
         ["phase", "--state", "coh:1", "--n-max", "100000000000"],
+        # the truncation search stops at the budget's n_max of 4095
+        ["ellipse", "--pol", "xcoh:1e6"],
     ],
 )
 def test_state_over_size_budget_is_exit_3(capsys, tmp_path, argv):
@@ -365,20 +392,43 @@ def test_table_matches_per_value_writer(rows, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_multi_block_sweep_with_gaps_matches_per_value_writer(capsys, tmp_path, fmt):
+def test_multi_block_sweep_with_gaps_matches_per_value_writer(capsys, tmp_path, monkeypatch, fmt):
+    """The sweep writer against the per-value writer, through the CLI (many short
+    slices with a gap; slices longer than a block with a gap) and on its own
+    (one-time sweeps, which no CLI time grid makes)."""
+    chunk_rows = []
+
+    def counted(chunks):
+        for chunk in chunks:
+            chunk_rows.append(chunk.count("\n"))
+            yield chunk
+
+    write = cli._write
+    monkeypatch.setattr(cli, "_write", lambda path, chunks: write(path, counted(chunks)))
     path, out = tmp_path / "state.json", tmp_path / "sweep.out"
     path.write_text(state_to_json(GAP_STATE))
-    code, _, err = run(
-        capsys, "sweep", "--pol", f"file:{path}", "--kt", "1025", "--k", "32",
-        "--format", fmt, "--out", str(out),
-    )
-    assert code == 0 and "skipped 1 time(s)" in err
-    times = np.linspace(0.0, np.pi, 1025)
-    slices = snapshot_sweep(state_from_json(path.read_text()), times, 32)
-    rows = [
-        (t, phi, dens) for t, pdf in zip(times, slices) if pdf is not None
-        for phi, dens in zip(pdf.phi, pdf.density)
-    ]
-    assert len(rows) > 3 * BLOCK_ROWS
-    want = oracles.reference_table(("t", "phi", "density"), rows, fmt)
-    assert first_difference(out.read_text(), want) is None
+    state = state_from_json(path.read_text())
+
+    def reference(times, k):
+        slices = snapshot_sweep(state, times, k)
+        rows = [
+            (t, phi, dens) for t, pdf in zip(times, slices) if pdf is not None
+            for phi, dens in zip(pdf.phi, pdf.density)
+        ]
+        return oracles.reference_table(("t", "phi", "density"), rows, fmt), len(rows)
+
+    for kt, k in ((1025, 32), (13, 2 * BLOCK_ROWS + 3)):
+        code, _, err = run(
+            capsys, "sweep", "--pol", f"file:{path}", "--kt", str(kt), "--k", str(k),
+            "--format", fmt, "--out", str(out),
+        )
+        assert code == 0 and "skipped 1 time(s)" in err
+        want, n_rows = reference(np.linspace(0.0, np.pi, kt), k)
+        assert n_rows > 3 * BLOCK_ROWS
+        assert first_difference(out.read_text(), want) is None
+    for t, k in ((0.3, 64), (1.0, BLOCK_ROWS + 1)):
+        live = [(t, snapshot_sweep(state, [t], k)[0])]
+        got = "".join(counted(_sweep_table(live, fmt)))
+        assert first_difference(got, reference([t], k)[0]) is None
+    if fmt == "csv":
+        assert max(chunk_rows) == BLOCK_ROWS

@@ -261,6 +261,18 @@ def test_budget_edge_is_n_max_4095():
         fock.check_budget(4096, 2)
 
 
+def test_truncation_search_stays_within_the_budget(monkeypatch):
+    calls = []
+    tail = fock.poisson_tail
+    monkeypatch.setattr(fock, "poisson_tail", lambda mean, n: calls.append(n) or tail(mean, n))
+    with pytest.raises(TruncationError, match=r"n_max > 4095 .* budget is 16777216"):
+        to_circular(XCoherent(1e6))
+    assert calls and max(calls) <= fock.budget_n_max(2) == 4095
+    # a mean that fits gets the n_max of the unbounded search, in either budget
+    for mean, n_max in ((0.0, 0), (9.0, 37), (100.0, 178), (1000.0, 1232)):
+        assert fock.coherent_n_max(mean, 1e-12) == fock.coherent_n_max(mean, 1e-12, 2) == n_max
+
+
 def test_single_to_two_mode_over_budget_is_refused():
     with pytest.raises(TruncationError):
         single_to_two_mode(make_number_state(0, 4096))
