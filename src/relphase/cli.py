@@ -65,6 +65,16 @@ def _int(token: str, what: str) -> int:
         raise SpecError(f"bad {what} {token!r}") from None
 
 
+def _grid_size(text: str) -> int:
+    """argparse type of --k and --kt: a positive integer (else exit 2 with usage)."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"grid size must be a positive integer, not {text!r}")
+
+
 def parse_single_spec(text: str, n_max: int | None, tail_tol: float) -> SingleModeState:
     kind, _, rest = text.partition(":")
     if kind == "num":
@@ -95,7 +105,9 @@ def parse_pol_spec(text: str, n_max: int | None, tail_tol: float) -> TwoModeStat
             try:
                 weight = complex(pieces[1])
             except ValueError:
-                raise SpecError(f"bad weight {pieces[1]!r}") from None
+                weight = complex(math.nan)
+            if not np.isfinite(weight):
+                raise SpecError(f"bad weight {pieces[1]!r}")
             terms.append((_int(pieces[0], "photon number"), weight))
         return to_circular(XSuperposition(tuple(terms)), n_max, tail_tol)
     if kind == "file":
@@ -163,14 +175,15 @@ def cmd_pb(args) -> int:
     if not s_values:
         raise SpecError("need at least one truncation in --s")
     pmfs = [pb_pmf(state, s) for s in s_values]
+    # the report may refuse the truncations: find out before anything is written
+    distances = None if args.report is None else pb_convergence(state, s_values)
     rows = np.column_stack([
         np.concatenate([np.full(pmf.theta.size, pmf.s) for pmf in pmfs]),
         np.concatenate([pmf.theta for pmf in pmfs]),
         np.concatenate([pmf.masses for pmf in pmfs]),
     ])
     _write(args.out, _table(("s", "theta", "mass"), rows, args.format))
-    if args.report is not None:
-        distances = pb_convergence(state, s_values)
+    if distances is not None:
         doc = [{"s": s, "distance": d} for s, d in zip(s_values, distances)]
         _write(args.report, [json.dumps(doc) + "\n"])
     return 0
@@ -261,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, pol=False):
-        p.add_argument("--k", type=int, default=1024, help="angular grid size (default 1024)")
+        p.add_argument("--k", type=_grid_size, default=1024, help="angular grid size (default 1024)")
         p.add_argument(
-            "--kt", type=int, default=None,
+            "--kt", type=_grid_size, default=None,
             help=f"time grid size (default: the larger of {DEFAULT_KT} and the state's "
             "exact-quadrature size)",
         )

@@ -25,6 +25,21 @@ def angular_grid(k: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(k) / k
 
 
+def check_grid(k: int, m_max: float) -> None:
+    """Refuse a K-point grid that aliases frequencies up to |m| = m_max (K <= 2 m_max)."""
+    if k <= 2 * m_max:
+        raise AliasingError(f"grid size {k} admits aliasing: need K > {2 * m_max:g}")
+
+
+def scatter_series(shape: tuple, k: int, index: tuple, freqs: np.ndarray, coeffs) -> np.ndarray:
+    """Rows sum_f c_f e^{-i f phi_j} on the K-point grid: (-1)^f c_f goes to index +
+    (f mod K,) of a zero shape + (K,) array, FFT'd along its last axis, since here
+    e^{-i f phi_j} = (-1)^f e^{-2 pi i f j / K}. One row's f must be distinct mod K."""
+    packed = np.zeros(tuple(shape) + (k,), dtype=complex)
+    packed[index + (freqs % k,)] = np.where(freqs % 2, -coeffs, coeffs)
+    return np.fft.fft(packed, axis=-1)
+
+
 def eval_fourier_series(coeffs: np.ndarray, k: int, lo: int = 0) -> np.ndarray:
     """Evaluate f(phi_j) = sum_n c[..., n] e^{-i (lo + n) phi_j} on the K-point grid.
 
@@ -35,11 +50,7 @@ def eval_fourier_series(coeffs: np.ndarray, k: int, lo: int = 0) -> np.ndarray:
     span = coeffs.shape[-1]
     if span > k:
         raise AliasingError(f"frequency span {span - 1} does not fit a {k}-point grid")
-    m = lo + np.arange(span)
-    packed = np.zeros(coeffs.shape[:-1] + (k,), dtype=complex)
-    # e^{-i m phi_j} = (-1)^m e^{-2 pi i m j / K} on this grid
-    packed[..., m % k] = np.where(m % 2, -coeffs, coeffs)
-    return np.fft.fft(packed, axis=-1)
+    return scatter_series(coeffs.shape[:-1], k, (...,), lo + np.arange(span), coeffs)
 
 
 @dataclass(frozen=True)
@@ -93,16 +104,9 @@ class AngularPdf:
         return float(self.density[j % k])
 
 
-def _check_grid(state: SingleModeState, k: int) -> None:
-    if k <= 2 * state.n_max:
-        raise AliasingError(
-            f"grid size {k} admits aliasing for n_max={state.n_max}; need K > {2 * state.n_max}"
-        )
-
-
 def phase_wavefunction(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> PhaseWavefunction:
     """psi(phi_k) = sum_n psi_n e^{-i n phi_k}, evaluated by FFT."""
-    _check_grid(state, k)
+    check_grid(k, state.n_max)
     return PhaseWavefunction(angular_grid(k), eval_fourier_series(state.amplitudes, k))
 
 

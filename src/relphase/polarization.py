@@ -78,10 +78,11 @@ def to_circular(
             raise TruncationError(f"{top} photons exceed n_max={n_max}", required_n_max=top)
         check_budget(n_max, 2)
         amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        for n, w in spec.terms:
-            # (a_R† + a_L†)^n / sqrt(2^n n!) |0,0>; the exact ratio stays finite for n >= 1024
-            k = np.arange(n + 1)
-            amps[k, n - k] += complex(w) * np.sqrt([math.comb(n, i) / 2**n for i in range(n + 1)])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is refused below
+            for n, w in spec.terms:
+                # (a_R† + a_L†)^n / sqrt(2^n n!) |0,0>; the exact ratio stays finite for n >= 1024
+                k = np.arange(n + 1)
+                amps[k, n - k] += complex(w) * np.sqrt([math.comb(n, i) / 2**n for i in range(n + 1)])
         return TwoModeState.from_amplitudes(amps)
 
     raise TypeError(f"unknown polarization spec {spec!r}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AliasingError, ConditioningError, SupportError
 from .fock import PrimitiveConvention, TwoModeState, jm_labels
-from .phase import DEFAULT_GRID_SIZE, AngularPdf, angular_grid, eval_fourier_series
+from .phase import DEFAULT_GRID_SIZE, AngularPdf, angular_grid, check_grid, scatter_series
 
 C_MIN = 1e-12
 PHOTONIC = PrimitiveConvention.PHOTONIC
@@ -56,83 +56,62 @@ class BranchSet:
             raise ValueError(f"branch norms sum to {total!r}, not 1")
 
 
-def _pack(state: TwoModeState, convention: PrimitiveConvention):
-    """(js, ms, a): the sorted distinct occupied j and m and the amplitudes a[j, m]."""
+def _cells(state: TwoModeState, convention: PrimitiveConvention):
+    """(j, m, v): the labels and amplitudes of the nonzero cells, in (n_s, n_a) order."""
     ns, na = np.nonzero(state.amplitudes)
     j, m = jm_labels(ns, na, convention)
+    return j, m, state.amplitudes[ns, na]
+
+
+def _branches(state: TwoModeState, convention: PrimitiveConvention, k: int):
+    """(js, values): the occupied j, ascending, and Psi_j on the K-point grid.
+    A cell lands in its branch's row at frequency floor(m), distinct there (one m
+    lattice per j); half-integer branches get back the e^{-i phi/2} this drops."""
+    j, m, v = _cells(state, convention)
+    check_grid(k, np.abs(m).max())
+    js, rows = np.unique(j, return_inverse=True)
+    values = scatter_series((js.size,), k, (rows,), np.floor(m).astype(int), v)
+    values[js % 1 != 0] *= np.exp(-0.5j * angular_grid(k))
+    return js, values
+
+
+def _conditioned(j, m, v, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ms, b, C) of the cells (j, m, v): the distinct m, ascending, the
+    branch-summed amplitudes b[t, m] = sum_j a[j, m] e^{-i j t} and
+    C(t) = sum_m |b[t, m]|^2."""
     js, rows = np.unique(j, return_inverse=True)
     ms, cols = np.unique(m, return_inverse=True)
     a = np.zeros((js.size, ms.size), dtype=complex)
-    a[rows, cols] = state.amplitudes[ns, na]
-    return js, ms, a
-
-
-def _angular_series(coeffs: np.ndarray, ms: np.ndarray, k: int) -> np.ndarray:
-    """sum_m c[..., m] e^{-i m phi} on the K-point grid, one series per leading index.
-
-    Half-integer m lose their factor e^{-i phi/2} (m = floor(m) + 1/2), which
-    cancels under |.|^2. Each series keeps to one m lattice, so no two of its
-    nonzero terms share a floor(m).
-    """
-    n = np.floor(ms).astype(int)
-    lo = int(n.min())
-    packed = np.zeros(coeffs.shape[:-1] + (int(n.max()) - lo + 1,), dtype=complex)
-    np.add.at(packed, (..., n - lo), coeffs)
-    return eval_fourier_series(packed, k, lo)
-
-
-def _conditioned(js, a, ts) -> tuple[np.ndarray, np.ndarray]:
-    """(b, C): branch-summed amplitudes b[t, m] = sum_j a[j, m] e^{-i j t} over
-    the packed m values, and C(t) = sum_m |b[t, m]|^2."""
+    a[rows, cols] = v
     b = np.exp(np.outer(np.asarray(ts, dtype=float), -1j * js)) @ a
     c = np.einsum("tm,tm->t", b.real, b.real) + np.einsum("tm,tm->t", b.imag, b.imag)
-    return b, c
-
-
-def _check_grid(ms: np.ndarray, k: int) -> None:
-    m_max = np.abs(ms).max()
-    if k <= 2 * m_max:
-        raise AliasingError(f"grid size {k} admits aliasing for |m| up to {m_max:g}")
+    return ms, b, c
 
 
 def branch_wavefunctions(
     state: TwoModeState, k: int = DEFAULT_GRID_SIZE, *, convention: PrimitiveConvention = PHOTONIC
 ) -> BranchSet:
     """Sample Psi_j(phi) = sum_m Psi_{j,m} e^{-i m phi} for every branch."""
-    js, ms, a = _pack(state, convention)
-    _check_grid(ms, k)
-    phi = angular_grid(k)
-    values = _angular_series(a, ms, k)
-    # a branch keeps to the m lattice of its j; restore e^{-i phi/2} on half-integer ones
-    values[js % 1 != 0] *= np.exp(-0.5j * phi)
-    return BranchSet(convention, phi, dict(zip(js.tolist(), values)))
+    js, values = _branches(state, convention, k)
+    return BranchSet(convention, angular_grid(k), dict(zip(js.tolist(), values)))
 
 
 def marginal_pdf(
     state: TwoModeState, k: int = DEFAULT_GRID_SIZE, *, convention: PrimitiveConvention = PHOTONIC
 ) -> AngularPdf:
-    """Time-averaged distribution: branch probabilities added."""
-    bs = branch_wavefunctions(state, k, convention=convention)
-    power = sum(np.abs(v) ** 2 for v in bs.branches.values())
-    return AngularPdf(bs.phi, power / (2.0 * np.pi * float(np.mean(power))))
-
-
-def _check_m_lattice(ms: np.ndarray) -> None:
-    """Snapshots add amplitudes across m; mixed integer/half-integer support
-    makes that interference 4pi-periodic, outside the [-pi, pi) domain."""
-    if np.any(ms % 1 != ms[0] % 1):
-        raise SupportError(
-            "state mixes integer and half-integer m; its relative-phase "
-            "interference is 4pi-periodic and has no density on [-pi, pi)"
-        )
+    """Time-averaged distribution: branch probabilities added in ascending j."""
+    power = sum(np.abs(row) ** 2 for row in _branches(state, convention, k)[1])
+    total = float(np.mean(power))  # the branch norms' sum
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"branch norms sum to {total!r}, not 1")
+    return AngularPdf(angular_grid(k), power / (2.0 * np.pi * total))
 
 
 def conditioning_probability(
     state: TwoModeState, t: float, *, convention: PrimitiveConvention = PHOTONIC
 ) -> float:
     """C(t) = sum_m |sum_j Psi_{j,m} e^{-i j t}|^2 (2pi times the time density)."""
-    js, _, a = _pack(state, convention)
-    return float(_conditioned(js, a, [t])[1][0])
+    return float(_conditioned(*_cells(state, convention), [t])[2][0])
 
 
 def snapshot_pdf(
@@ -156,12 +135,18 @@ def snapshot_sweep(
     *, convention: PrimitiveConvention = PHOTONIC,
 ) -> list[AngularPdf | None]:
     """Snapshots along a time grid; refused times yield None (gaps)."""
-    js, ms, a = _pack(state, convention)
-    _check_grid(ms, k)
-    _check_m_lattice(ms)
-    b, c = _conditioned(js, a, times)
+    j, m, v = _cells(state, convention)
+    check_grid(k, np.abs(m).max())
+    # snapshots add amplitudes across m: mixed integer/half-integer m interfere 4pi-periodically
+    if np.any(m % 1 != m[0] % 1):
+        raise SupportError(
+            "state mixes integer and half-integer m; its relative-phase "
+            "interference is 4pi-periodic and has no density on [-pi, pi)"
+        )
+    ms, b, c = _conditioned(j, m, v, times)
     refused = c <= c_min
-    values = _angular_series(b[~refused], ms, k)
+    live = b[~refused]
+    values = scatter_series(live.shape[:-1], k, (...,), np.floor(ms).astype(int), live)
     densities = iter(np.abs(values) ** 2 / (2.0 * np.pi * c[~refused, None]))
     phi = angular_grid(k)
     return [None if gap else AngularPdf(phi, next(densities)) for gap in refused]
@@ -169,11 +154,7 @@ def snapshot_sweep(
 
 def time_grid_size(state: TwoModeState, convention: PrimitiveConvention = PHOTONIC) -> int:
     """Grid large enough to integrate every branch-difference exponential exactly."""
-    return _time_grid_size(_pack(state, convention)[0])
-
-
-def _time_grid_size(js: np.ndarray) -> int:
-    return 4 * (int(math.ceil(js.max())) + 1)
+    return 4 * (int(math.ceil(_cells(state, convention)[0].max())) + 1)
 
 
 def check_time_grid(k_t: int, needed: int) -> None:
@@ -186,10 +167,8 @@ def absolute_time_pdf(
     state: TwoModeState, k_t: int | None = None, *, convention: PrimitiveConvention = PHOTONIC
 ) -> AngularPdf:
     """Density of the conditioning time, C(t)/2pi, on a uniform grid of [-pi, pi)."""
-    js, _, a = _pack(state, convention)
-    needed = _time_grid_size(js)
-    if k_t is None:
-        k_t = needed
+    needed = time_grid_size(state, convention)
+    k_t = needed if k_t is None else k_t
     check_time_grid(k_t, needed)
     ts = angular_grid(k_t)
-    return AngularPdf(ts, _conditioned(js, a, ts)[1] / (2.0 * np.pi))
+    return AngularPdf(ts, _conditioned(*_cells(state, convention), ts)[2] / (2.0 * np.pi))

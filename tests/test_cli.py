@@ -51,6 +51,24 @@ def test_phase_aliasing_is_exit_3(capsys):
     assert "aliasing" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phase", "--state", "num:0", "--k", "0"],
+        ["ellipse", "--pol", "xnum:1", "--k", "-4"],
+        ["timepdf", "--pol", "xnum:1", "--kt", "0"],
+        ["sweep", "--pol", "xnum:1", "--k", "1.5"],
+    ],
+)
+def test_non_positive_grid_size_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"argument {argv[-2]}: grid size must be a positive integer, not '{argv[-1]}'" in err
+
+
 def test_bad_spec_is_exit_2(capsys):
     code, _, err = run(capsys, "phase", "--state", "wat:7")
     assert code == 2
@@ -325,6 +343,29 @@ def test_non_finite_mean_is_exit_2(capsys, spec):
     code, _, err = run(capsys, command, flag, spec)
     assert one_line_error(code, err)
     assert "bad mean photon number" in err
+
+
+@pytest.mark.parametrize("spec", ["xsup:1,inf", "xsup:1,nan", "xsup:1,1;2,-infj"])
+def test_non_finite_weight_is_exit_2(capsys, spec):
+    code, out, err = run(capsys, "ellipse", "--pol", spec)
+    assert one_line_error(code, err) and out == ""
+    assert "bad weight" in err
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_overflowing_superposition_is_exit_2_without_warnings(capsys):
+    code, out, err = run(capsys, "ellipse", "--pol", "xsup:0,1e308;0,1e308")
+    assert one_line_error(code, err) and out == ""
+    assert "cannot normalize" in err
+
+
+def test_refused_pb_report_leaves_no_table(capsys, tmp_path):
+    # the report refuses s below n_max; the masses alone would be fine
+    table, report = tmp_path / "pb.csv", tmp_path / "pb.json"
+    code, _, err = run(capsys, "pb", "--state", "num:0", "--n-max", "1", "--s", "0",
+                       "--report", str(report), "--out", str(table))
+    assert one_line_error(code, err) and "truncates the state" in err
+    assert not table.exists() and not report.exists()
 
 
 def test_output_file_mode_follows_umask(capsys, tmp_path):

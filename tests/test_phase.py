@@ -65,6 +65,11 @@ def test_batched_series_with_offset_matches_direct_sum():
 def test_aliasing_guard():
     with pytest.raises(AliasingError):
         phase_wavefunction(make_number_state(3, 4), 8)
+    # K must exceed 2 n_max: at n_max 5, K 10 is refused and K 11 accepted
+    state = make_number_state(5, 5)
+    with pytest.raises(AliasingError, match="grid size 10 admits aliasing"):
+        phase_pdf(state, 10)
+    assert abs(phase_pdf(state, 11).integral() - 1.0) < 1e-12
 
 
 def test_parseval_on_random_states():

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from relphase import (
+    AliasingError,
     ConditioningError,
     PrimitiveConvention,
     SupportError,
@@ -16,10 +17,12 @@ from relphase import (
     marginal_pdf,
     jm_labels,
     snapshot_pdf,
+    snapshot_sweep,
 )
 from relphase.phase import angular_grid
 from relphase.pom import time_grid_size
 
+PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC
 
 
@@ -205,3 +208,37 @@ def test_fermionic_snapshot_needs_single_m_lattice():
     amp = {k: v / norm for k, v in amp.items()}
     odd = two_mode(amp, 6)
     assert abs(snapshot_pdf(odd, 0.9, 64, convention=FERMIONIC).integral() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("kernel", [marginal_pdf, branch_wavefunctions])
+def test_unnormalized_state_is_refused(kernel):
+    state = random_state(np.random.default_rng(3), 4)
+    kernel(state, 64)  # unit norm: accepted
+    with pytest.raises(ValueError, match="branch norms sum to"):
+        kernel(TwoModeState(2 * state.amplitudes), 64)
+
+
+# |5,0>: |m| up to 5 photonic and 2.5 fermionic, so K must exceed 5 resp. 2.5 twice over
+@pytest.mark.parametrize("convention,refused", [(PHOTONIC, 10), (FERMIONIC, 5)])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda state, k, convention: marginal_pdf(state, k, convention=convention),
+        lambda state, k, convention: snapshot_sweep(state, [0.0, 1.0], k, convention=convention),
+    ],
+    ids=["marginal_pdf", "snapshot_sweep"],
+)
+def test_grid_of_twice_the_largest_m_is_refused(kernel, convention, refused):
+    state = two_mode({(5, 0): 1.0}, 5)
+    with pytest.raises(AliasingError, match=f"grid size {refused} admits aliasing"):
+        kernel(state, refused, convention)
+    kernel(state, refused + 1, convention)
+
+
+def test_grid_check_runs_before_the_m_lattice_check():
+    # m = 2.5 and m = 0 mix the lattices; a grid of 5 also aliases m = 2.5
+    state = two_mode({(5, 0): 0.6, (1, 1): 0.8}, 5)
+    with pytest.raises(AliasingError):
+        snapshot_sweep(state, [0.0], 5, convention=FERMIONIC)
+    with pytest.raises(SupportError):
+        snapshot_sweep(state, [0.0], 6, convention=FERMIONIC)

@@ -3,7 +3,7 @@ import cmath
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
@@ -20,9 +20,6 @@ from relphase.pom import C_MIN, time_grid_size
 
 PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC
-
-# fixed examples keep the suite deterministic
-PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 amplitudes = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
 conventions = st.sampled_from([PHOTONIC, FERMIONIC])
@@ -73,7 +70,6 @@ def one_lattice_sweeps(draw):
     return amps, PHOTONIC if photonic else FERMIONIC, times
 
 
-@PROPERTY
 @given(two_mode_states(), conventions)
 def test_branch_wavefunctions_and_marginal_match_oracle(state, convention):
     # fermionic states carry half-integer branches, with and without integer ones
@@ -88,7 +84,6 @@ def test_branch_wavefunctions_and_marginal_match_oracle(state, convention):
     assert np.abs(marginal.density - oracles.direct_marginal(jm, marginal.phi)).max() < 1e-12
 
 
-@PROPERTY
 @given(one_lattice_sweeps(), st.sampled_from([8, 9, 16]))
 def test_snapshot_sweep_matches_oracle_with_gaps(sweep, k):
     amps, convention, times = sweep
@@ -104,7 +99,6 @@ def test_snapshot_sweep_matches_oracle_with_gaps(sweep, k):
             assert np.abs(pdf.density - want).max() < 1e-11 / math.sqrt(c)
 
 
-@PROPERTY
 @given(two_mode_states(), conventions, st.integers(0, 5))
 def test_absolute_time_pdf_matches_oracle(state, convention, extra):
     k_t = time_grid_size(state, convention) + extra
