@@ -19,7 +19,14 @@ import os
 import sys
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
+# Set before the first numpy import, since OpenBLAS reads it when numpy loads it
+# (the package's __init__ imports no numpy). By default OpenBLAS's idle pool
+# worker spins for 2**28 cycles, about 0.1 s of CPU in each short CLI run that
+# barely uses the pool; at 4 it sleeps at once, and the pool keeps its threads
+# for the large products. A value already in the environment wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .errors import RelphaseError
@@ -32,7 +39,7 @@ from .fock import (
     state_from_json,
 )
 from .naimark import heterodyne_moments, y_moments
-from .pegg_barnett import pb_convergence, pb_pmf
+from .pegg_barnett import kolmogorov_distance, pb_pmf
 from .phase import AngularPdf, phase_pdf
 from .polarization import XCoherent, XNumber, XSuperposition, db_view, to_circular
 from .pom import absolute_time_pdf, check_time_grid, marginal_pdf, snapshot_sweep, time_grid_size
@@ -176,7 +183,7 @@ def cmd_pb(args) -> int:
         raise SpecError("need at least one truncation in --s")
     pmfs = [pb_pmf(state, s) for s in s_values]
     # the report may refuse the truncations: find out before anything is written
-    distances = None if args.report is None else pb_convergence(state, s_values)
+    distances = None if args.report is None else [kolmogorov_distance(p, state) for p in pmfs]
     rows = np.column_stack([
         np.concatenate([np.full(pmf.theta.size, pmf.s) for pmf in pmfs]),
         np.concatenate([pmf.theta for pmf in pmfs]),
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pol=False):
+    def common(p, pol=False, formats=("csv", "json")):
         p.add_argument("--k", type=_grid_size, default=1024, help="angular grid size (default 1024)")
         p.add_argument(
             "--kt", type=_grid_size, default=None,
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--n-max", type=int, default=None, help="Fock truncation override")
         p.add_argument("--tail-tol", type=float, default=1e-12, help="coherent tail tolerance")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         if pol:
             p.add_argument("--pol", required=True, help="polarization spec (xnum:/xcoh:/xsup:/file:)")
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_pb)
 
     p = sub.add_parser("moments", help="quadrature and cosine/sine moment report (JSON)")
-    common(p)
+    common(p, formats=("json",))
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("sweep", help="snapshot distributions over absolute times in [0, pi]")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -32,14 +33,30 @@ class PrimitiveConvention(Enum):
     FERMIONIC = "fermionic"
 
 
-def _norm(amps: np.ndarray) -> float:
-    """The norm a constructor divides by; zero and non-finite norms are refused."""
-    norm = math.sqrt(float(np.vdot(amps, amps).real))
+def _norm(amps: np.ndarray) -> tuple[int, float]:
+    """(e, norm): a constructor divides amps * 2**e by norm. e is 0 unless the squared
+    norm underflows (lies below the smallest normal float); then 2**e brings the
+    largest |amplitude| into [0.5, 1), so the squares keep their precision. Zero and
+    non-finite norms are refused."""
+    squared = float(np.vdot(amps, amps).real)
+    e = 0
+    if squared < sys.float_info.min and np.any(amps):
+        e = -math.frexp(float(np.max(np.abs(amps))))[1]
+        amps = _ldexp(amps, e)
+        squared = float(np.vdot(amps, amps).real)
+    norm = math.sqrt(squared)
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     if not math.isfinite(norm):
         raise ValueError(f"cannot normalize a vector of norm {norm}")
-    return norm
+    return e, norm
+
+
+def _ldexp(amps: np.ndarray, e: int) -> np.ndarray:
+    """amps * 2**e, exact for any e: each real part goes through np.ldexp."""
+    if e == 0:
+        return amps
+    return np.ldexp(np.ascontiguousarray(amps).view(float), e).view(complex)
 
 
 @dataclass(frozen=True)
@@ -59,7 +76,8 @@ class SingleModeState:
     def from_amplitudes(cls, amplitudes: Sequence[complex]) -> "SingleModeState":
         """Build and renormalize; rejects the zero vector."""
         amps = np.asarray(amplitudes, dtype=complex)
-        return cls(amps / _norm(amps))
+        e, norm = _norm(amps)
+        return cls(_ldexp(amps, e) / norm)
 
     @property
     def n_max(self) -> int:
@@ -123,7 +141,8 @@ class TwoModeState:
         amps = np.ascontiguousarray(amplitudes, dtype=complex)
         # the norm of the support alone, in row-major order, then real division of
         # each part (numpy's complex / real multiplies by a rounded reciprocal)
-        return cls((amps.view(float) / _norm(amps[amps != 0])).view(complex))
+        e, norm = _norm(amps[amps != 0])
+        return cls((_ldexp(amps, e).view(float) / norm).view(complex))
 
     @property
     def n_max(self) -> int:

@@ -32,6 +32,8 @@ class DiscretePhasePmf:
             object.__setattr__(self, name, arr)
         if self.theta.size != self.s + 1 or self.masses.size != self.s + 1:
             raise ValueError("need exactly s+1 angles and masses")
+        if not (np.isfinite(self.theta).all() and np.isfinite(self.masses).all()):
+            raise ValueError("angles and masses must be finite")
         if np.any(self.masses < 0):
             raise ValueError("masses must be non-negative")
         if abs(self.masses.sum() - 1.0) > 1e-10:
@@ -84,8 +86,11 @@ def kolmogorov_distance(pmf: DiscretePhasePmf, state: SingleModeState) -> float:
     """sup_x |F_discrete(x) - F_continuous(x)| with right-continuous steps.
 
     Both CDFs are monotone between step angles, so the supremum is attained
-    at a step angle approached from either side.
+    at a step angle approached from either side. A pmf of s < n_max is of a
+    truncated state, not of this one, and is refused.
     """
+    if pmf.s < state.n_max:
+        raise ValueError(f"s={pmf.s} truncates the state (n_max={state.n_max})")
     cont = phase_cdf(state, pmf.theta)
     cum = np.cumsum(pmf.masses)
     before = cum - pmf.masses
@@ -94,7 +99,4 @@ def kolmogorov_distance(pmf: DiscretePhasePmf, state: SingleModeState) -> float:
 
 def pb_convergence(state: SingleModeState, s_list: Sequence[int]) -> list[float]:
     """Kolmogorov distances to the continuous phase CDF for each truncation."""
-    for s in s_list:
-        if s < state.n_max:
-            raise ValueError(f"s={s} truncates the state (n_max={state.n_max})")
     return [kolmogorov_distance(pb_pmf(state, s), state) for s in s_list]

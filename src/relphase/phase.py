@@ -85,6 +85,8 @@ class AngularPdf:
             object.__setattr__(self, name, arr)
         if self.phi.shape != self.density.shape:
             raise ValueError("grid and density must have matching shapes")
+        if not (np.isfinite(self.phi).all() and np.isfinite(self.density).all()):
+            raise ValueError("grid and density must be finite")
         if np.any(self.density < 0):
             raise ValueError("densities must be non-negative")
         total = self.integral()

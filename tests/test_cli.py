@@ -13,7 +13,7 @@ from relphase import (
     state_from_json,
     state_to_json,
 )
-from relphase import cli
+from relphase import cli, pegg_barnett
 from relphase.cli import BLOCK_ROWS, _sweep_table, _table, main
 
 
@@ -473,3 +473,44 @@ def test_multi_block_sweep_with_gaps_matches_per_value_writer(capsys, tmp_path, 
         assert first_difference(got, reference([t], k)[0]) is None
     if fmt == "csv":
         assert max(chunk_rows) == BLOCK_ROWS
+
+
+@pytest.mark.parametrize(
+    "command,kind,rows",
+    [
+        ("phase", "single", "[[0, 0, 1e-160, 0]]"),
+        ("phase", "single", "[[0, 0, 1e-170, 0]]"),
+        ("ellipse", "two", "[[0, 1, 1e-160, 0]]"),
+    ],
+)
+def test_json_state_whose_squared_norm_underflows_is_read(capsys, tmp_path, command, kind, rows):
+    # the state is |0> (or |0,1>): its density is flat at 1/(2 pi)
+    path = tmp_path / "state.json"
+    path.write_text(f'{{"kind": "{kind}", "n_max": 1, "amps": {rows}}}')
+    flag = "--state" if command == "phase" else "--pol"
+    code, out, err = run(capsys, command, flag, f"file:{path}", "--k", "8")
+    assert code == 0 and err == ""
+    _, data = rows_of(out)
+    assert np.allclose(data[:, 1], 1 / (2 * np.pi), rtol=1e-14)
+
+
+def test_pb_report_computes_each_truncation_once(capsys, tmp_path, monkeypatch):
+    calls, pb_pmf = [], pegg_barnett.pb_pmf
+
+    def counting(state, s):
+        calls.append(s)
+        return pb_pmf(state, s)
+
+    # both binding sites: the command's and the one pegg_barnett's own functions use
+    monkeypatch.setattr(cli, "pb_pmf", counting)
+    monkeypatch.setattr(pegg_barnett, "pb_pmf", counting)
+    code, _, _ = run(capsys, "pb", "--state", "coh:4", "--s", "64,128",
+                     "--report", str(tmp_path / "r.json"), "--out", str(tmp_path / "pb.csv"))
+    assert code == 0 and calls == [64, 128]
+
+
+def test_moments_offers_json_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--state", "num:1", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err

@@ -220,6 +220,30 @@ def test_constructors_normalize():
     assert abs(state.norm_squared() - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("tiny", [1e-160, 1e-170, 1e-300, 1e-320])
+def test_constructors_normalize_amplitudes_whose_squares_underflow(tiny):
+    # (1, 1, 1j)/sqrt(3) at a scale where the squared norm is subnormal or zero
+    single = SingleModeState.from_amplitudes(np.array([1, 1, 1j]) * tiny)
+    assert np.allclose(single.amplitudes, np.array([1, 1, 1j]) / math.sqrt(3), rtol=1e-15)
+    unit = np.zeros((3, 3), dtype=complex)
+    unit[0, 1], unit[1, 1], unit[2, 0] = 1, 1, 1j
+    two = TwoModeState.from_amplitudes(unit * tiny)
+    assert np.allclose(two.amplitudes, unit / math.sqrt(3), rtol=1e-15)
+
+
+def test_constructors_divide_by_the_plain_norm_when_its_square_is_normal():
+    rng = np.random.default_rng(3)
+    for scale in (1.0, 1e-150, 1e150):
+        amps = scale * (rng.normal(size=6) + 1j * rng.normal(size=6))
+        norm = math.sqrt(float(np.vdot(amps, amps).real))
+        assert SingleModeState.from_amplitudes(amps).amplitudes.tobytes() == (amps / norm).tobytes()
+        array = np.zeros((3, 3), dtype=complex)
+        array[fock.simplex(2)] = amps
+        norm = math.sqrt(float(np.vdot(amps, amps).real))
+        expected = (array.view(float) / norm).view(complex)
+        assert TwoModeState.from_amplitudes(array).amplitudes.tobytes() == expected.tobytes()
+
+
 def test_state_to_json_matches_reference_writer():
     rng = np.random.default_rng(12)
     for n_max in (0, 1, 4, 9):

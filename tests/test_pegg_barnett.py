@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from relphase import (
+    DiscretePhasePmf,
     SingleModeState,
     make_coherent_state,
     make_number_state,
@@ -12,6 +13,7 @@ from relphase import (
     pb_pmf,
     phase_cdf,
 )
+from relphase.pegg_barnett import kolmogorov_distance
 
 TWO_TERM = SingleModeState(np.array([1.0, 1.0]) / math.sqrt(2))
 
@@ -102,3 +104,15 @@ def test_distances_halve_along_doubling_truncations():
 def test_rejects_truncating_s():
     with pytest.raises(ValueError):
         pb_convergence(make_number_state(3, 3), [2])
+
+
+def test_distance_refuses_a_pmf_of_a_truncated_state():
+    state = make_number_state(1, 3)
+    with pytest.raises(ValueError, match="truncates the state"):
+        kolmogorov_distance(pb_pmf(state, 2), state)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_discrete_pmf_refuses_non_finite_masses(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DiscretePhasePmf(3, np.arange(4.0), [bad] * 4)

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from relphase import (
     AliasingError,
+    AngularPdf,
     SingleModeState,
     make_coherent_state,
     make_number_state,
@@ -165,3 +166,10 @@ def test_paley_wiener_isolated_zeros_fraction_vanishes():
         assert report.fraction_below(1e-30) <= 4 / 512
         fr = [report.fraction_below(eps) for eps in (1e-2, 1e-6, 1e-12, 1e-30)]
         assert all(a >= b for a, b in zip(fr, fr[1:]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_angular_pdf_refuses_non_finite_densities(bad):
+    # NaN passed both the sign and the integral guards before
+    with pytest.raises(ValueError, match="finite"):
+        AngularPdf(angular_grid(4), [bad] * 4)
