@@ -8,6 +8,12 @@ State mini-language:
   xsup:n1,w1;n2,w2   weighted superposition of x-polarized number states
   file:path   JSON state document (kind "single" or "two")
 
+Each command takes only the options it reads, and no option may be
+abbreviated. Every table (phase, pb, sweep, ellipse, timepdf) goes through one
+streamed writer, _table, as groups of rows sharing a lead: () for a density,
+(s,) per pb truncation, (t,) per sweep slice; moments writes its JSON report
+directly.
+
 Exit codes: 0 success, 2 usage error, 3 numerical precondition violation.
 """
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .fock import (
 )
 from .naimark import heterodyne_moments, y_moments
 from .pegg_barnett import kolmogorov_distance, pb_pmf
-from .phase import AngularPdf, phase_pdf
+from .phase import phase_pdf
 from .polarization import XCoherent, XNumber, XSuperposition, db_view, to_circular
 from .pom import absolute_time_pdf, check_time_grid, marginal_pdf, snapshot_sweep, time_grid_size
 
@@ -72,14 +78,23 @@ def _int(token: str, what: str) -> int:
         raise SpecError(f"bad {what} {token!r}") from None
 
 
-def _grid_size(text: str) -> int:
-    """argparse type of --k and --kt: a positive integer (else exit 2 with usage)."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"grid size must be a positive integer, not {text!r}")
+def _int_at_least(low: int, rule: str):
+    """argparse type of an integer >= low; anything else exits 2 with usage and
+    "<rule>, not '<text>'"."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, not {text!r}")
+
+    return parse
+
+
+_grid_size = _int_at_least(1, "grid size must be a positive integer")  # --k and --kt
+_n_max = _int_at_least(0, "n_max must be a non-negative integer")
 
 
 def parse_single_spec(text: str, n_max: int | None, tail_tol: float) -> SingleModeState:
@@ -153,26 +168,43 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
         raise
 
 
-BLOCK_ROWS = 8192  # CSV rows formatted per chunk: bounds the text held at once
+BLOCK_ROWS = 8192  # rows per chunk: bounds the text held at once
 
 
-def _table(header: Sequence[str], rows: np.ndarray, fmt: str) -> Iterator[str]:
-    """Text chunks of a table of the rows of a 2-d float array; '%.15g' is f"{x:.15g}"."""
+def _table(header: Sequence[str], groups: Iterable[tuple], fmt: str) -> Iterator[str]:
+    """Text chunks of a table, at most BLOCK_ROWS rows each. Each group
+    (lead, x, y) gives the rows lead + (x[i], y[i]); '%.15g' is f"{x:.15g}".
+
+    CSV formats each distinct x array once into row templates "L<x>,%.15g" of
+    at most BLOCK_ROWS rows; a group fills in its lead L with one replace and
+    its y with one % operation per template. JSON is byte for byte one
+    json.dumps of the whole document, streamed a block of rows at a time.
+    """
     if fmt == "json":
-        yield json.dumps({"columns": list(header), "rows": rows.tolist()}) + "\n"
+        yield '{"columns": %s, "rows": [' % json.dumps(list(header))
+        sep = ""
+        for lead, x, y in groups:
+            for lo in range(0, len(x), BLOCK_ROWS):
+                xs, ys = x[lo : lo + BLOCK_ROWS], y[lo : lo + BLOCK_ROWS]
+                block = np.column_stack([*(np.full(xs.size, v, float) for v in lead), xs, ys])
+                yield sep + json.dumps(block.tolist())[1:-1]
+                sep = ", "
+        yield "]}\n"
         return
     yield ",".join(header) + "\n"
-    line = ",".join(["%.15g"] * len(header)) + "\n"
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start : start + BLOCK_ROWS]
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+    x_seen = None
+    for lead, x, y in groups:
+        if x is not x_seen:
+            x_seen, spans = x, [slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(x), BLOCK_ROWS)]
+            templates = [("L%.15g,%%.15g\n" * x[s].size) % tuple(x[s].tolist()) for s in spans]
+        lead_text = "".join("%.15g," % v for v in lead)
+        for s, template in zip(spans, templates):
+            yield template.replace("L", lead_text) % tuple(y[s].tolist())
 
 
 def cmd_phase(args) -> int:
-    state = parse_single_spec(args.state, args.n_max, args.tail_tol)
-    pdf = phase_pdf(state, args.k)
-    rows = np.column_stack([pdf.phi, pdf.density])
-    _write(args.out, _table(("phi", "density"), rows, args.format))
+    pdf = phase_pdf(parse_single_spec(args.state, args.n_max, args.tail_tol), args.k)
+    _write(args.out, _table(("phi", "density"), [((), pdf.phi, pdf.density)], args.format))
     return 0
 
 
@@ -184,12 +216,8 @@ def cmd_pb(args) -> int:
     pmfs = [pb_pmf(state, s) for s in s_values]
     # the report may refuse the truncations: find out before anything is written
     distances = None if args.report is None else [kolmogorov_distance(p, state) for p in pmfs]
-    rows = np.column_stack([
-        np.concatenate([np.full(pmf.theta.size, pmf.s) for pmf in pmfs]),
-        np.concatenate([pmf.theta for pmf in pmfs]),
-        np.concatenate([pmf.masses for pmf in pmfs]),
-    ])
-    _write(args.out, _table(("s", "theta", "mass"), rows, args.format))
+    groups = [((pmf.s,), pmf.theta, pmf.masses) for pmf in pmfs]
+    _write(args.out, _table(("s", "theta", "mass"), groups, args.format))
     if distances is not None:
         doc = [{"s": s, "distance": d} for s, d in zip(s_values, distances)]
         _write(args.report, [json.dumps(doc) + "\n"])
@@ -214,33 +242,6 @@ def _kt(args, state: TwoModeState) -> int:
     return kt
 
 
-def _sweep_table(live: Sequence[tuple[float, AngularPdf]], fmt: str) -> Iterator[str]:
-    """Text chunks of the live (t, slice) pairs of a sweep, byte for byte _table's.
-
-    CSV formats the phi grid once into row templates "T,<phi>,%.15g" of at
-    most BLOCK_ROWS rows; each slice fills in its t with one replace and its
-    densities with one % operation per template.
-    """
-    if fmt == "json":
-        rows = np.column_stack([
-            np.ravel([np.full_like(pdf.phi, t) for t, pdf in live]),
-            np.ravel([pdf.phi for _, pdf in live]),
-            np.ravel([pdf.density for _, pdf in live]),
-        ])
-        yield from _table(("t", "phi", "density"), rows, fmt)
-        return
-    yield "t,phi,density\n"
-    if not live:
-        return
-    phi = live[0][1].phi
-    spans = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, phi.size, BLOCK_ROWS)]
-    templates = [("T,%.15g,%%.15g\n" * phi[s].size) % tuple(phi[s].tolist()) for s in spans]
-    for t, pdf in live:
-        t_text = "%.15g" % t
-        for s, template in zip(spans, templates):
-            yield template.replace("T", t_text) % tuple(pdf.density[s].tolist())
-
-
 def cmd_sweep(args) -> int:
     state = parse_pol_spec(args.pol, args.n_max, args.tail_tol)
     times = np.linspace(0.0, np.pi, _kt(args, state))
@@ -248,30 +249,33 @@ def cmd_sweep(args) -> int:
     gaps = slices.count(None)
     if gaps:
         print(f"skipped {gaps} time(s) of vanishing conditioning probability", file=sys.stderr)
-    live = [(t, pdf) for t, pdf in zip(times.tolist(), slices) if pdf is not None]
-    _write(args.out, _sweep_table(live, args.format))
+    live = [((t,), pdf.phi, pdf.density) for t, pdf in zip(times.tolist(), slices)
+            if pdf is not None]
+    _write(args.out, _table(("t", "phi", "density"), live, args.format))
     return 0
 
 
 def cmd_ellipse(args) -> int:
     pdf = marginal_pdf(parse_pol_spec(args.pol, args.n_max, args.tail_tol), args.k)
     header, values = (("phi", "db"), db_view(pdf)) if args.db else (("phi", "density"), pdf.density)
-    _write(args.out, _table(header, np.column_stack([pdf.phi, values]), args.format))
+    _write(args.out, _table(header, [((), pdf.phi, values)], args.format))
     return 0
 
 
 def cmd_timepdf(args) -> int:
     state = parse_pol_spec(args.pol, args.n_max, args.tail_tol)
     pdf = absolute_time_pdf(state, _kt(args, state))
-    rows = np.column_stack([pdf.phi, pdf.density])
-    _write(args.out, _table(("t", "density"), rows, args.format))
+    _write(args.out, _table(("t", "density"), [((), pdf.phi, pdf.density)], args.format))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per command, with only the options its cmd_* reads; no
+    option may be abbreviated."""
     parser = argparse.ArgumentParser(
         prog="relphase",
         description="Quantum phase/angle measurement statistics toolkit.",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--version",
@@ -280,49 +284,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pol=False, formats=("csv", "json")):
-        p.add_argument("--k", type=_grid_size, default=1024, help="angular grid size (default 1024)")
-        p.add_argument(
-            "--kt", type=_grid_size, default=None,
-            help=f"time grid size (default: the larger of {DEFAULT_KT} and the state's "
-            "exact-quadrature size)",
-        )
-        p.add_argument("--n-max", type=int, default=None, help="Fock truncation override")
+    def command(name, fn, help_text, *, pol=False, k=False, kt=False, formats=("csv", "json")):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if k:
+            p.add_argument(
+                "--k", type=_grid_size, default=1024, help="angular grid size (default 1024)"
+            )
+        if kt:
+            p.add_argument(
+                "--kt", type=_grid_size, default=None,
+                help=f"time grid size (default: the larger of {DEFAULT_KT} and the state's "
+                "exact-quadrature size)",
+            )
+        p.add_argument("--n-max", type=_n_max, default=None, help="Fock truncation override")
         p.add_argument("--tail-tol", type=float, default=1e-12, help="coherent tail tolerance")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         if pol:
-            p.add_argument("--pol", required=True, help="polarization spec (xnum:/xcoh:/xsup:/file:)")
+            p.add_argument(
+                "--pol", required=True, help="polarization spec (xnum:/xcoh:/xsup:/file:)"
+            )
         else:
             p.add_argument("--state", required=True, help="state spec (num:/coh:/file:)")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("phase", help="continuous phase density of a single mode")
-    common(p)
-    p.set_defaults(fn=cmd_phase)
-
-    p = sub.add_parser("pb", help="discrete phase masses and convergence distances")
-    common(p)
+    command("phase", cmd_phase, "continuous phase density of a single mode", k=True)
+    p = command("pb", cmd_pb, "discrete phase masses and convergence distances")
     p.add_argument("--s", required=True, help="comma-separated truncations, e.g. 64,128,256")
     p.add_argument("--report", default=None, help="write convergence JSON here")
-    p.set_defaults(fn=cmd_pb)
-
-    p = sub.add_parser("moments", help="quadrature and cosine/sine moment report (JSON)")
-    common(p, formats=("json",))
-    p.set_defaults(fn=cmd_moments)
-
-    p = sub.add_parser("sweep", help="snapshot distributions over absolute times in [0, pi]")
-    common(p, pol=True)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("ellipse", help="quantum polarization ellipse (marginal distribution)")
-    common(p, pol=True)
+    command("moments", cmd_moments, "quadrature and cosine/sine moment report (JSON)",
+            formats=("json",))
+    command("sweep", cmd_sweep, "snapshot distributions over absolute times in [0, pi]",
+            pol=True, k=True, kt=True)
+    p = command("ellipse", cmd_ellipse, "quantum polarization ellipse (marginal distribution)",
+                pol=True, k=True)
     p.add_argument("--db", action="store_true", help="emit the 60 dB-peak view")
-    p.set_defaults(fn=cmd_ellipse)
-
-    p = sub.add_parser("timepdf", help="absolute-time density over [-pi, pi)")
-    common(p, pol=True)
-    p.set_defaults(fn=cmd_timepdf)
-
+    command("timepdf", cmd_timepdf, "absolute-time density over [-pi, pi)", pol=True, kt=True)
     return parser
 
 

@@ -106,31 +106,16 @@ def db_view(pdf: AngularPdf, peak_db: float = 60.0) -> np.ndarray:
     return np.maximum(db, 0.0)
 
 
-@dataclass(frozen=True)
-class SnapshotSweep:
-    """Per-time snapshot slices; refused times carry None (gaps, not failures)."""
-
-    times: np.ndarray
-    slices: tuple[AngularPdf | None, ...]
-
-    def __post_init__(self):
-        arr = np.asarray(self.times, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "times", arr)
-        if arr.size != len(self.slices):
-            raise ValueError("one slice per time required")
-
-
 def snapshot_sequence(
     spec: LinearPolSpec,
     t_grid: Sequence[float],
     k: int = DEFAULT_GRID_SIZE,
     n_max: int | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
-) -> SnapshotSweep:
-    """Normalized snapshot distributions along a grid of absolute times."""
-    slices = snapshot_sweep(to_circular(spec, n_max, tail_tol), t_grid, k)
-    return SnapshotSweep(np.asarray(t_grid, dtype=float), tuple(slices))
+) -> list[AngularPdf | None]:
+    """Normalized snapshot distributions along a grid of absolute times; refused
+    times give None (gaps, not failures)."""
+    return snapshot_sweep(to_circular(spec, n_max, tail_tol), t_grid, k)
 
 
 def local_maxima(density: np.ndarray, min_rise: float = 1e-9, floor: float = 0.0) -> list[int]:

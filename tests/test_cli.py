@@ -14,7 +14,7 @@ from relphase import (
     state_to_json,
 )
 from relphase import cli, pegg_barnett
-from relphase.cli import BLOCK_ROWS, _sweep_table, _table, main
+from relphase.cli import BLOCK_ROWS, _table, main
 
 
 def run(capsys, *argv):
@@ -158,7 +158,8 @@ def test_default_time_grid_is_the_larger_of_256_and_the_state_size(capsys, defau
 
 @pytest.mark.parametrize("command", ["sweep", "timepdf"])
 def test_explicit_time_grid_below_state_size_is_exit_3(capsys, command):
-    code, out, err = run(capsys, command, "--pol", "xcoh:30", "--kt", "255", "--k", "256")
+    k = ["--k", "256"] if command == "sweep" else []  # timepdf has no angular grid
+    code, out, err = run(capsys, command, "--pol", "xcoh:30", "--kt", "255", *k)
     assert code == 3 and out == "" and err.count("\n") == 1
     assert "time grid 255 is below the exact-quadrature size 308" in err
 
@@ -412,6 +413,24 @@ def random_rows(n):
     return rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))
 
 
+def groups_of(rows):
+    """The (lead, x, y) groups of a 2- or 3-column table: a 3-column table gets
+    one group per row, with its first column as the lead."""
+    if rows.shape[1] == 2:
+        return [((), rows[:, 0], rows[:, 1])]
+    return [((rows[i, 0],), rows[i : i + 1, 1], rows[i : i + 1, 2]) for i in range(len(rows))]
+
+
+def rows_of_groups(groups):
+    return [(*lead, a, b) for lead, x, y in groups for a, b in zip(x, y)]
+
+
+def rows_per_chunk(chunk, fmt):
+    """Rows in a chunk: one line per CSV row, one '[' per JSON row (the JSON
+    header chunk counts 2)."""
+    return chunk.count("\n" if fmt == "csv" else "[")
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -426,10 +445,40 @@ def random_rows(n):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_matches_per_value_writer(rows, fmt):
     header = ("a", "b", "c")[: rows.shape[1]]
-    chunks = list(_table(header, rows, fmt))
+    groups = groups_of(rows)
+    chunks = list(_table(header, groups, fmt))
     assert first_difference("".join(chunks), oracles.reference_table(header, rows, fmt)) is None
-    if fmt == "csv":  # the header, then one chunk per block of rows
-        assert len(chunks) == 1 + -(-len(rows) // BLOCK_ROWS)
+    # the header, one chunk per block of each group's rows, and JSON's closing "]}"
+    blocks = sum(-(-len(x) // BLOCK_ROWS) for _, x, _ in groups)
+    assert len(chunks) == 1 + blocks + (fmt == "json")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grouped_table_matches_per_value_writer(fmt):
+    """Groups sharing one x array longer than a block (a sweep), a group with
+    its own x between them, and special and integer leads (pb's s)."""
+    x, y = random_rows(BLOCK_ROWS + 1)[:, :2].T
+    groups = [
+        ((0.25,), x, y),
+        ((4096,), x[:3], y[:3]),
+        ((-0.0,), x, y[::-1]),
+        ((math.nan,), x, 2.0 * y),
+    ]
+    chunks = list(_table(("t", "phi", "density"), groups, fmt))
+    want = oracles.reference_table(("t", "phi", "density"), rows_of_groups(groups), fmt)
+    assert first_difference("".join(chunks), want) is None
+    assert max(rows_per_chunk(chunk, fmt) for chunk in chunks) == BLOCK_ROWS
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pb_table_of_two_truncations_matches_per_value_writer(capsys, fmt):
+    s_values = (64, BLOCK_ROWS + 7)  # the second spans two blocks
+    code, out, _ = run(capsys, "pb", "--state", "coh:4", "--s", "%d,%d" % s_values, "--format", fmt)
+    assert code == 0
+    state = cli.parse_single_spec("coh:4", None, 1e-12)
+    pmfs = [pegg_barnett.pb_pmf(state, s) for s in s_values]
+    rows = rows_of_groups([((p.s,), p.theta, p.masses) for p in pmfs])
+    assert first_difference(out, oracles.reference_table(("s", "theta", "mass"), rows, fmt)) is None
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -441,7 +490,7 @@ def test_multi_block_sweep_with_gaps_matches_per_value_writer(capsys, tmp_path, 
 
     def counted(chunks):
         for chunk in chunks:
-            chunk_rows.append(chunk.count("\n"))
+            chunk_rows.append(rows_per_chunk(chunk, fmt))
             yield chunk
 
     write = cli._write
@@ -468,11 +517,10 @@ def test_multi_block_sweep_with_gaps_matches_per_value_writer(capsys, tmp_path, 
         assert n_rows > 3 * BLOCK_ROWS
         assert first_difference(out.read_text(), want) is None
     for t, k in ((0.3, 64), (1.0, BLOCK_ROWS + 1)):
-        live = [(t, snapshot_sweep(state, [t], k)[0])]
-        got = "".join(counted(_sweep_table(live, fmt)))
+        (pdf,) = snapshot_sweep(state, [t], k)
+        got = "".join(counted(_table(("t", "phi", "density"), [((t,), pdf.phi, pdf.density)], fmt)))
         assert first_difference(got, reference([t], k)[0]) is None
-    if fmt == "csv":
-        assert max(chunk_rows) == BLOCK_ROWS
+    assert max(chunk_rows) == BLOCK_ROWS
 
 
 @pytest.mark.parametrize(
@@ -514,3 +562,57 @@ def test_moments_offers_json_only(capsys):
         main(["moments", "--state", "num:1", "--format", "csv"])
     assert exc.value.code == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+NOT_READ = {  # each command with an option it has no use for
+    "phase--kt": ["phase", "--state", "num:1", "--kt", "8"],
+    "ellipse--kt": ["ellipse", "--pol", "xnum:1", "--kt", "8"],
+    "pb--k": ["pb", "--state", "num:1", "--s", "4", "--k", "8"],
+    "pb--kt": ["pb", "--state", "num:1", "--s", "4", "--kt", "8"],
+    "moments--k": ["moments", "--state", "num:1", "--k", "8"],
+    "moments--kt": ["moments", "--state", "num:1", "--kt", "8"],
+    "timepdf--k": ["timepdf", "--pol", "xnum:1", "--k", "8"],
+}
+
+
+def usage_error(capsys, argv):
+    """stderr of a run that argparse refuses with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", NOT_READ.values(), ids=NOT_READ.keys())
+def test_command_rejects_options_it_does_not_read(capsys, argv):
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["timepdf", "--pol", "xnum:1", "--k", "3"],  # once read as --kt
+        ["phase", "--state", "num:1", "--n", "3"],  # --n-max
+        ["phase", "--state", "num:1", "--o", "-"],  # --out
+        ["phase", "--state", "num:1", "--f", "json"],  # --format
+        ["--vers", "phase", "--state", "num:1"],  # --version
+    ],
+)
+def test_abbreviated_option_is_a_usage_error(capsys, argv):
+    assert "unrecognized arguments" in usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phase", "--state", "coh:1"],  # exit 3 once, from the truncation search
+        ["phase", "--state", "num:0"],
+        ["phase", "--state", "coh:0"],
+        ["ellipse", "--pol", "xnum:0"],  # exit 3 once, from the photon count
+        ["sweep", "--pol", "xcoh:0"],
+        ["pb", "--state", "num:0", "--s", "4"],
+    ],
+)
+def test_negative_n_max_is_a_usage_error(capsys, argv):
+    err = usage_error(capsys, [*argv, "--n-max", "-1"])
+    assert "argument --n-max: n_max must be a non-negative integer, not '-1'" in err

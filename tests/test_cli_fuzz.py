@@ -128,7 +128,9 @@ def check_run(code, err, outputs, fmt):
 def test_single_mode_commands_succeed_or_exit_cleanly(command, spec, k, cut, fmt, s_values):
     if command == "moments":  # JSON only; test_cli checks that csv is a usage error
         fmt = "json"
-    options = ["--k", str(k), "--format", fmt]
+    options = ["--format", fmt]
+    if command == "phase":  # the only single-mode command with an angular grid
+        options += ["--k", str(k)]
     if cut is not None:
         options += ["--n-max", str(cut)]
     if command == "pb":
@@ -146,8 +148,10 @@ def test_single_mode_commands_succeed_or_exit_cleanly(command, spec, k, cut, fmt
 )
 def test_polarization_commands_succeed_or_exit_cleanly(command, spec, k, kt, cut, fmt):
     command, *extra = command.split()
-    options = [*extra, "--k", str(k), "--format", fmt]
-    if kt is not None:
+    options = [*extra, "--format", fmt]
+    if command != "timepdf":  # each command gets only the grids it reads
+        options += ["--k", str(k)]
+    if kt is not None and command != "ellipse":
         options += ["--kt", str(kt)]
     if cut is not None:
         options += ["--n-max", str(cut)]

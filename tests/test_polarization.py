@@ -123,8 +123,7 @@ def test_db_view_peak_and_floor():
 
 
 def test_weak_coherent_counter_rotating_peaks():
-    sweep = snapshot_sequence(XCoherent(1.0), [math.pi / 2], 512)
-    (pdf,) = sweep.slices
+    (pdf,) = snapshot_sequence(XCoherent(1.0), [math.pi / 2], 512)
     peaks = local_maxima(pdf.density)
     assert len(peaks) == 2
     angles = sorted(pdf.phi[i] for i in peaks)
@@ -132,8 +131,7 @@ def test_weak_coherent_counter_rotating_peaks():
 
 
 def test_coherent_mid_range_slices_split_in_two():
-    sweep = snapshot_sequence(XCoherent(4.0), np.linspace(1.0, 2.0, 5), 512)
-    for pdf in sweep.slices:
+    for pdf in snapshot_sequence(XCoherent(4.0), np.linspace(1.0, 2.0, 5), 512):
         peaks = local_maxima(pdf.density)
         assert len(peaks) == 2
         angles = sorted(pdf.phi[i] for i in peaks)
@@ -143,8 +141,7 @@ def test_coherent_mid_range_slices_split_in_two():
 def test_superposition_snapshot_sequence_anchors():
     # t=0 peaks only up along x (above the 0.1 visibility floor);
     # t=pi peaks at the branch cut
-    sweep = snapshot_sequence(XSuperposition(((1, 1.0), (2, 1.0))), [0.0, math.pi], 512)
-    t0, tpi = sweep.slices
+    t0, tpi = snapshot_sequence(XSuperposition(((1, 1.0), (2, 1.0))), [0.0, math.pi], 512)
     visible = local_maxima(t0.density, floor=0.1)
     assert len(visible) == 1
     assert t0.phi[visible[0]] == 0.0
@@ -156,8 +153,7 @@ def test_superposition_snapshot_sequence_anchors():
 def test_n9_sidelobes_near_half_pi_on_db_scale():
     # at t = pi/2 the angles 0 and +-pi carry equal positive plateaus,
     # invisible on the 0.1 linear contour but ~28 dB on the 60 dB-peak view
-    sweep = snapshot_sequence(XCoherent(9.0), [math.pi / 2], 512)
-    (pdf,) = sweep.slices
+    (pdf,) = snapshot_sequence(XCoherent(9.0), [math.pi / 2], 512)
     assert pdf.value_at(0.0) > 1e-4
     assert pdf.value_at(-np.pi) > 1e-4
     assert abs(pdf.value_at(0.0) - pdf.value_at(-np.pi)) < 1e-6
