@@ -15,11 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import RelphaseError, TruncationError
 
 NORM_TOL = 1e-10
 # dense state budget: 2**24 complex128 amplitudes (256 MiB), a two-mode n_max <= 4095
 MAX_AMPLITUDES = 2**24
+# working-set budget: the largest array a kernel builds, 2**26 complex128 cells (1 GiB)
+MAX_CELLS = 2**26
 
 
 class PrimitiveConvention(Enum):
@@ -110,6 +112,15 @@ def check_budget(n_max: int, modes: int) -> None:
         raise TruncationError(
             f"a {modes}-mode state at n_max={n_max} needs {size} amplitudes "
             f"({size * 16 / 2**20:.1f} MiB); the budget is {MAX_AMPLITUDES} (256 MiB)"
+        )
+
+
+def check_cells(shape: tuple[int, ...], what: str) -> None:
+    """Refuse, before allocating it, a kernel array of more than MAX_CELLS cells."""
+    if math.prod(shape) > MAX_CELLS:
+        raise RelphaseError(
+            f"{what} of {' x '.join(map(str, shape))} cells is over the working-set "
+            f"budget of {MAX_CELLS} cells"
         )
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import SingleModeState
+from .fock import SingleModeState, check_cells
 
 BRANCH_CUT = -np.pi
 
@@ -52,6 +52,7 @@ def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:
     """Discrete-phase masses of the state truncated to n <= s."""
     if s < 0:
         raise ValueError("s must be >= 0")
+    check_cells((s + 1,), "a discrete phase grid")
     psi = _truncated(state, s)
     theta = BRANCH_CUT + 2.0 * np.pi * np.arange(s + 1) / (s + 1)
     signs = np.where(np.arange(psi.size) % 2, -1.0, 1.0)

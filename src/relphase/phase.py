@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasingError
-from .fock import SingleModeState
+from .fock import SingleModeState, check_cells
 
 DEFAULT_GRID_SIZE = 1024
 
@@ -35,6 +35,7 @@ def scatter_series(shape: tuple, k: int, index: tuple, freqs: np.ndarray, coeffs
     """Rows sum_f c_f e^{-i f phi_j} on the K-point grid: (-1)^f c_f goes to index +
     (f mod K,) of a zero shape + (K,) array, FFT'd along its last axis, since here
     e^{-i f phi_j} = (-1)^f e^{-2 pi i f j / K}. One row's f must be distinct mod K."""
+    check_cells(tuple(shape) + (k,), "an angular grid")
     packed = np.zeros(tuple(shape) + (k,), dtype=complex)
     packed[index + (freqs % k,)] = np.where(freqs % 2, -coeffs, coeffs)
     return np.fft.fft(packed, axis=-1)
@@ -109,7 +110,8 @@ class AngularPdf:
 def phase_wavefunction(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> PhaseWavefunction:
     """psi(phi_k) = sum_n psi_n e^{-i n phi_k}, evaluated by FFT."""
     check_grid(k, state.n_max)
-    return PhaseWavefunction(angular_grid(k), eval_fourier_series(state.amplitudes, k))
+    values = eval_fourier_series(state.amplitudes, k)  # checks the working set first
+    return PhaseWavefunction(angular_grid(k), values)
 
 
 def phase_pdf(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:

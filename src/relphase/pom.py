@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AliasingError, ConditioningError, SupportError
-from .fock import PrimitiveConvention, TwoModeState, jm_labels
+from .fock import PrimitiveConvention, TwoModeState, check_cells, jm_labels
 from .phase import DEFAULT_GRID_SIZE, AngularPdf, angular_grid, check_grid, scatter_series
 
 C_MIN = 1e-12
@@ -81,6 +81,7 @@ def _conditioned(j, m, v, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     C(t) = sum_m |b[t, m]|^2."""
     js, rows = np.unique(j, return_inverse=True)
     ms, cols = np.unique(m, return_inverse=True)
+    check_cells((len(ts), max(js.size, ms.size)), "a time-by-branch product")
     a = np.zeros((js.size, ms.size), dtype=complex)
     a[rows, cols] = v
     b = np.exp(np.outer(np.asarray(ts, dtype=float), -1j * js)) @ a
@@ -158,9 +159,11 @@ def time_grid_size(state: TwoModeState, convention: PrimitiveConvention = PHOTON
 
 
 def check_time_grid(k_t: int, needed: int) -> None:
-    """Refuse a time grid below the exact-quadrature size `needed`."""
+    """Refuse a time grid below the exact-quadrature size `needed`, or one over the
+    working-set budget."""
     if k_t < needed:
         raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
+    check_cells((k_t,), "a time grid")
 
 
 def absolute_time_pdf(

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from relphase import (
     PrimitiveConvention,
+    RelphaseError,
     SingleModeState,
     TwoModeState,
     TruncationError,
@@ -283,6 +284,12 @@ def test_budget_edge_is_n_max_4095():
     fock.check_budget(4095, 2)
     with pytest.raises(TruncationError):
         fock.check_budget(4096, 2)
+
+
+def test_working_set_edge_is_2_to_the_26_cells():
+    fock.check_cells((2**13, 2**13), "a grid")
+    with pytest.raises(RelphaseError, match="a grid of 8192 x 8193 cells is over"):
+        fock.check_cells((2**13, 2**13 + 1), "a grid")
 
 
 def test_truncation_search_stays_within_the_budget(monkeypatch):

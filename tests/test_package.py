@@ -63,3 +63,9 @@ def test_unknown_name_is_an_attribute_error():
 def test_cli_sets_the_openblas_thread_timeout_unless_set(env, expected):
     code = "import os, relphase.cli; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
     assert fresh(code, **env) == expected
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    """The CSV formatter builds its tables from integers, on first use."""
+    code = "import sys, relphase.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    assert fresh(code) == "[]"
