@@ -46,11 +46,6 @@ from .fock import (
     single_to_two_mode,
     state_from_json,
 )
-from .naimark import heterodyne_moments, y_moments
-from .pegg_barnett import kolmogorov_distance, pb_pmf
-from .phase import phase_pdf
-from .polarization import XCoherent, XNumber, XSuperposition, db_view, to_circular
-from .pom import absolute_time_pdf, check_time_grid, marginal_pdf, snapshot_sweep, time_grid_size
 
 STATE_FORMAT_VERSION = 1
 DEFAULT_KT = 256  # smallest default time grid of sweep and timepdf
@@ -115,6 +110,7 @@ def parse_single_spec(text: str, n_max: int | None, tail_tol: float) -> SingleMo
 
 
 def parse_pol_spec(text: str, n_max: int | None, tail_tol: float) -> TwoModeState:
+    from .polarization import XCoherent, XNumber, XSuperposition, to_circular
     kind, _, rest = text.partition(":")
     if kind == "xnum":
         return to_circular(XNumber(_int(rest, "photon number")), n_max, tail_tol)
@@ -154,6 +150,7 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
     """
     if path is None or path == "-":
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe fails here, inside main's error handling
         return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".relphase-{os.urandom(8).hex()}")
@@ -209,17 +206,6 @@ def _layout(x: int | None, nd: int) -> list[int]:
     return [_SIGN] + body + [_NUL] * (_FIELD - 1 - len(body))
 
 
-def _pow10(k: int) -> tuple[float, float]:
-    """10**k as a double-double hi + lo, each term rounded from exact integers
-    (int / int rounds correctly)."""
-    n = 10 ** abs(k)
-    if k >= 0:
-        hi = float(n)
-        return hi, float(n - int(hi))
-    num, den = (hi := 1 / n).as_integer_ratio()
-    return hi, (den - num * n) / (den * n)
-
-
 def _words(*columns) -> np.ndarray:
     """uint32 words whose byte j is columns[j] (a code point; 0 is NUL)."""
     return np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8).view(np.uint32).ravel()
@@ -227,14 +213,12 @@ def _words(*columns) -> np.ndarray:
 
 @functools.cache
 def _tables() -> SimpleNamespace:
-    """_format_15g's lookup tables, built on its first call."""
-    hi, lo = np.array([_pow10(k) for k in range(_POW_MIN, _POW_MAX + 1)]).T
-    c = _SPLIT * hi
-    hi1 = c - (c - hi)
+    """_format_15g's lookup tables, built on its first call; the powers of ten
+    (hi, lo and hi's split hi1 + hi2) are filled in by _powers as blocks use them."""
     g = np.arange(1000)
     e = np.arange(-400, 400)
     return SimpleNamespace(
-        hi=hi, lo=lo, hi1=hi1, hi2=hi - hi1,
+        **{name: np.zeros(_POW_MAX - _POW_MIN + 1) for name in ("hi", "lo", "hi1", "hi2")},
         groups=_words(48 + g // 100, 48 + g // 10 % 10, 48 + g % 10, 0),
         trailing=sum(g % 10**i == 0 for i in (1, 2, 3)),  # the zeros ending a group
         exps=_words(np.where(e < 0, 45, 43), np.where(abs(e) >= 100, 48 + abs(e) // 100, 0),
@@ -244,6 +228,26 @@ def _tables() -> SimpleNamespace:
         layouts=np.array([_layout(c - 4 if c < 19 else None, nd)
                           for c in range(20) for nd in range(16)], np.intp).view(f"V{8 * _FIELD}").ravel(),
     )
+
+
+def _powers(t: SimpleNamespace, index: np.ndarray) -> None:
+    """Fill in 10**k as a double-double hi + lo, with hi's split hi1 + hi2, at
+    the table positions k - _POW_MIN in index that t lacks (hi 0). Each term is
+    rounded from exact integers (int / int rounds correctly)."""
+    need = np.zeros(t.hi.size, bool)  # a mask: np.unique would load numpy.ma
+    need[index] = True
+    for i in np.flatnonzero(need & (t.hi == 0)).tolist():
+        k = i + _POW_MIN
+        n = 10 ** abs(k)
+        if k >= 0:
+            hi = float(n)
+            lo = float(n - int(hi))
+        else:
+            num, den = (hi := 1 / n).as_integer_ratio()
+            lo = (den - num * n) / (den * n)
+        c = _SPLIT * hi
+        hi1 = c - (c - hi)
+        t.hi[i], t.lo[i], t.hi1[i], t.hi2[i] = hi, lo, hi1, hi - hi1
 
 
 def _format_15g(values: np.ndarray) -> np.ndarray:
@@ -259,11 +263,13 @@ def _format_15g(values: np.ndarray) -> np.ndarray:
     # X one too large, the double nearest to 10**X when it lies below 10**X, has
     # 15 digits that round up to 10**X, which the scaling below finds too.
     x = np.floor(np.log10(a)).astype(np.intp) - _POW_MIN
+    _powers(t, np.concatenate([x, x + 1]))
     x -= a < t.hi[x]
     x += a >= t.hi[x + 1]
     x += _POW_MIN
     # a * 10**(14 - X) = p + e: Dekker's two-product of a and hi, plus a * lo
     k = 14 - x - _POW_MIN
+    _powers(t, k)
     p = a * t.hi[k]
     c = _SPLIT * a
     a1 = c - (c - a)
@@ -361,12 +367,14 @@ def _table(header: Sequence[str], groups: Iterable[tuple], fmt: str) -> Iterator
 
 
 def cmd_phase(args) -> int:
+    from .phase import phase_pdf
     pdf = phase_pdf(parse_single_spec(args.state, args.n_max, args.tail_tol), args.k)
     _write(args.out, _table(("phi", "density"), [((), pdf.phi, pdf.density)], args.format))
     return 0
 
 
 def cmd_pb(args) -> int:
+    from .pegg_barnett import kolmogorov_distance, pb_pmf
     state = parse_single_spec(args.state, args.n_max, args.tail_tol)
     s_values = [_int(tok, "truncation") for tok in args.s.split(",") if tok]
     if not s_values:
@@ -383,6 +391,7 @@ def cmd_pb(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    from .naimark import heterodyne_moments, y_moments
     state = parse_single_spec(args.state, args.n_max, args.tail_tol)
     report = {}
     report.update(heterodyne_moments(state).as_dict())
@@ -394,6 +403,7 @@ def cmd_moments(args) -> int:
 def _kt(args, state: TwoModeState) -> int:
     """--kt; by default the larger of DEFAULT_KT and the state's exact-quadrature
     size. A given --kt below that size is refused (exit 3)."""
+    from .pom import check_time_grid, time_grid_size
     needed = time_grid_size(state)
     kt = max(DEFAULT_KT, needed) if args.kt is None else args.kt
     check_time_grid(kt, needed)
@@ -401,6 +411,7 @@ def _kt(args, state: TwoModeState) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .pom import snapshot_sweep
     state = parse_pol_spec(args.pol, args.n_max, args.tail_tol)
     times = np.linspace(0.0, np.pi, _kt(args, state))
     slices = snapshot_sweep(state, times, args.k)
@@ -414,6 +425,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ellipse(args) -> int:
+    from .polarization import db_view
+    from .pom import marginal_pdf
     pdf = marginal_pdf(parse_pol_spec(args.pol, args.n_max, args.tail_tol), args.k)
     header, values = (("phi", "db"), db_view(pdf)) if args.db else (("phi", "density"), pdf.density)
     _write(args.out, _table(header, [((), pdf.phi, values)], args.format))
@@ -421,6 +434,7 @@ def cmd_ellipse(args) -> int:
 
 
 def cmd_timepdf(args) -> int:
+    from .pom import absolute_time_pdf
     state = parse_pol_spec(args.pol, args.n_max, args.tail_tol)
     pdf = absolute_time_pdf(state, _kt(args, state))
     _write(args.out, _table(("t", "density"), [((), pdf.phi, pdf.density)], args.format))
@@ -495,5 +509,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """The console entry: main(), then os._exit with its code once stderr is flushed
+    (_write flushes stdout), skipping atexit handlers and the interpreter's teardown."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,12 +6,14 @@ instead of silently losing norm.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -175,12 +177,19 @@ def make_number_state(n: int, n_max: int) -> SingleModeState:
     return SingleModeState(amps)
 
 
-def poisson_tail(mean: float, n_max: int) -> float:
-    """P(X > n_max) for X ~ Poisson(mean)."""
+def _pmf_terms(mean: float) -> Iterator[float]:
+    """The Poisson(mean) masses p_0, p_1, ... (mean > 0)."""
+    log_mean = math.log(mean)
+    return (math.exp(-mean + n * log_mean - math.lgamma(n + 1)) for n in itertools.count())
+
+
+def poisson_tail(mean: float, n_max: int, pmf: Sequence[float] | None = None) -> float:
+    """P(X > n_max) for X ~ Poisson(mean), as 1 - fsum(p_0..p_n_max). pmf, if
+    given, holds at least those n_max + 1 masses."""
     if mean == 0.0:
         return 0.0
-    logs = [-mean + n * math.log(mean) - math.lgamma(n + 1) for n in range(n_max + 1)]
-    return max(0.0, 1.0 - math.fsum(math.exp(v) for v in logs))
+    terms = _pmf_terms(mean) if pmf is None else pmf
+    return max(0.0, 1.0 - math.fsum(itertools.islice(terms, n_max + 1)))
 
 
 def budget_n_max(modes: int) -> int:
@@ -191,21 +200,32 @@ def budget_n_max(modes: int) -> int:
 def coherent_n_max(mean: float, tail_tol: float, modes: int = 1) -> int:
     """Smallest n_max with Poisson tail mass below tail_tol.
 
-    The tail falls monotonically in n_max, so a bisection finds the same
-    n_max as a scan upward from 0. The search looks no further than the
+    The tail falls monotonically in n_max (fsum rounds correctly), so a search
+    that gallops out from a plain running sum's estimate and then bisects finds
+    the same n_max as a scan upward from 0. It looks no further than the
     largest n_max a `modes`-mode state can hold within the size budget.
     """
     _check_tail_tol(tail_tol)
     # generous cap; the tail decays superexponentially past the mean
     limit = budget_n_max(modes)
     cap = min(int(mean + 200 * math.sqrt(mean + 1) + 200), limit)
+    if mean == 0.0:
+        return 0
+    terms, pmf, total = _pmf_terms(mean), array("d"), 0.0  # the masses, built as read
+    while len(pmf) <= cap and 1.0 - total >= tail_tol:
+        pmf.append(next(terms))
+        total += pmf[-1]
     lo, hi = -1, cap + 1  # tail(lo) >= tail_tol > tail(hi), the ends taken on trust
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if poisson_tail(mean, mid) >= tail_tol:
-            lo = mid
+    n, step = len(pmf) - 1, 1
+    while hi - lo > 1:  # steps double away from the estimate, then the bracket halves
+        pmf.extend(itertools.islice(terms, max(0, n + 1 - len(pmf))))
+        if poisson_tail(mean, n, pmf) < tail_tol:
+            hi, n = n, n - step
         else:
-            hi = mid
+            lo, n = n, n + step
+        step *= 2
+        if not lo < n < hi:
+            n = (lo + hi) // 2
     if hi <= cap:
         return hi
     if cap == limit:

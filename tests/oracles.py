@@ -37,6 +37,40 @@ def poisson_tail(mean, n_max):
     return max(0.0, 1.0 - math.fsum(poisson_pmf(mean, n) for n in range(n_max + 1)))
 
 
+MAX_AMPLITUDES = 2**24  # the library's dense state budget
+
+
+class Refusal(Exception):
+    """Raised by bisection_n_max where the library raises TruncationError."""
+
+
+def bisection_n_max(mean, tail_tol, modes=1):
+    """The library's truncation search as a plain bisection over poisson_tail
+    (the same 1 - fsum arithmetic), with every probe summing its own masses:
+    the reference that any faster search must match exactly."""
+    if not 0.0 < tail_tol < 1.0:  # nan included
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
+    # generous cap; the tail decays superexponentially past the mean
+    limit = (math.isqrt(MAX_AMPLITUDES) if modes == 2 else MAX_AMPLITUDES) - 1
+    cap = min(int(mean + 200 * math.sqrt(mean + 1) + 200), limit)
+    lo, hi = -1, cap + 1  # tail(lo) >= tail_tol > tail(hi), the ends taken on trust
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if poisson_tail(mean, mid) >= tail_tol:
+            lo = mid
+        else:
+            hi = mid
+    if hi <= cap:
+        return hi
+    if cap == limit:
+        raise Refusal(
+            f"mean {mean:g} needs n_max > {limit} for tail mass below {tail_tol:g}, so a "
+            f"{modes}-mode state needs more than {MAX_AMPLITUDES} amplitudes; "
+            f"the budget is {MAX_AMPLITUDES} (256 MiB)"
+        )
+    raise Refusal(f"no adequate truncation below n={cap} for mean {mean}")
+
+
 def coherent_amps(alpha, n_max):
     n = np.arange(n_max + 1)
     if alpha == 0:

@@ -637,8 +637,7 @@ def test_pb_report_computes_each_truncation_once(capsys, tmp_path, monkeypatch):
         calls.append(s)
         return pb_pmf(state, s)
 
-    # both binding sites: the command's and the one pegg_barnett's own functions use
-    monkeypatch.setattr(cli, "pb_pmf", counting)
+    # the one binding site: the command imports it from pegg_barnett when it runs
     monkeypatch.setattr(pegg_barnett, "pb_pmf", counting)
     code, _, _ = run(capsys, "pb", "--state", "coh:4", "--s", "64,128",
                      "--report", str(tmp_path / "r.json"), "--out", str(tmp_path / "pb.csv"))

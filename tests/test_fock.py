@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from relphase import (
@@ -295,13 +297,41 @@ def test_working_set_edge_is_2_to_the_26_cells():
 def test_truncation_search_stays_within_the_budget(monkeypatch):
     calls = []
     tail = fock.poisson_tail
-    monkeypatch.setattr(fock, "poisson_tail", lambda mean, n: calls.append(n) or tail(mean, n))
+    monkeypatch.setattr(fock, "poisson_tail",
+                        lambda mean, n, *pmf: calls.append(n) or tail(mean, n, *pmf))
     with pytest.raises(TruncationError, match=r"n_max > 4095 .* budget is 16777216"):
         to_circular(XCoherent(1e6))
     assert calls and max(calls) <= fock.budget_n_max(2) == 4095
     # a mean that fits gets the n_max of the unbounded search, in either budget
     for mean, n_max in ((0.0, 0), (9.0, 37), (100.0, 178), (1000.0, 1232)):
         assert fock.coherent_n_max(mean, 1e-12) == fock.coherent_n_max(mean, 1e-12, 2) == n_max
+
+
+TAIL_TOLS = (1e-15, 1e-12, 1e-6, 0.5, 0.999)
+
+
+def truncation_outcome(search, mean, tail_tol, modes):
+    """The n_max a search returns, or the message of its refusal."""
+    try:
+        return search(mean, tail_tol, modes)
+    except (TruncationError, oracles.Refusal) as exc:
+        return f"refused: {exc}"
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+@pytest.mark.parametrize("tail_tol", TAIL_TOLS)
+def test_truncation_search_matches_the_bisection(tail_tol, modes):
+    for mean in (0.0, 1e-300, 0.5, 1.0, 9.0, 30.0, 100.0, 500.5, 1000.0, 2000.0, 3000.0,
+                 3300.0, 5000.0):
+        expected = truncation_outcome(oracles.bisection_n_max, mean, tail_tol, modes)
+        assert truncation_outcome(fock.coherent_n_max, mean, tail_tol, modes) == expected, mean
+
+
+@given(st.floats(0.0, 4000.0, exclude_min=True, exclude_max=True),
+       st.sampled_from(TAIL_TOLS), st.sampled_from([1, 2]))
+def test_truncation_search_matches_the_bisection_at_any_mean(mean, tail_tol, modes):
+    expected = truncation_outcome(oracles.bisection_n_max, mean, tail_tol, modes)
+    assert truncation_outcome(fock.coherent_n_max, mean, tail_tol, modes) == expected
 
 
 def test_single_to_two_mode_over_budget_is_refused():

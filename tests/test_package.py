@@ -1,4 +1,8 @@
 """Import-time behaviour of the package, each check in a fresh interpreter."""
+import contextlib
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -26,14 +30,28 @@ apply_jminus apply_jplus apply_jz commutator_residuals j_squared_eigencheck rota
 """.split()
 
 
-def fresh(code: str, **env) -> str:
-    """stdout of `python -c code` in a new interpreter that sees src/ first."""
-    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+def child_env(**env) -> dict:
+    """The environment of a new interpreter that sees src/ first, with the
+    variables the CLI and the stream buffering read taken out (then env added)."""
+    drop = ("OPENBLAS_THREAD_TIMEOUT", "PYTHONUNBUFFERED")
+    environ = {k: v for k, v in os.environ.items() if k not in drop}
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     environ.update(env, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True,
-                          text=True, timeout=60, check=True)
+    return environ
+
+
+def fresh(code: str, **env) -> str:
+    """stdout of `python -c code` in a new interpreter that sees src/ first."""
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(**env),
+                          capture_output=True, text=True, timeout=60, check=True)
     return done.stdout.strip()
+
+
+def cli_child(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m relphase.cli argv` in a new interpreter: the run() entry."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "relphase.cli", *argv], env=child_env(),
+                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
 
 
 def test_import_loads_no_numpy():
@@ -69,3 +87,75 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     """The CSV formatter builds its tables from integers, on first use."""
     code = "import sys, relphase.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     assert fresh(code) == "[]"
+
+
+KERNELS = ("naimark", "pegg_barnett", "phase", "pom", "polarization")
+
+
+def test_cli_import_loads_no_kernel_module():
+    code = f"import sys, relphase.cli; print([m for m in {KERNELS!r} if 'relphase.' + m in sys.modules])"
+    assert fresh(code) == "[]"
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["phase", "--state", "num:1", "--k", "8"], ["phase"]),
+    (["pb", "--state", "num:1", "--s", "4"], ["pegg_barnett"]),
+    (["moments", "--state", "num:1"], ["naimark", "phase"]),
+    (["ellipse", "--pol", "xnum:1", "--k", "8"], ["phase", "pom", "polarization"]),
+])
+def test_each_command_loads_only_its_kernels(argv, loaded):
+    code = (
+        "import contextlib, io, sys\n"
+        "from relphase.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "assert 'numpy.ma' not in sys.modules  # the CSV formatter's table needs no np.unique\n"
+        f"print([m for m in {KERNELS!r} if 'relphase.' + m in sys.modules])"
+    )
+    assert fresh(code) == str(loaded)
+
+
+def in_process(argv) -> tuple[int, str, str]:
+    """(code, stdout, stderr) of relphase.cli.main(argv) in this interpreter."""
+    from relphase.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_run_exits_with_mains_code_and_output(tmp_path):
+    gap = tmp_path / "gap.json"  # (|0,0> + |1,1>)/sqrt(2): C(t) vanishes at t = pi/2
+    r = 1 / math.sqrt(2)
+    gap.write_text(json.dumps({"kind": "two", "n_max": 2, "amps": [[0, 0, r, 0], [1, 1, r, 0]]}))
+    sweep = ["sweep", "--pol", f"file:{gap}", "--kt", "21", "--k", "32"]
+    cases = [
+        (sweep, 0, "skipped 1 time(s) of vanishing conditioning probability\n"),
+        (["phase", "--state", "bogus:1"], 2, "error: unknown state spec 'bogus:1'\n"),
+        (["phase", "--state", "coh:9", "--k", "8"], 3,
+         "error: grid size 8 admits aliasing: need K > 74\n"),
+    ]
+    for argv, code, err in cases:
+        done = cli_child(*argv)
+        assert (done.returncode, done.stderr) == (code, err)
+        assert (done.returncode, done.stdout, done.stderr) == in_process(argv)
+    assert len(cli_child(*sweep).stdout.splitlines()) == 1 + 20 * 32  # header, 20 live slices
+    usage = cli_child("phase", "--state", "num:1", "--k", "0")  # argparse's SystemExit
+    assert usage.returncode == 2 and usage.stderr.startswith("usage: relphase phase")
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase", "--state", "num:1", "--k", "8"],
+    ["moments", "--state", "num:1"],
+    ["sweep", "--pol", "xnum:1", "--kt", "8", "--k", "8"],
+])
+def test_closed_stdout_is_a_one_line_exit_2(argv):
+    read, write = os.pipe()
+    os.close(read)  # no reader: the buffered table's flush fails with EPIPE
+    try:
+        done = cli_child(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr == "error: [Errno 32] Broken pipe\n"
