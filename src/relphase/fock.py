@@ -246,13 +246,14 @@ def coherent_truncation(mean: float, n_max: int | None, tail_tol: float, modes: 
     """Truncation for a coherent excitation: the smallest adequate one when n_max
     is None; an explicit n_max keeps it if its tail mass is below tail_tol and
     otherwise raises with the smallest adequate one. `modes` sets the size
-    budget the search stays within."""
-    _check_tail_tol(tail_tol)
-    if n_max is not None and poisson_tail(mean, n_max) < tail_tol:
+    budget that an explicit n_max and the search must fit."""
+    if n_max is None:
+        return coherent_n_max(mean, tail_tol, modes)
+    check_budget(n_max, modes)  # before a tail sum over n_max terms
+    _check_tail_tol(tail_tol)  # the search checks it again only on a refusal
+    if poisson_tail(mean, n_max) < tail_tol:
         return n_max
     needed = coherent_n_max(mean, tail_tol, modes)
-    if n_max is None:
-        return needed
     raise TruncationError(
         f"coherent tail mass at n_max={n_max} is not below {tail_tol:g}; "
         f"need n_max >= {needed}",
@@ -268,16 +269,16 @@ def make_coherent_state(
     Raises TruncationError when the discarded Poisson tail mass at the given
     n_max is not below tail_tol; n_max=None picks the smallest adequate value.
     """
-    mean = abs(alpha) ** 2
-    if n_max is not None:
-        check_budget(n_max, 1)  # before a tail sum over n_max terms
-    n_max = coherent_truncation(mean, n_max, tail_tol)
-    if mean == 0.0:
+    return _coherent_state(alpha, coherent_truncation(abs(alpha) ** 2, n_max, tail_tol))
+
+
+def _coherent_state(alpha: complex, n_max: int) -> SingleModeState:
+    """psi_n ~ alpha^n/sqrt(n!) on 0..n_max (its tail already checked), renormalized."""
+    if abs(alpha) ** 2 == 0.0:
         return make_number_state(0, n_max)
     n = np.arange(n_max + 1)
-    log_mag = n * math.log(abs(alpha)) - 0.5 * np.array(
-        [math.lgamma(k + 1) for k in range(n_max + 1)]
-    )
+    lgammas = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
+    log_mag = n * math.log(abs(alpha)) - 0.5 * lgammas
     log_mag -= log_mag.max()
     amps = np.exp(log_mag) * np.exp(1j * np.angle(alpha) * n)
     return SingleModeState.from_amplitudes(amps)

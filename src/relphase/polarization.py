@@ -15,7 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import TruncationError
-from .fock import TwoModeState, check_budget, coherent_truncation, make_coherent_state, simplex
+from .fock import TwoModeState, _coherent_state, check_budget, coherent_truncation, simplex
 from .phase import DEFAULT_GRID_SIZE, AngularPdf
 from .pom import marginal_pdf, snapshot_sweep
 
@@ -59,11 +59,9 @@ def to_circular(
         mean = float(spec.mean_n)
         if mean < 0:
             raise ValueError("mean photon number must be >= 0")
-        if n_max is not None:
-            check_budget(n_max, 2)  # before a tail sum over n_max terms
         n_max = coherent_truncation(mean, n_max, tail_tol, modes=2)
-        # product of R and L coherent states of mean mean/2 each, cut to the simplex
-        psi = make_coherent_state(math.sqrt(mean / 2.0), n_max, tail_tol).amplitudes
+        # R and L coherent states of mean mean/2 (tails below mean's), cut to the simplex
+        psi = _coherent_state(math.sqrt(mean / 2.0), n_max).amplitudes
         return TwoModeState.from_amplitudes(np.outer(psi, psi) * simplex(n_max))
 
     if isinstance(spec, XSuperposition):

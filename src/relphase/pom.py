@@ -28,6 +28,7 @@ from .fock import PrimitiveConvention, TwoModeState, check_cells, jm_labels
 from .phase import DEFAULT_GRID_SIZE, AngularPdf, angular_grid, check_grid, scatter_series
 
 C_MIN = 1e-12
+DEFAULT_KT = 256  # smallest default time grid
 PHOTONIC = PrimitiveConvention.PHOTONIC
 
 
@@ -51,9 +52,12 @@ class BranchSet:
             v.setflags(write=False)
             frozen[j] = v
         object.__setattr__(self, "branches", frozen)
-        total = math.fsum(float(np.mean(np.abs(v) ** 2)) for v in self.branches.values())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"branch norms sum to {total!r}, not 1")
+        _check_norm(math.fsum(float(np.mean(np.abs(v) ** 2)) for v in self.branches.values()))
+
+
+def _check_norm(total: float) -> None:  # total: the branch norms' sum
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"branch norms sum to {total!r}, not 1")
 
 
 def _cells(state: TwoModeState, convention: PrimitiveConvention):
@@ -103,8 +107,7 @@ def marginal_pdf(
     """Time-averaged distribution: branch probabilities added in ascending j."""
     power = sum(np.abs(row) ** 2 for row in _branches(state, convention, k)[1])
     total = float(np.mean(power))  # the branch norms' sum
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"branch norms sum to {total!r}, not 1")
+    _check_norm(total)
     return AngularPdf(angular_grid(k), power / (2.0 * np.pi * total))
 
 
@@ -155,23 +158,32 @@ def snapshot_sweep(
 
 def time_grid_size(state: TwoModeState, convention: PrimitiveConvention = PHOTONIC) -> int:
     """Grid large enough to integrate every branch-difference exponential exactly."""
-    return 4 * (int(math.ceil(_cells(state, convention)[0].max())) + 1)
+    return _quadrature_size(_cells(state, convention)[0])
 
 
-def check_time_grid(k_t: int, needed: int) -> None:
-    """Refuse a time grid below the exact-quadrature size `needed`, or one over the
-    working-set budget."""
+def _quadrature_size(j) -> int:
+    return 4 * (int(math.ceil(j.max())) + 1)
+
+
+def time_grid(state: TwoModeState, k_t: int | None = None) -> int:
+    """k_t, by default the larger of DEFAULT_KT and time_grid_size; refuses a grid
+    below time_grid_size or over the working-set budget."""
+    return _time_grid(_cells(state, PHOTONIC)[0], k_t)
+
+
+def _time_grid(j, k_t: int | None) -> int:
+    needed = _quadrature_size(j)
+    k_t = max(DEFAULT_KT, needed) if k_t is None else k_t
     if k_t < needed:
         raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
     check_cells((k_t,), "a time grid")
+    return k_t
 
 
 def absolute_time_pdf(
     state: TwoModeState, k_t: int | None = None, *, convention: PrimitiveConvention = PHOTONIC
 ) -> AngularPdf:
-    """Density of the conditioning time, C(t)/2pi, on a uniform grid of [-pi, pi)."""
-    needed = time_grid_size(state, convention)
-    k_t = needed if k_t is None else k_t
-    check_time_grid(k_t, needed)
-    ts = angular_grid(k_t)
-    return AngularPdf(ts, _conditioned(*_cells(state, convention), ts)[2] / (2.0 * np.pi))
+    """Density of the conditioning time, C(t)/2pi, on time_grid(state, k_t) points of [-pi, pi)."""
+    j, m, v = _cells(state, convention)
+    ts = angular_grid(_time_grid(j, k_t))
+    return AngularPdf(ts, _conditioned(j, m, v, ts)[2] / (2.0 * np.pi))

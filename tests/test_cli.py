@@ -16,8 +16,9 @@ from relphase import (
     state_from_json,
     state_to_json,
 )
-from relphase import cli, pegg_barnett
-from relphase.cli import _FIELD, BLOCK_ROWS, _table, main
+from relphase import cli, pegg_barnett, pom
+from relphase.cli import main
+from relphase.table import _FIELD, BLOCK_ROWS, table_chunks
 
 
 def run(capsys, *argv):
@@ -165,6 +166,28 @@ def test_explicit_time_grid_below_state_size_is_exit_3(capsys, command):
     code, out, err = run(capsys, command, "--pol", "xcoh:30", "--kt", "255", *k)
     assert code == 3 and out == "" and err.count("\n") == 1
     assert "time grid 255 is below the exact-quadrature size 308" in err
+
+
+def test_timepdf_reads_the_cells_once(capsys, monkeypatch):
+    calls = []
+    cells = pom._cells
+    monkeypatch.setattr(pom, "_cells", lambda *a: calls.append(a) or cells(*a))
+    assert run(capsys, "timepdf", "--pol", "xcoh:9")[0] == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 1.00 GiB"), "error: Unable to allocate 1.00 GiB\n"),
+])
+def test_out_of_memory_is_a_one_line_exit_3(capsys, monkeypatch, tmp_path, exc, line):
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(pom, "marginal_pdf", exhausted)
+    out = tmp_path / "ellipse.csv"
+    assert run(capsys, "ellipse", "--pol", "xnum:1", "--out", str(out)) == (3, "", line)
+    assert not out.exists()
 
 
 def test_ellipse_db_contrast(capsys):
@@ -471,7 +494,7 @@ def rows_per_chunk(chunk, fmt):
 def test_table_matches_per_value_writer(rows, fmt):
     header = ("a", "b", "c")[: rows.shape[1]]
     groups = groups_of(rows)
-    chunks = list(_table(header, groups, fmt))
+    chunks = list(table_chunks(header, groups, fmt))
     assert first_difference("".join(chunks), oracles.reference_table(header, rows, fmt)) is None
     # the header, one chunk per block of each group's rows, and JSON's closing "]}"
     blocks = sum(-(-len(x) // BLOCK_ROWS) for _, x, _ in groups)
@@ -489,17 +512,17 @@ def test_grouped_table_matches_per_value_writer(fmt):
         ((-0.0,), x, y[::-1]),
         ((math.nan,), x, 2.0 * y),
     ]
-    chunks = list(_table(("t", "phi", "density"), groups, fmt))
+    chunks = list(table_chunks(("t", "phi", "density"), groups, fmt))
     want = oracles.reference_table(("t", "phi", "density"), rows_of_groups(groups), fmt)
     assert first_difference("".join(chunks), want) is None
     assert max(rows_per_chunk(chunk, fmt) for chunk in chunks) == BLOCK_ROWS
 
 
 def assert_csv_matches_per_value_writer(values):
-    """Each value goes through _table's CSV as a lead, an x and a y."""
+    """Each value goes through table_chunks' CSV as a lead, an x and a y."""
     values = np.asarray(values, dtype=float)
     rows = np.column_stack([values, np.roll(values, 1), values[::-1]])
-    got = "".join(_table(("a", "b", "c"), groups_of(rows), "csv"))
+    got = "".join(table_chunks(("a", "b", "c"), groups_of(rows), "csv"))
     assert first_difference(got, oracles.reference_table(("a", "b", "c"), rows, "csv")) is None
 
 
@@ -546,11 +569,11 @@ def test_csv_writer_memory_stays_per_block():
     x = np.linspace(-math.pi, math.pi, BLOCK_ROWS, endpoint=False)
     groups = [((0.01 * i,), x, rng.random(BLOCK_ROWS) * 10.0 ** -rng.integers(0, 30, BLOCK_ROWS))
               for i in range(64)]
-    list(_table(("t", "phi", "density"), groups[:1], "csv"))  # builds the lazy tables
+    list(table_chunks(("t", "phi", "density"), groups[:1], "csv"))  # builds the lazy tables
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        size = sum(len(chunk) for chunk in _table(("t", "phi", "density"), groups, "csv"))
+        size = sum(len(chunk) for chunk in table_chunks(("t", "phi", "density"), groups, "csv"))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -606,7 +629,8 @@ def test_multi_block_sweep_with_gaps_matches_per_value_writer(capsys, tmp_path, 
         assert first_difference(out.read_text(), want) is None
     for t, k in ((0.3, 64), (1.0, BLOCK_ROWS + 1)):
         (pdf,) = snapshot_sweep(state, [t], k)
-        got = "".join(counted(_table(("t", "phi", "density"), [((t,), pdf.phi, pdf.density)], fmt)))
+        chunks = table_chunks(("t", "phi", "density"), [((t,), pdf.phi, pdf.density)], fmt)
+        got = "".join(counted(chunks))
         assert first_difference(got, reference([t], k)[0]) is None
     assert max(chunk_rows) == BLOCK_ROWS
 

@@ -334,6 +334,15 @@ def test_truncation_search_matches_the_bisection_at_any_mean(mean, tail_tol, mod
     assert truncation_outcome(fock.coherent_n_max, mean, tail_tol, modes) == expected
 
 
+def test_xcoherent_modes_take_the_two_mode_truncation():
+    # Poisson(mean/2) lies below Poisson(mean), so each mode's tail at the two-mode
+    # n_max is below tail_tol; 1 - fsum of the mean/2 masses rounds to 1.3e-15 here,
+    # which a second tail check refused as "no adequate truncation below n=795"
+    state = to_circular(XCoherent(15.3), tail_tol=1e-15)
+    assert state.n_max == fock.coherent_n_max(15.3, 1e-15, 2) == 55
+    assert abs(state.norm_squared() - 1.0) < 1e-12
+
+
 def test_single_to_two_mode_over_budget_is_refused():
     with pytest.raises(TruncationError):
         single_to_two_mode(make_number_state(0, 4096))
@@ -352,4 +361,10 @@ def test_coherent_truncation_searches_only_when_explicit_n_max_fails(monkeypatch
     assert len(calls) == 2
     with pytest.raises(ValueError, match="tail_tol"):
         to_circular(XCoherent(9.0), n_max=40, tail_tol=0.0)  # checked on the explicit path too
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, -1.0, 1.0, math.nan])
+def test_truncation_search_refuses_tail_tol_outside_unit_interval(tail_tol):
+    with pytest.raises(ValueError, match="tail_tol must lie in"):
+        fock.coherent_n_max(9.0, tail_tol)
 

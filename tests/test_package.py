@@ -47,10 +47,10 @@ def fresh(code: str, **env) -> str:
     return done.stdout.strip()
 
 
-def cli_child(*argv, **kwargs) -> subprocess.CompletedProcess:
+def cli_child(*argv, env=None, **kwargs) -> subprocess.CompletedProcess:
     """`python -m relphase.cli argv` in a new interpreter: the run() entry."""
     kwargs.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run([sys.executable, "-m", "relphase.cli", *argv], env=child_env(),
+    return subprocess.run([sys.executable, "-m", "relphase.cli", *argv], env=child_env(**(env or {})),
                           stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
 
 
@@ -89,7 +89,9 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     assert fresh(code) == "[]"
 
 
-KERNELS = ("naimark", "pegg_barnett", "phase", "pom", "polarization")
+# the modules the CLI imports only in the commands that use them
+KERNELS = ("naimark", "pegg_barnett", "phase", "pom", "polarization", "table")
+TWO_MODE = ["phase", "pom", "polarization", "table"]  # what sweep, ellipse and timepdf load
 
 
 def test_cli_import_loads_no_kernel_module():
@@ -98,10 +100,12 @@ def test_cli_import_loads_no_kernel_module():
 
 
 @pytest.mark.parametrize("argv,loaded", [
-    (["phase", "--state", "num:1", "--k", "8"], ["phase"]),
-    (["pb", "--state", "num:1", "--s", "4"], ["pegg_barnett"]),
+    (["phase", "--state", "num:1", "--k", "8"], ["phase", "table"]),
+    (["pb", "--state", "num:1", "--s", "4"], ["pegg_barnett", "table"]),
     (["moments", "--state", "num:1"], ["naimark", "phase"]),
-    (["ellipse", "--pol", "xnum:1", "--k", "8"], ["phase", "pom", "polarization"]),
+    (["sweep", "--pol", "xnum:1", "--kt", "8", "--k", "8"], TWO_MODE),
+    (["ellipse", "--pol", "xnum:1", "--k", "8"], TWO_MODE),
+    (["timepdf", "--pol", "xnum:1"], TWO_MODE),
 ])
 def test_each_command_loads_only_its_kernels(argv, loaded):
     code = (
@@ -159,3 +163,41 @@ def test_closed_stdout_is_a_one_line_exit_2(argv):
         os.close(write)
     assert done.returncode == 2
     assert done.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+AS_LIMIT = 3_000_000 * 1024  # room for numpy's import, not for a 1 GiB grid and its FFT
+
+
+def free_memory() -> int:
+    """MemAvailable in bytes (0 where /proc/meminfo is missing)."""
+    try:
+        text = Path("/proc/meminfo").read_text()
+    except OSError:
+        return 0
+    fields = dict(line.split(":", 1) for line in text.splitlines())
+    return int(fields.get("MemAvailable", "0 kB").split()[0]) * 1024
+
+
+def test_out_of_memory_in_a_child_is_a_one_line_exit_3(tmp_path):
+    """A grid within the cell budget can still exhaust the process's memory: here
+    numpy's FFT of 2**26 points, in a child whose address space is capped at
+    AS_LIMIT. One BLAS thread keeps numpy's reserved address space the same on
+    any number of cores; the child touches about 1 GiB before it fails."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("needs Linux's RLIMIT_AS")
+    import resource
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY and hard < AS_LIMIT:
+        pytest.skip("the hard address-space limit is below the test's cap")
+    if free_memory() < 2 * AS_LIMIT // 3:
+        pytest.skip("too little free memory to run into the address-space cap first")
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, hard))
+
+    out = tmp_path / "ellipse.csv"
+    done = cli_child("ellipse", "--pol", "xnum:1", "--k", str(2**26), "--out", str(out),
+                     env={"OPENBLAS_NUM_THREADS": "1"}, preexec_fn=cap_address_space)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -20,7 +20,8 @@ from relphase import (
     snapshot_sweep,
 )
 from relphase.phase import angular_grid
-from relphase.pom import time_grid_size
+from relphase.pom import DEFAULT_KT, time_grid, time_grid_size
+from relphase.polarization import XCoherent, to_circular
 
 PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC
@@ -183,6 +184,16 @@ def test_absolute_time_pdf_normalized_and_matches_c():
         for idx in (0, 5, 11):
             t = float(pdf.phi[idx])
             assert abs(pdf.density[idx] - conditioning_probability(state, t) / (2 * np.pi)) < 1e-12
+
+
+def test_default_time_grid_is_the_larger_of_256_and_the_state_size():
+    small = two_mode(oracles.xnumber_amp(2), 2)  # exact from 12 times
+    assert absolute_time_pdf(small).phi.size == time_grid(small) == DEFAULT_KT == 256
+    large = to_circular(XCoherent(100.0))  # exact from 716 times
+    assert absolute_time_pdf(large).phi.size == time_grid(large) == time_grid_size(large) == 716
+    assert time_grid(large, 800) == 800
+    with pytest.raises(AliasingError, match="time grid 715 is below the exact-quadrature size 716"):
+        absolute_time_pdf(large, 715)
 
 
 def test_fermionic_branches_and_time_density():

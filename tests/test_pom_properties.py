@@ -26,13 +26,23 @@ conventions = st.sampled_from([PHOTONIC, FERMIONIC])
 
 
 @st.composite
-def two_mode_states(draw, max_total=5):
-    """Normalized states with random support on n_s + n_a <= max_total."""
+def two_mode_states(draw, max_total=5, gap=False):
+    """Normalized states with random support on n_s + n_a <= max_total.
+
+    With gap, one more cell per m, at the next j, makes that m's amplitudes sum
+    to 0. Across a photonic branch e^{i j pi} is (-1)^m, so C(t) then vanishes
+    at t = -pi, the first point of every time grid.
+    """
     occupations = st.tuples(st.integers(0, max_total), st.integers(0, max_total))
     occupations = occupations.filter(lambda key: sum(key) <= max_total)
     keys = draw(st.lists(occupations, min_size=1, max_size=8, unique=True))
     amps = {key: draw(amplitudes) for key in keys}
-    return TwoModeState.from_amplitudes(oracles.to_array(amps, max_total))
+    if gap:
+        for m in {ns - na for ns, na in keys}:
+            cells = [(ns, na) for ns, na in keys if ns - na == m]
+            ns, na = max(cells)
+            amps[(ns + 1, na + 1)] = -sum(amps[key] for key in cells)
+    return TwoModeState.from_amplitudes(oracles.to_array(amps, max_total + 2 * gap))
 
 
 def occupation_state(jm_amps, convention):
@@ -106,3 +116,19 @@ def test_absolute_time_pdf_matches_oracle(state, convention, extra):
     amps = oracles.jm_map(oracles.to_dict(state.amplitudes), photonic=convention is PHOTONIC)
     want = [oracles.direct_C(amps, t) / (2 * np.pi) for t in pdf.phi]
     assert np.abs(pdf.density - want).max() < 1e-12
+
+
+@given(st.data(), st.booleans(), st.sampled_from([None, 0, 1, 5]))
+def test_time_average_of_weighted_snapshots_is_the_marginal(data, gap, extra):
+    """Criterion 08 over generated states: on the default time grid or an exact
+    one, the mean of C(t)-weighted snapshots is the marginal. Gap times, where
+    C(t) <= C_MIN, carry almost no weight and are skipped."""
+    state = data.draw(two_mode_states(gap=gap))
+    k = 16
+    times = absolute_time_pdf(state, None if extra is None else time_grid_size(state) + extra)
+    slices = snapshot_sweep(state, times.phi, k)
+    assert slices[0] is None or not gap
+    weighted = [2 * np.pi * c * pdf.density for c, pdf in zip(times.density, slices)
+                if pdf is not None]
+    average = sum(weighted) / times.phi.size
+    assert np.abs(average - marginal_pdf(state, k).density).max() < 1e-10
