@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical precondition violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -109,8 +110,11 @@ def parse_single_spec(text: str, n_max: int | None, tail_tol: float) -> SingleMo
 
 
 def parse_pol_spec(text: str, n_max: int | None, tail_tol: float) -> TwoModeState:
-    from .polarization import XCoherent, XNumber, XSuperposition, to_circular
     kind, _, rest = text.partition(":")
+    if kind == "file":
+        state = state_from_json(_read(rest))
+        return single_to_two_mode(state) if isinstance(state, SingleModeState) else state
+    from .polarization import XCoherent, XNumber, XSuperposition, to_circular  # x specs only
     if kind == "xnum":
         return to_circular(XNumber(_int(rest, "photon number")), n_max, tail_tol)
     if kind == "xcoh":
@@ -124,11 +128,6 @@ def parse_pol_spec(text: str, n_max: int | None, tail_tol: float) -> TwoModeStat
             weight = _finite(pieces[1], "weight", complex)
             terms.append((_int(pieces[0], "photon number"), weight))
         return to_circular(XSuperposition(tuple(terms)), n_max, tail_tol)
-    if kind == "file":
-        state = state_from_json(_read(rest))
-        if isinstance(state, SingleModeState):
-            state = single_to_two_mode(state)
-        return state
     raise SpecError(f"unknown polarization spec {text!r}")
 
 
@@ -205,16 +204,16 @@ def cmd_sweep(args) -> int:
     slices = snapshot_sweep(state, times, args.k)
     if gaps := slices.count(None):
         print(f"skipped {gaps} time(s) of vanishing conditioning probability", file=sys.stderr)
-    live = [((t,), pdf.phi, pdf.density) for t, pdf in zip(times.tolist(), slices)
-            if pdf is not None]
+    live = [((t,), pdf.phi, pdf.density) for t, pdf in zip(times.tolist(), slices) if pdf is not None]
     _write_table(args, ("t", "phi", "density"), live)
     return 0
 
 
 def cmd_ellipse(args) -> int:
-    from .polarization import db_view
     from .pom import marginal_pdf
     pdf = marginal_pdf(parse_pol_spec(args.pol, args.n_max, args.tail_tol), args.k)
+    if args.db:
+        from .polarization import db_view
     header, values = (("phi", "db"), db_view(pdf)) if args.db else (("phi", "density"), pdf.density)
     _write_table(args, header, [((), pdf.phi, values)])
     return 0
@@ -288,18 +287,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:  # SpecError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, text = 2, str(exc)
     except (RelphaseError, MemoryError) as exc:  # the cell budget bounds arrays, not the process
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 3
+        code, text = 3, str(exc) or "out of memory"
+    with contextlib.suppress(OSError):  # stderr may be a closed pipe too: the code still tells
+        print(f"error: {text}", file=sys.stderr)
+    return code
 
 
 def run() -> None:
     """The console entry: main(), then os._exit with its code once stderr is flushed
     (_write flushes stdout), skipping atexit handlers and the interpreter's teardown."""
     code = main()
-    sys.stderr.flush()
+    with contextlib.suppress(OSError):  # a closed pipe: main's code stands
+        sys.stderr.flush()
     os._exit(code)
 
 

@@ -88,14 +88,14 @@ class AngularPdf:
             raise ValueError("grid and density must have matching shapes")
         if not (np.isfinite(self.phi).all() and np.isfinite(self.density).all()):
             raise ValueError("grid and density must be finite")
-        if np.any(self.density < 0):
+        if (self.density < 0).any():
             raise ValueError("densities must be non-negative")
         total = self.integral()
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"density integrates to {total!r}, not 1")
 
     def integral(self) -> float:
-        return float(np.mean(self.density)) * 2.0 * np.pi
+        return float(self.density.sum() / self.density.size) * 2.0 * np.pi  # np.mean's bits, less overhead
 
     def value_at(self, phi: float) -> float:
         """Density at a grid-aligned angle (exact index lookup)."""

@@ -29,6 +29,7 @@ from .phase import DEFAULT_GRID_SIZE, AngularPdf, angular_grid, check_grid, scat
 
 C_MIN = 1e-12
 DEFAULT_KT = 256  # smallest default time grid
+_BLOCK_CELLS = 1 << 16  # cells of one block of snapshot_sweep's angular transients
 PHOTONIC = PrimitiveConvention.PHOTONIC
 
 
@@ -138,7 +139,8 @@ def snapshot_sweep(
     state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE, c_min: float = C_MIN,
     *, convention: PrimitiveConvention = PHOTONIC,
 ) -> list[AngularPdf | None]:
-    """Snapshots along a time grid; refused times yield None (gaps)."""
+    """Snapshots along a time grid; refused times yield None (gaps). The live times'
+    densities fill one float64 array _BLOCK_CELLS at a time: no complex kt x K transient."""
     j, m, v = _cells(state, convention)
     check_grid(k, np.abs(m).max())
     # snapshots add amplitudes across m: mixed integer/half-integer m interfere 4pi-periodically
@@ -149,30 +151,33 @@ def snapshot_sweep(
         )
     ms, b, c = _conditioned(j, m, v, times)
     refused = c <= c_min
-    live = b[~refused]
-    values = scatter_series(live.shape[:-1], k, (...,), np.floor(ms).astype(int), live)
-    densities = iter(np.abs(values) ** 2 / (2.0 * np.pi * c[~refused, None]))
-    phi = angular_grid(k)
+    live = np.flatnonzero(~refused)
+    check_cells((live.size, k), "an angular grid")
+    density = np.empty((live.size, k))
+    freqs, step = np.floor(ms).astype(int), max(1, _BLOCK_CELLS // k)
+    for lo in range(0, live.size, step):
+        rows = live[lo : lo + step]
+        values = scatter_series((rows.size,), k, (...,), freqs, b[rows])
+        np.divide(np.abs(values) ** 2, 2.0 * np.pi * c[rows, None], out=density[lo : lo + step])
+    phi, densities = angular_grid(k), iter(density)
     return [None if gap else AngularPdf(phi, next(densities)) for gap in refused]
 
 
 def time_grid_size(state: TwoModeState, convention: PrimitiveConvention = PHOTONIC) -> int:
-    """Grid large enough to integrate every branch-difference exponential exactly."""
-    return _quadrature_size(_cells(state, convention)[0])
-
-
-def _quadrature_size(j) -> int:
-    return 4 * (int(math.ceil(j.max())) + 1)
+    """Grid large enough to integrate every branch-difference exponential exactly:
+    4 (ceil(j_max) + 1), j_max from each n_s row's last amplitude (no read of the cells)."""
+    occupied = state.amplitudes[:, ::-1] != 0  # row n_s's last amplitude is at n_a = n_max - argmax
+    n_sum = (np.arange(state.n_max + 1) - occupied.argmax(axis=1))[occupied.any(axis=1)].max() + state.n_max
+    return 4 * (int(math.ceil(jm_labels(n_sum, 0, convention)[0])) + 1)
 
 
 def time_grid(state: TwoModeState, k_t: int | None = None) -> int:
     """k_t, by default the larger of DEFAULT_KT and time_grid_size; refuses a grid
     below time_grid_size or over the working-set budget."""
-    return _time_grid(_cells(state, PHOTONIC)[0], k_t)
+    return _time_grid(time_grid_size(state), k_t)
 
 
-def _time_grid(j, k_t: int | None) -> int:
-    needed = _quadrature_size(j)
+def _time_grid(needed: int, k_t: int | None) -> int:
     k_t = max(DEFAULT_KT, needed) if k_t is None else k_t
     if k_t < needed:
         raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
@@ -185,5 +190,5 @@ def absolute_time_pdf(
 ) -> AngularPdf:
     """Density of the conditioning time, C(t)/2pi, on time_grid(state, k_t) points of [-pi, pi)."""
     j, m, v = _cells(state, convention)
-    ts = angular_grid(_time_grid(j, k_t))
+    ts = angular_grid(_time_grid(time_grid_size(state, convention), k_t))
     return AngularPdf(ts, _conditioned(j, m, v, ts)[2] / (2.0 * np.pi))

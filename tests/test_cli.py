@@ -18,7 +18,7 @@ from relphase import (
 )
 from relphase import cli, pegg_barnett, pom
 from relphase.cli import main
-from relphase.table import _FIELD, BLOCK_ROWS, table_chunks
+from relphase.table import BLOCK_ROWS, table_chunks
 
 
 def run(capsys, *argv):
@@ -173,6 +173,14 @@ def test_timepdf_reads_the_cells_once(capsys, monkeypatch):
     cells = pom._cells
     monkeypatch.setattr(pom, "_cells", lambda *a: calls.append(a) or cells(*a))
     assert run(capsys, "timepdf", "--pol", "xcoh:9")[0] == 0
+    assert len(calls) == 1
+
+
+def test_sweep_reads_the_cells_once(capsys, monkeypatch):
+    calls = []
+    cells = pom._cells
+    monkeypatch.setattr(pom, "_cells", lambda *a: calls.append(a) or cells(*a))
+    assert run(capsys, "sweep", "--pol", "xcoh:9", "--k", "128")[0] == 0
     assert len(calls) == 1
 
 
@@ -560,11 +568,35 @@ def test_csv_numbers_match_per_value_writer(values):
     assert_csv_matches_per_value_writer(values)
 
 
+def test_csv_numbers_of_random_bit_patterns_match_per_value_writer():
+    """2**20 float64s from uniform random bits: every exponent, both signs,
+    subnormals, infinities and NaNs with any payload, as a two-column table."""
+    bits = np.random.default_rng(20).integers(0, 2**64, 2**20, dtype=np.uint64, endpoint=False)
+    rows = bits.view(float).reshape(-1, 2)
+    assert np.isnan(rows).any() and (np.abs(rows[rows != 0]) < 2.2250738585072014e-308).any()
+    got = "".join(table_chunks(("a", "b"), groups_of(rows), "csv"))
+    assert first_difference(got, oracles.reference_table(("a", "b"), rows, "csv")) is None
+
+
+@pytest.mark.parametrize("spec, k", [("xcoh:9", 1024), ("xcoh:30", 256)])
+def test_csv_numbers_of_sweep_densities_match_per_value_writer(spec, k):
+    """The densities of the benchmark's sweeps: from above 1 down to 1e-8
+    (xcoh:9) and 1e-20 (xcoh:30), in fixed and in exponent notation."""
+    state = cli.parse_pol_spec(spec, None, 1e-12)
+    times = np.linspace(0.0, np.pi, 40)
+    groups = [((t,), pdf.phi, pdf.density) for t, pdf in zip(times, snapshot_sweep(state, times, k))]
+    assert min(g[2].min() for g in groups) < 1e-7 and max(g[2].max() for g in groups) > 1
+    got = "".join(table_chunks(("t", "phi", "density"), groups, "csv"))
+    want = oracles.reference_table(("t", "phi", "density"), rows_of_groups(groups), "csv")
+    assert first_difference(got, want) is None
+
+
 def test_csv_writer_memory_stays_per_block():
     """64 groups of BLOCK_ROWS rows (about 25 MB of text) are written a block at a
-    time. The per-value writer peaked at 1.4 MB on this table; the numpy one adds,
-    per block, its intp gather index, the row matrix, the source words, the
-    formatted rows and about 16 float64 temporaries."""
+    time. The per-value writer peaked at 1.4 MB on this table; the bound adds, per
+    block, what the byte-gather writer held with its 22-byte fields: its intp
+    gather index, the row matrix, the source words, the formatted rows and about
+    16 float64 temporaries. The word-built fields must fit the same bound."""
     rng = np.random.default_rng(9)
     x = np.linspace(-math.pi, math.pi, BLOCK_ROWS, endpoint=False)
     groups = [((0.01 * i,), x, rng.random(BLOCK_ROWS) * 10.0 ** -rng.integers(0, 30, BLOCK_ROWS))
@@ -578,7 +610,8 @@ def test_csv_writer_memory_stays_per_block():
     finally:
         tracemalloc.stop()
     assert size > 20e6
-    assert peak < 1.5e6 + BLOCK_ROWS * (8 * _FIELD + 3 * (_FIELD + 1) + 32 + _FIELD + 16 * 8)
+    field = 22  # the byte-gather writer's field: the longest text, -1.23456789012345e-300
+    assert peak < 1.5e6 + BLOCK_ROWS * (8 * field + 3 * (field + 1) + 32 + field + 16 * 8)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -50,8 +50,9 @@ def fresh(code: str, **env) -> str:
 def cli_child(*argv, env=None, **kwargs) -> subprocess.CompletedProcess:
     """`python -m relphase.cli argv` in a new interpreter: the run() entry."""
     kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run([sys.executable, "-m", "relphase.cli", *argv], env=child_env(**(env or {})),
-                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+                          text=True, timeout=60, **kwargs)
 
 
 def test_import_loads_no_numpy():
@@ -99,6 +100,9 @@ def test_cli_import_loads_no_kernel_module():
     assert fresh(code) == "[]"
 
 
+FROM_FILE = ["phase", "pom", "table"]  # a file: state needs no polarization front end
+
+
 @pytest.mark.parametrize("argv,loaded", [
     (["phase", "--state", "num:1", "--k", "8"], ["phase", "table"]),
     (["pb", "--state", "num:1", "--s", "4"], ["pegg_barnett", "table"]),
@@ -106,8 +110,15 @@ def test_cli_import_loads_no_kernel_module():
     (["sweep", "--pol", "xnum:1", "--kt", "8", "--k", "8"], TWO_MODE),
     (["ellipse", "--pol", "xnum:1", "--k", "8"], TWO_MODE),
     (["timepdf", "--pol", "xnum:1"], TWO_MODE),
+    (["sweep", "--pol", "file:STATE", "--kt", "8", "--k", "8"], FROM_FILE),
+    (["ellipse", "--pol", "file:STATE", "--k", "8"], FROM_FILE),
+    (["ellipse", "--pol", "file:STATE", "--k", "8", "--db"], TWO_MODE),  # db_view is polarization's
+    (["timepdf", "--pol", "file:STATE"], FROM_FILE),
 ])
-def test_each_command_loads_only_its_kernels(argv, loaded):
+def test_each_command_loads_only_its_kernels(argv, loaded, tmp_path):
+    state = tmp_path / "state.json"  # |1, 0>: the two-mode form of xnum:1's photon, one branch
+    state.write_text(json.dumps({"kind": "two", "n_max": 1, "amps": [[1, 0, 1, 0]]}))
+    argv = [arg.replace("STATE", str(state)) for arg in argv]
     code = (
         "import contextlib, io, sys\n"
         "from relphase.cli import main\n"
@@ -163,6 +174,48 @@ def test_closed_stdout_is_a_one_line_exit_2(argv):
         os.close(write)
     assert done.returncode == 2
     assert done.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sweep", "--pol", "xnum:5", "--k", "64"], 2),  # its table outgrows the pipe: EPIPE
+    (["ellipse", "--pol", "xcoh:100", "--k", "65536"], 2),
+    (["phase", "--state", "coh:9", "--k", "8"], 3),  # aliasing: only the error line is written
+])
+def test_closed_pipe_for_stdout_and_stderr_keeps_the_exit_code(argv, code):
+    """With stderr on the same closed pipe, the error line cannot be written
+    either; the exit code still tells what happened."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = cli_child(*argv, stdout=write, stderr=write)
+    finally:
+        os.close(write)
+    assert done.returncode == code
+
+
+def peak_rss_mib(*argv) -> float:
+    """Peak RSS of `python -m relphase.cli argv` in a child, from wait4; it must exit 0."""
+    proc = subprocess.Popen([sys.executable, "-m", "relphase.cli", *argv], env=child_env(),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
+    assert proc.returncode == 0
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+def test_sweep_memory_grows_only_by_the_densities_it_returns(tmp_path):
+    """A sweep holds each live time's float64 density (its slices), but no complex
+    kt x K transient: from kt 1001 to 8001 at K 256 the peak grows by about those
+    densities, 13.7 MiB (a blocked kernel: 16.2 MiB; one whole-array one: 56.4 MiB)."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("needs Linux's ru_maxrss in KiB")
+    gap = tmp_path / "gap.json"  # (|0,0> + |1,1>)/sqrt(2): one gap, at t = pi/2
+    r = 1 / math.sqrt(2)
+    gap.write_text(json.dumps({"kind": "two", "n_max": 2, "amps": [[0, 0, r, 0], [1, 1, r, 0]]}))
+    small, large = (peak_rss_mib("sweep", "--pol", f"file:{gap}", "--kt", str(kt), "--k", "256")
+                    for kt in (1001, 8001))
+    densities = (8001 - 1001) * 256 * 8 / 2**20
+    assert large - small < 1.5 * densities
 
 
 AS_LIMIT = 3_000_000 * 1024  # room for numpy's import, not for a 1 GiB grid and its FFT

@@ -1,12 +1,15 @@
 """Property tests: the pom kernels against the direct-sum oracles on generated states."""
 import cmath
+import contextlib
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from relphase import pom
 from relphase import (
     PrimitiveConvention,
     TwoModeState,
@@ -15,7 +18,7 @@ from relphase import (
     marginal_pdf,
     snapshot_sweep,
 )
-from relphase.phase import angular_grid
+from relphase.phase import angular_grid, scatter_series
 from relphase.pom import C_MIN, time_grid_size
 
 PHOTONIC = PrimitiveConvention.PHOTONIC
@@ -132,3 +135,50 @@ def test_time_average_of_weighted_snapshots_is_the_marginal(data, gap, extra):
                 if pdf is not None]
     average = sum(weighted) / times.phi.size
     assert np.abs(average - marginal_pdf(state, k).density).max() < 1e-10
+
+
+def whole_array_sweep(state, times, k):
+    """(live mask, densities) of a sweep, from one scatter, FFT and |.|^2 / C over
+    every live time at once."""
+    ms, b, c = pom._conditioned(*pom._cells(state, PHOTONIC), times)
+    live = ~(c <= C_MIN)
+    values = scatter_series((int(live.sum()),), k, (...,), np.floor(ms).astype(int), b[live])
+    return live, np.abs(values) ** 2 / (2.0 * np.pi * c[live, None])
+
+
+@contextlib.contextmanager
+def blocks_of(rows, k):
+    """snapshot_sweep's kernel in blocks of `rows` live times of a K-point grid."""
+    saved, pom._BLOCK_CELLS = pom._BLOCK_CELLS, rows * k
+    try:
+        yield
+    finally:
+        pom._BLOCK_CELLS = saved
+
+
+def assert_blocked_sweep_is_the_whole_array_sweep(state, times, k, rows):
+    live, whole = whole_array_sweep(state, times, k)
+    with blocks_of(rows, k):
+        slices = snapshot_sweep(state, times, k)
+    assert type(slices) is list and [pdf is not None for pdf in slices] == live.tolist()
+    got = np.array([pdf.density for pdf in slices if pdf is not None]).reshape(whole.shape)
+    assert got.tobytes() == whole.tobytes()
+
+
+@given(two_mode_states(gap=True), st.integers(0, 3), st.integers(1, 5))
+def test_blocked_sweep_is_bytewise_one_whole_array_evaluation(state, extra, rows):
+    """On an exact time grid, whose first time is these states' gap, in blocks
+    of 1 to 5 live times."""
+    times = angular_grid(time_grid_size(state) + extra)
+    assert_blocked_sweep_is_the_whole_array_sweep(state, times, 16, rows)
+
+
+@pytest.mark.parametrize("rows", range(1, 12))
+def test_blocked_sweep_is_bytewise_one_whole_array_evaluation_around_a_mid_grid_gap(rows):
+    """(|0,0> + |1,1>)/sqrt(2) on 11 times of [0, pi]: the gap at pi/2 is the
+    sixth, so blocks of 1 to 11 live times put it on either side of a block
+    edge, and the 10 live times in blocks of 3 leave a 1-row tail block."""
+    r = 1 / math.sqrt(2)
+    state = TwoModeState(oracles.to_array({(0, 0): r, (1, 1): r}, 2))
+    assert whole_array_sweep(state, np.linspace(0.0, math.pi, 11), 32)[0].tolist().index(False) == 5
+    assert_blocked_sweep_is_the_whole_array_sweep(state, np.linspace(0.0, math.pi, 11), 32, rows)
