@@ -36,6 +36,7 @@ import numpy as np  # noqa: E402
 from . import __version__
 from .errors import RelphaseError
 from .fock import (
+    DEFAULT_TAIL_TOL,
     SingleModeState,
     TwoModeState,
     make_coherent_state,
@@ -254,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "exact-quadrature size)",
             )
         p.add_argument("--n-max", type=_n_max, default=None, help="Fock truncation override")
-        p.add_argument("--tail-tol", type=float, default=1e-12, help="coherent tail tolerance")
+        p.add_argument(
+            "--tail-tol", type=float, default=DEFAULT_TAIL_TOL, help="coherent tail tolerance"
+        )
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         if pol:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import RelphaseError, TruncationError
 
 NORM_TOL = 1e-10
+DEFAULT_TAIL_TOL = 1e-12  # largest Poisson tail mass a coherent truncation may discard
 # dense state budget: 2**24 complex128 amplitudes (256 MiB), a two-mode n_max <= 4095
 MAX_AMPLITUDES = 2**24
 # working-set budget: the largest array a kernel builds, 2**26 complex128 cells (1 GiB)
@@ -262,7 +263,7 @@ def coherent_truncation(mean: float, n_max: int | None, tail_tol: float, modes: 
 
 
 def make_coherent_state(
-    alpha: complex, n_max: int | None = None, tail_tol: float = 1e-12
+    alpha: complex, n_max: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> SingleModeState:
     """Truncated coherent state, psi_n ~ alpha^n/sqrt(n!), renormalized.
 

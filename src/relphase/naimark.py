@@ -66,12 +66,8 @@ def _ladder_expectations(state: SingleModeState) -> tuple[complex, complex, floa
     """(<a>, <a^2>, <n>) from the number amplitudes."""
     psi = state.amplitudes
     n = np.arange(psi.size)
-    a1 = complex(np.sum(np.conj(psi[:-1]) * psi[1:] * np.sqrt(n[1:]))) if psi.size > 1 else 0j
-    a2 = (
-        complex(np.sum(np.conj(psi[:-2]) * psi[2:] * np.sqrt(n[1:-1] * (n[1:-1] + 1))))
-        if psi.size > 2
-        else 0j
-    )
+    a1 = complex(np.sum(np.conj(psi[:-1]) * psi[1:] * np.sqrt(n[1:])))
+    a2 = complex(np.sum(np.conj(psi[:-2]) * psi[2:] * np.sqrt(n[1:-1] * (n[1:-1] + 1))))
     nbar = float(np.sum(n * np.abs(psi) ** 2))
     return a1, a2, nbar
 
@@ -92,8 +88,8 @@ def heterodyne_moments(state: SingleModeState) -> QuadratureMoments:
 def _shift_expectations(state: SingleModeState) -> tuple[complex, complex, float]:
     """(<A>, <A^2>, |psi_0|^2) for the one-sided shift A = sum |n><n+1|."""
     psi = state.amplitudes
-    s1 = complex(np.sum(np.conj(psi[:-1]) * psi[1:])) if psi.size > 1 else 0j
-    s2 = complex(np.sum(np.conj(psi[:-2]) * psi[2:])) if psi.size > 2 else 0j
+    s1 = complex(np.sum(np.conj(psi[:-1]) * psi[1:]))
+    s2 = complex(np.sum(np.conj(psi[:-2]) * psi[2:]))
     return s1, s2, float(abs(psi[0]) ** 2)
 
 

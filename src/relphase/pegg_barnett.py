@@ -8,7 +8,6 @@ Kolmogorov distance below quantifies.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,11 +40,11 @@ class DiscretePhasePmf:
 
 
 def _truncated(state: SingleModeState, s: int) -> np.ndarray:
+    """The amplitudes at n <= s, renormalized by fock's rule."""
     psi = state.amplitudes[: s + 1]
-    norm = math.sqrt(float(np.vdot(psi, psi).real))
-    if norm == 0.0:
+    if not psi.any():
         raise ValueError(f"state has no support at or below n={s}")
-    return psi / norm
+    return SingleModeState.from_amplitudes(psi).amplitudes
 
 
 def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:

@@ -131,15 +131,13 @@ def number_moment_spectral(
 ) -> float:
     """k-th number moment evaluated on the phase grid by spectral differentiation.
 
-    Samples psi(phi), differentiates in the Fourier domain, and integrates
-    psi* against the result; agrees with sum_n n^order |psi_n|^2.
+    Samples psi(phi) and its differentiated series sum_n n^order psi_n e^{-i n phi},
+    and integrates psi* against the latter; agrees with sum_n n^order |psi_n|^2.
     """
     if order < 0 or order != int(order):
         raise ValueError("moment order must be a non-negative integer")
     wf = phase_wavefunction(state, k)
-    coeffs = np.fft.ifft(wf.values)
-    freqs = np.fft.fftfreq(k) * k
-    deriv = np.fft.fft(coeffs * freqs ** order)
+    deriv = eval_fourier_series(np.arange(state.n_max + 1.0) ** order * state.amplitudes, k)
     return float(np.mean(np.conj(wf.values) * deriv).real)
 
 

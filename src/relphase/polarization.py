@@ -15,11 +15,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import TruncationError
-from .fock import TwoModeState, _coherent_state, check_budget, coherent_truncation, simplex
+from .fock import DEFAULT_TAIL_TOL, TwoModeState, _coherent_state, check_budget, coherent_truncation, simplex
 from .phase import DEFAULT_GRID_SIZE, AngularPdf
 from .pom import marginal_pdf, snapshot_sweep
-
-DEFAULT_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,39 +84,30 @@ def to_circular(
     raise TypeError(f"unknown polarization spec {spec!r}")
 
 
-def polarization_ellipse(
-    spec: LinearPolSpec,
-    k: int = DEFAULT_GRID_SIZE,
-    n_max: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> AngularPdf:
+def polarization_ellipse(spec: LinearPolSpec, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
     """Quantum polarization ellipse: the marginal angular distribution."""
-    return marginal_pdf(to_circular(spec, n_max, tail_tol), k)
+    return marginal_pdf(to_circular(spec), k)
 
 
-def db_view(pdf: AngularPdf, peak_db: float = 60.0) -> np.ndarray:
-    """10 log10(p/p_peak) + peak_db, floored at 0 so polar radii stay positive."""
+def db_view(pdf: AngularPdf) -> np.ndarray:
+    """10 log10(p/p_peak) + 60 (the peak at 60 dB), floored at 0 so polar radii stay positive."""
     peak = pdf.density.max()
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(pdf.density / peak) + peak_db
+        db = 10.0 * np.log10(pdf.density / peak) + 60.0
     return np.maximum(db, 0.0)
 
 
 def snapshot_sequence(
-    spec: LinearPolSpec,
-    t_grid: Sequence[float],
-    k: int = DEFAULT_GRID_SIZE,
-    n_max: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    spec: LinearPolSpec, t_grid: Sequence[float], k: int = DEFAULT_GRID_SIZE
 ) -> list[AngularPdf | None]:
     """Normalized snapshot distributions along a grid of absolute times; refused
     times give None (gaps, not failures)."""
-    return snapshot_sweep(to_circular(spec, n_max, tail_tol), t_grid, k)
+    return snapshot_sweep(to_circular(spec), t_grid, k)
 
 
-def local_maxima(density: np.ndarray, min_rise: float = 1e-9, floor: float = 0.0) -> list[int]:
-    """Indices of grid points exceeding both periodic neighbors by min_rise."""
+def local_maxima(density: np.ndarray, floor: float = 0.0) -> list[int]:
+    """Indices of grid points at or above floor that exceed both periodic neighbors by 1e-9."""
     d = np.asarray(density)
-    up = d > np.roll(d, 1) + min_rise
-    down = d > np.roll(d, -1) + min_rise
+    up = d > np.roll(d, 1) + 1e-9
+    down = d > np.roll(d, -1) + 1e-9
     return [int(i) for i in np.nonzero(up & down & (d >= floor))[0]]

@@ -86,12 +86,15 @@ def _conditioned(j, m, v, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     C(t) = sum_m |b[t, m]|^2."""
     js, rows = np.unique(j, return_inverse=True)
     ms, cols = np.unique(m, return_inverse=True)
-    check_cells((len(ts), max(js.size, ms.size)), "a time-by-branch product")
+    ts = np.asarray(ts, dtype=float)
+    check_cells((ts.size, max(js.size, ms.size)), "a time-by-branch product")
     a = np.zeros((js.size, ms.size), dtype=complex)
     a[rows, cols] = v
-    b = np.exp(np.outer(np.asarray(ts, dtype=float), -1j * js)) @ a
+    # numpy sends a 1-row product to gemv, whose last bits differ from a grid's gemm:
+    # one time runs as two equal rows, so it gets the bits of the same time on a grid
+    b = np.exp(np.outer(np.repeat(ts, 2) if ts.size == 1 else ts, -1j * js)) @ a
     c = np.einsum("tm,tm->t", b.real, b.real) + np.einsum("tm,tm->t", b.imag, b.imag)
-    return ms, b, c
+    return ms, b[: ts.size], c[: ts.size]
 
 
 def branch_wavefunctions(
@@ -120,7 +123,7 @@ def conditioning_probability(
 
 
 def snapshot_pdf(
-    state: TwoModeState, t: float, k: int = DEFAULT_GRID_SIZE, c_min: float = C_MIN,
+    state: TwoModeState, t: float, k: int = DEFAULT_GRID_SIZE,
     *, convention: PrimitiveConvention = PHOTONIC,
 ) -> AngularPdf:
     """Conditional distribution at time t: branch amplitudes added.
@@ -128,15 +131,15 @@ def snapshot_pdf(
     Refuses times of numerically vanishing conditioning probability instead
     of renormalizing noise.
     """
-    (pdf,) = snapshot_sweep(state, [t], k, c_min, convention=convention)
+    (pdf,) = snapshot_sweep(state, [t], k, convention=convention)
     if pdf is None:
         c = conditioning_probability(state, t, convention=convention)
-        raise ConditioningError(f"conditioning probability {c:.3e} at t={t} is below {c_min:g}")
+        raise ConditioningError(f"conditioning probability {c:.3e} at t={t} is below {C_MIN:g}")
     return pdf
 
 
 def snapshot_sweep(
-    state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE, c_min: float = C_MIN,
+    state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE,
     *, convention: PrimitiveConvention = PHOTONIC,
 ) -> list[AngularPdf | None]:
     """Snapshots along a time grid; refused times yield None (gaps). The live times'
@@ -150,7 +153,7 @@ def snapshot_sweep(
             "interference is 4pi-periodic and has no density on [-pi, pi)"
         )
     ms, b, c = _conditioned(j, m, v, times)
-    refused = c <= c_min
+    refused = c <= C_MIN
     live = np.flatnonzero(~refused)
     check_cells((live.size, k), "an angular grid")
     density = np.empty((live.size, k))

@@ -687,6 +687,55 @@ def test_json_state_whose_squared_norm_underflows_is_read(capsys, tmp_path, comm
     assert np.allclose(data[:, 1], 1 / (2 * np.pi), rtol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "rows, mass",
+    [
+        ("[[0, 0, 1e-170, 0], [10, 0, 1, 0]]", lambda theta: np.full(theta.shape, 0.2)),
+        ("[[0, 0, 1e-160, 0], [1, 0, 1e-160, 0], [10, 0, 1, 0]]",
+         lambda theta: (1 + np.cos(theta)) / 5),
+    ],
+    ids=["zero", "zero-plus-one"],
+)
+def test_pb_truncation_whose_squared_norm_underflows_is_measured(capsys, tmp_path, rows, mass):
+    # at s = 4 the state keeps |0> (|0> + |1>): a squared norm of 1e-340 (2e-320)
+    path = tmp_path / "state.json"
+    path.write_text(f'{{"kind": "single", "n_max": 10, "amps": {rows}}}')
+    code, out, err = run(capsys, "pb", "--state", f"file:{path}", "--s", "4")
+    assert code == 0 and err == ""
+    _, data = rows_of(out)
+    assert np.abs(data[:, 2] - mass(data[:, 1])).max() < 1e-14  # 15 digits each
+
+
+# reports pinned byte for byte: at 1, 2 and 3 levels the ladder and shift sums run over empty slices
+ONE_TO_THREE_LEVELS = [
+    ("num:0", {"mean_P": 0.0, "mean_X": 0.0, "mean_Y1": 0.0, "mean_Y2": 0.0, "second_P": 0.5,
+               "second_X": 0.5, "second_Y1": 0.5, "second_Y2": 0.5, "vac_prob": 1.0,
+               "var_P": 0.5, "var_X": 0.5}),
+    ("num:1", {"mean_P": 0.0, "mean_X": 0.0, "mean_Y1": 0.0, "mean_Y2": 0.0, "second_P": 1.0,
+               "second_X": 1.0, "second_Y1": 0.5, "second_Y2": 0.5, "vac_prob": 0.0,
+               "var_P": 1.0, "var_X": 1.0}),
+    ('{"kind": "single", "n_max": 1, "amps": [[0, 0, 0.6, 0], [1, 0, 0, 0.8]]}',
+     {"mean_P": 0.48, "mean_X": 0.0, "mean_Y1": 0.0, "mean_Y2": 0.48,
+      "second_P": 0.8200000000000001, "second_X": 0.8200000000000001, "second_Y1": 0.5,
+      "second_Y2": 0.5, "vac_prob": 0.36, "var_P": 0.5896000000000001,
+      "var_X": 0.8200000000000001}),
+    ('{"kind": "single", "n_max": 2, "amps": [[0, 0, 0.6, 0], [2, 0, 0.8, 0]]}',
+     {"mean_P": 0.0, "mean_X": 0.0, "mean_Y1": 0.0, "mean_Y2": 0.0,
+      "second_P": 0.8005887450304573, "second_X": 1.479411254969543, "second_Y1": 0.74,
+      "second_Y2": 0.26, "vac_prob": 0.36, "var_P": 0.8005887450304573,
+      "var_X": 1.479411254969543}),
+]
+
+
+@pytest.mark.parametrize("spec, want", ONE_TO_THREE_LEVELS)
+def test_moments_of_one_to_three_levels_are_exact(capsys, tmp_path, spec, want):
+    if spec.startswith("{"):  # a state document
+        path = tmp_path / "state.json"
+        path.write_text(spec)
+        spec = f"file:{path}"
+    assert run(capsys, "moments", "--state", spec) == (0, json.dumps(want, sort_keys=True) + "\n", "")
+
+
 def test_pb_report_computes_each_truncation_once(capsys, tmp_path, monkeypatch):
     calls, pb_pmf = [], pegg_barnett.pb_pmf
 

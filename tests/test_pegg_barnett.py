@@ -44,6 +44,14 @@ def test_truncation_renormalizes_before_measuring():
     assert np.allclose(pmf.masses, two.masses)
 
 
+def test_truncation_whose_squared_norm_underflows_is_renormalized():
+    # the amplitudes at n <= 4 have a squared norm of 2e-320, below the smallest normal float
+    state = SingleModeState.from_amplitudes([1e-160, 1e-160] + [0.0] * 8 + [1.0])
+    pmf = pb_pmf(state, 4)
+    assert abs(pmf.masses.sum() - 1.0) < 1e-14
+    assert np.allclose(pmf.masses, (1 + np.cos(pmf.theta)) / 5, rtol=0, atol=1e-15)
+
+
 def test_masses_match_density_pointwise_once_truncation_clears():
     # for s >= n_max the mass at theta_m is exactly 2 pi P(theta_m)/(s+1)
     rng = np.random.default_rng(1)

@@ -186,6 +186,24 @@ def test_absolute_time_pdf_normalized_and_matches_c():
             assert abs(pdf.density[idx] - conditioning_probability(state, t) / (2 * np.pi)) < 1e-12
 
 
+@pytest.mark.parametrize("convention", [PHOTONIC, FERMIONIC])
+def test_one_time_has_the_bits_of_the_same_time_on_a_grid(convention):
+    """snapshot_pdf and conditioning_probability at one time equal the sweep's slice
+    and absolute_time_pdf's density at that time bit for bit (a one-row product
+    would go to gemv, not to a grid's gemm)."""
+    coh = to_circular(XCoherent(9.0))  # its even totals: one m lattice in either convention
+    n = np.arange(coh.n_max + 1)
+    state = TwoModeState.from_amplitudes(coh.amplitudes * ((n[:, None] + n) % 2 == 0))
+    times = np.linspace(0.0, math.pi, 17)
+    for t, pdf in zip(times.tolist(), snapshot_sweep(state, times, 128, convention=convention)):
+        assert np.array_equal(snapshot_pdf(state, t, 128, convention=convention).density, pdf.density)
+    pdf = absolute_time_pdf(state, convention=convention)
+    one_by_one = [conditioning_probability(state, t, convention=convention) / (2 * np.pi)
+                  for t in pdf.phi.tolist()]
+    assert one_by_one == pdf.density.tolist()
+    assert snapshot_sweep(state, [], 128, convention=convention) == []
+
+
 def test_default_time_grid_is_the_larger_of_256_and_the_state_size():
     small = two_mode(oracles.xnumber_amp(2), 2)  # exact from 12 times
     assert absolute_time_pdf(small).phi.size == time_grid(small) == DEFAULT_KT == 256
