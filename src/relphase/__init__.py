@@ -21,7 +21,6 @@ _EXPORTS = {
         "PrimitiveConvention",
         "SingleModeState",
         "TwoModeState",
-        "evolve",
         "jm_labels",
         "make_coherent_state",
         "make_number_state",
@@ -32,7 +31,6 @@ _EXPORTS = {
     "naimark": (
         "YMoments",
         "QuadratureMoments",
-        "commutator_check",
         "generalized_phase_pdf",
         "heterodyne_moments",
         "y_moments",
@@ -42,9 +40,6 @@ _EXPORTS = {
         "AngularPdf",
         "PhaseWavefunction",
         "angular_grid",
-        "ml_phase_pdf",
-        "number_moment_spectral",
-        "paley_wiener_diagnostics",
         "phase_pdf",
         "phase_wavefunction",
     ),
@@ -56,7 +51,6 @@ _EXPORTS = {
         "db_view",
         "local_maxima",
         "polarization_ellipse",
-        "snapshot_sequence",
         "to_circular",
     ),
     "pom": (
@@ -73,7 +67,6 @@ _EXPORTS = {
         "apply_jplus",
         "apply_jz",
         "commutator_residuals",
-        "j_squared_eigencheck",
         "rotate_z",
     ),
 }

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import RelphaseError, TruncationError
 
-NORM_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-12  # largest Poisson tail mass a coherent truncation may discard
 # dense state budget: 2**24 complex128 amplitudes (256 MiB), a two-mode n_max <= 4095
 MAX_AMPLITUDES = 2**24
@@ -90,9 +89,6 @@ class SingleModeState:
 
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def jm_labels(ns, na, convention: PrimitiveConvention = PrimitiveConvention.PHOTONIC):
@@ -168,6 +164,8 @@ class TwoModeState:
 
 def make_number_state(n: int, n_max: int) -> SingleModeState:
     """|n> on the truncated basis 0..n_max."""
+    if n < 0:
+        raise ValueError("photon numbers must be >= 0")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     check_budget(n_max, 1)
@@ -291,13 +289,6 @@ def single_to_two_mode(state: SingleModeState) -> TwoModeState:
     amps = np.zeros((state.n_max + 1,) * 2, dtype=complex)
     amps[:, 0] = state.amplitudes
     return TwoModeState(amps)
-
-
-def evolve(state: TwoModeState, t: float) -> TwoModeState:
-    """Free evolution by t radians at unit frequency: phase e^{-i(n_s+n_a)t}."""
-    n = np.arange(state.n_max + 1)
-    j, _ = jm_labels(n[:, None], n)
-    return TwoModeState(state.amplitudes * np.exp(-1j * j * t))
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -107,34 +107,6 @@ def y_moments(state: SingleModeState) -> YMoments:
     )
 
 
-@dataclass(frozen=True)
-class CommutatorResiduals:
-    sum_rule: float
-    commutator: float
-
-
-def commutator_check(state: SingleModeState) -> CommutatorResiduals:
-    """Residuals of the cosine/sine sum rule and commutator, by matrix algebra.
-
-    Matrices are built with one slot of zero padding beyond n_max so the
-    one-sided shift identities hold exactly for any finitely supported state.
-    """
-    dim = state.n_max + 2
-    psi = np.zeros(dim, dtype=complex)
-    psi[: state.n_max + 1] = state.amplitudes
-    shift = np.eye(dim, k=1).astype(complex)  # A|n+1> = |n>
-    c_op = (shift + shift.conj().T) / 2.0
-    s_op = (shift - shift.conj().T) / 2.0j
-    vac = float(abs(psi[0]) ** 2)
-    c2 = np.vdot(psi, c_op @ (c_op @ psi))
-    s2 = np.vdot(psi, s_op @ (s_op @ psi))
-    comm = np.vdot(psi, (c_op @ s_op - s_op @ c_op) @ psi)
-    return CommutatorResiduals(
-        sum_rule=abs(c2.real + s2.real + vac / 2.0 - 1.0),
-        commutator=abs(comm - 1j * vac / 2.0),
-    )
-
-
 def two_sided_coefficients(state: TwoModeState) -> tuple[int, np.ndarray]:
     """Coefficients psi_m of the two-sided series for a shift-subspace state.
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import TruncationError
 from .fock import DEFAULT_TAIL_TOL, TwoModeState, _coherent_state, check_budget, coherent_truncation, simplex
 from .phase import DEFAULT_GRID_SIZE, AngularPdf
-from .pom import marginal_pdf, snapshot_sweep
+from .pom import marginal_pdf
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,6 @@ def db_view(pdf: AngularPdf) -> np.ndarray:
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(pdf.density / peak) + 60.0
     return np.maximum(db, 0.0)
-
-
-def snapshot_sequence(
-    spec: LinearPolSpec, t_grid: Sequence[float], k: int = DEFAULT_GRID_SIZE
-) -> list[AngularPdf | None]:
-    """Normalized snapshot distributions along a grid of absolute times; refused
-    times give None (gaps, not failures)."""
-    return snapshot_sweep(to_circular(spec), t_grid, k)
 
 
 def local_maxima(density: np.ndarray, floor: float = 0.0) -> list[int]:

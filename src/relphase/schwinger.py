@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SupportError
 from .fock import PrimitiveConvention, TwoModeState, jm_labels, simplex
 
 
@@ -48,45 +47,6 @@ def apply_jminus(state: TwoModeState, convention: PrimitiveConvention) -> TwoMod
     return TwoModeState(out)
 
 
-def casimir_eigenvalue(j: float, convention: PrimitiveConvention) -> float:
-    """Closed-form J^2 eigenvalue on a single-j branch."""
-    if convention is PrimitiveConvention.PHOTONIC:
-        return j * (j + 2.0)
-    return j * (j + 1.0)
-
-
-def _overlap(a: TwoModeState, b: TwoModeState) -> complex:
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def j_squared_eigencheck(state: TwoModeState, convention: PrimitiveConvention) -> float:
-    """J^2 eigenvalue of a single-branch state via the operator identity.
-
-    Applies (J_+ J_- + J_- J_+)/2 + J_z^2 and checks the result against the
-    closed form to 1e-12. Mixed-j support is a domain error.
-    """
-    js = np.unique(jm_labels(*np.nonzero(state.amplitudes), convention)[0]).tolist()
-    if len(js) != 1:
-        raise SupportError(f"state spans several branches j = {js}")
-    norm = state.norm_squared()
-    if norm == 0.0:
-        raise ValueError("cannot check the null state")
-    jm_img = apply_jminus(state, convention)
-    jp_img = apply_jplus(state, convention)
-    jz_img = apply_jz(state, convention)
-    val = (
-        0.5 * (_overlap(state, apply_jplus(jm_img, convention)).real
-               + _overlap(state, apply_jminus(jp_img, convention)).real)
-        + _overlap(jz_img, jz_img).real
-    ) / norm
-    expected = casimir_eigenvalue(js[0], convention)
-    if abs(val - expected) > 1e-12 * max(1.0, expected):
-        raise AssertionError(
-            f"operator identity gives {val!r}, closed form {expected!r}"
-        )
-    return val
-
-
 def rotate_z(state: TwoModeState, phi: float) -> TwoModeState:
     """Rotation about z in the circular (photonic) basis: phase e^{-i(n_r-n_l)phi}."""
     n = np.arange(state.n_max + 1)
@@ -102,12 +62,14 @@ class CommutatorReport:
     cyclic_xyz: float      # [J_i, J_j] - i c eps_ijk J_k over the three pairs
     z_ladder: float        # [J_z, J_pm] -+ c J_pm
     ladder_pair: float     # [J_+, J_-] - 2 c J_z
+    casimir: float         # J^2 - j(j + c) over the basis
 
     def max_residual(self) -> float:
-        return max(self.cyclic_xyz, self.z_ladder, self.ladder_pair)
+        return max(self.cyclic_xyz, self.z_ladder, self.ladder_pair, self.casimir)
 
 
 def _dense_operators(convention: PrimitiveConvention, n_max: int):
+    """(J_+, J_-, J_z, j) on the simplex basis: the dense matrices and each basis state's j."""
     basis = np.nonzero(simplex(n_max))
 
     def build(apply_fn):
@@ -118,12 +80,13 @@ def _dense_operators(convention: PrimitiveConvention, n_max: int):
             mat[:, col] = apply_fn(TwoModeState(unit), convention).amplitudes[basis]
         return mat
 
-    return build(apply_jplus), build(apply_jminus), build(apply_jz)
+    return build(apply_jplus), build(apply_jminus), build(apply_jz), jm_labels(*basis, convention)[0]
 
 
 def commutator_residuals(convention: PrimitiveConvention, n_max: int) -> CommutatorReport:
-    """Explicit-matrix residuals of the commutation relations."""
-    jp, jm, jz = _dense_operators(convention, n_max)
+    """Explicit-matrix residuals of the commutation relations and of the Casimir,
+    J^2 = (J_+ J_- + J_- J_+)/2 + J_z^2 = j(j + c): j(j+2) photonic, j(j+1) fermionic."""
+    jp, jm, jz, j = _dense_operators(convention, n_max)
     jx = (jp + jm) / 2.0
     jy = (jp - jm) / 2.0j
     c = _scale(convention)
@@ -141,9 +104,11 @@ def commutator_residuals(convention: PrimitiveConvention, n_max: int) -> Commuta
         np.abs(comm(jz, jm) + c * jm).max(),
     )
     ladder_pair = np.abs(comm(jp, jm) - 2.0 * c * jz).max()
+    casimir = np.abs((jp @ jm + jm @ jp) / 2.0 + jz @ jz - np.diag(j * (j + c))).max()
     return CommutatorReport(
         structure_constant=c,
         cyclic_xyz=float(cyclic),
         z_ladder=float(z_ladder),
         ladder_pair=float(ladder_pair),
+        casimir=float(casimir),
     )

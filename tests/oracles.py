@@ -131,6 +131,21 @@ def y_product_moments(psi):
     )
 
 
+def commutator_check(psi):
+    """(sum rule, commutator) residuals of the one-sided cosine/sine pair,
+    |C^2 + S^2 - 1 + |psi_0|^2/2| and |<[C, S]> - i|psi_0|^2/2|, by dense
+    matrices with one pad slot, so the shift identities hold for support at n_max."""
+    v = pad(psi, 1)
+    shift = unit_shift(len(v))  # A|n+1> = |n>
+    c_op = (shift + shift.conj().T) / 2.0
+    s_op = (shift - shift.conj().T) / 2.0j
+    vac = float(abs(v[0]) ** 2)
+    c2 = np.vdot(v, c_op @ (c_op @ v))
+    s2 = np.vdot(v, s_op @ (s_op @ v))
+    comm = np.vdot(v, (c_op @ s_op - s_op @ c_op) @ v)
+    return abs(c2.real + s2.real + vac / 2.0 - 1.0), abs(comm - 1j * vac / 2.0)
+
+
 def single_mode_quadrature_var(psi):
     """Intrinsic (<chi^2> - <chi>^2, <rho^2> - <rho>^2) on the mode alone."""
     a = ladder(len(psi) + 2)
@@ -203,6 +218,12 @@ def to_array(amp, n_max):
     for (ns, na), v in amp.items():
         out[ns, na] = v
     return out
+
+
+def evolve(array, t):
+    """Free evolution by t radians at unit frequency: a[n_s, n_a] e^{-i(n_s+n_a)t}."""
+    n = np.arange(len(array))
+    return np.asarray(array) * np.exp(-1j * np.add.outer(n, n) * t)
 
 
 def to_dict(array):

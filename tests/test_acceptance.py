@@ -200,10 +200,11 @@ def test_criterion_10_algebra_residuals():
     rf = commutator_residuals(FERMIONIC, 6)
     assert rp.structure_constant == 2.0 and rp.max_residual() < 1e-12
     assert rf.structure_constant == 1.0 and rf.max_residual() < 1e-12
+    assert rp.casimir < 1e-12 and rf.casimir < 1e-12
     report(
         10,
-        f"photonic (c=2) residual {rp.max_residual():.1e}; "
-        f"fermionic (c=1) residual {rf.max_residual():.1e}",
+        f"photonic (c=2) residual {rp.max_residual():.1e}, Casimir j(j+2) {rp.casimir:.1e}; "
+        f"fermionic (c=1) residual {rf.max_residual():.1e}, Casimir j(j+1) {rf.casimir:.1e}",
     )
 
 

@@ -409,6 +409,19 @@ def test_non_finite_weight_is_exit_2(capsys, spec):
     assert "bad weight" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["phase", "--state", "num:-1", "--k", "8"],
+    ["phase", "--state", "num:-1", "--k", "8", "--n-max", "5"],
+    ["moments", "--state", "num:-2"],
+    ["ellipse", "--pol", "xnum:-1"],
+])
+def test_negative_photon_number_is_exit_2(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert one_line_error(code, err) and stdout == "" and not out.exists()
+    assert err == "error: photon numbers must be >= 0\n"
+
+
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_overflowing_superposition_is_exit_2_without_warnings(capsys):
     code, out, err = run(capsys, "ellipse", "--pol", "xsup:0,1e308;0,1e308")

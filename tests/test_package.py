@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,18 +16,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # the package's public names; each must resolve both ways
 EXPORTS = """
 AliasingError ConditioningError RelphaseError SupportError TruncationError
-PrimitiveConvention SingleModeState TwoModeState evolve jm_labels make_coherent_state
+PrimitiveConvention SingleModeState TwoModeState jm_labels make_coherent_state
 make_number_state single_to_two_mode state_from_json state_to_json
-YMoments QuadratureMoments commutator_check generalized_phase_pdf heterodyne_moments
-y_moments
+YMoments QuadratureMoments generalized_phase_pdf heterodyne_moments y_moments
 DiscretePhasePmf pb_convergence pb_pmf phase_cdf
-AngularPdf PhaseWavefunction angular_grid ml_phase_pdf number_moment_spectral
-paley_wiener_diagnostics phase_pdf phase_wavefunction
+AngularPdf PhaseWavefunction angular_grid phase_pdf phase_wavefunction
 LinearPolSpec XCoherent XNumber XSuperposition db_view local_maxima
-polarization_ellipse snapshot_sequence to_circular
+polarization_ellipse to_circular
 BranchSet absolute_time_pdf branch_wavefunctions conditioning_probability marginal_pdf
 snapshot_pdf snapshot_sweep
-apply_jminus apply_jplus apply_jz commutator_residuals j_squared_eigencheck rotate_z
+apply_jminus apply_jplus apply_jz commutator_residuals rotate_z
 """.split()
 
 
@@ -71,6 +70,21 @@ def test_every_export_resolves_by_star_import_and_attribute():
         "print(len(names))\n"
     )
     assert fresh(code) == str(len(EXPORTS))
+
+
+def test_readme_layout_names_resolve_on_their_module():
+    """Every backticked `name(` in a row of README's "Library layout" table is an
+    attribute of the module that the row names."""
+    section = (SRC.parent / "README.md").read_text(encoding="utf-8").split("## Library layout")[1]
+    rows = re.findall(r"^\| `(relphase\.\w+)` \| (.*) \|$", section.split("\n## ")[0], re.MULTILINE)
+    calls = [(module, name) for module, text in rows for name in re.findall(r"`(\w+)\(", text)]
+    assert len(rows) >= 9 and calls, "no layout table found"
+    code = (
+        "import importlib\n"
+        f"calls = {calls!r}\n"
+        "print([c for c in calls if not hasattr(importlib.import_module(c[0]), c[1])])\n"
+    )
+    assert fresh(code) == "[]"
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -8,11 +8,7 @@ from relphase import (
     AliasingError,
     AngularPdf,
     SingleModeState,
-    make_coherent_state,
     make_number_state,
-    ml_phase_pdf,
-    number_moment_spectral,
-    paley_wiener_diagnostics,
     phase_pdf,
     phase_wavefunction,
 )
@@ -104,72 +100,22 @@ def test_shift_property_rotates_density():
     assert np.abs(moved - np.roll(base, -steps)).max() < 1e-12
 
 
-def test_ml_pdf_equals_plain_for_nonnegative_real_amplitudes():
-    rng = np.random.default_rng(10)
-    psi = np.abs(oracles.random_single(rng, 6))
-    state = SingleModeState.from_amplitudes(psi)
-    assert np.allclose(ml_phase_pdf(state, 128).density, phase_pdf(state, 128).density)
-
-
-def test_ml_pdf_strips_phases():
-    a = SingleModeState(np.array([1.0,  1.0]) / math.sqrt(2))
-    b = SingleModeState(np.array([1.0, 1.0j]) / math.sqrt(2))
-    assert np.allclose(ml_phase_pdf(b, 64).density, phase_pdf(a, 64).density)
-
-
-def test_ml_pdf_vacuum_uniform():
-    pdf = ml_phase_pdf(make_number_state(0, 0), 64)
-    assert np.allclose(pdf.density, 1 / (2 * np.pi))
-
-
-def test_number_moments_trivial_cases():
-    assert abs(number_moment_spectral(make_number_state(0, 0), 1, 64)) < 1e-12
-    assert abs(number_moment_spectral(make_number_state(3, 5), 2, 64) - 9.0) < 1e-10
-
-
-def test_number_moment_coherent_mean():
-    state = make_coherent_state(2.0)
-    assert abs(number_moment_spectral(state, 1) - 4.0) < 1e-6
-
-
-@pytest.mark.parametrize("order", [0, 1, 2, 3])
-def test_spectral_moments_match_direct_sums(order):
-    rng = np.random.default_rng(order)
-    for _ in range(100):
-        n_max = rng.integers(0, 25)
-        psi = oracles.random_single(rng, n_max)
-        got = number_moment_spectral(SingleModeState(psi), order, 256)
-        want = float(np.sum(np.arange(n_max + 1) ** order * np.abs(psi) ** 2))
-        assert abs(got - want) < 1e-8
-
-
-def test_paley_wiener_vacuum():
-    report = paley_wiener_diagnostics(phase_pdf(make_number_state(0, 0), 64))
-    assert report.integral_log_abs == 0.0
-    assert abs(report.min_density - 1 / (2 * np.pi)) < 1e-15
-    assert not report.floored
-
-
-def test_paley_wiener_two_term_zero_at_branch_cut():
-    k = 1024
-    report = paley_wiener_diagnostics(phase_pdf(TWO_TERM, k))
-    assert report.min_density < 1e-30  # exact zero at phi = -pi
-    assert report.fraction_below(1e-6) == 1 / k
-    assert report.floored
-
-
-def test_paley_wiener_isolated_zeros_fraction_vanishes():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        psi = oracles.random_single(rng, 8)
-        report = paley_wiener_diagnostics(phase_pdf(SingleModeState(psi), 512))
-        assert report.fraction_below(1e-30) <= 4 / 512
-        fr = [report.fraction_below(eps) for eps in (1e-2, 1e-6, 1e-12, 1e-30)]
-        assert all(a >= b for a, b in zip(fr, fr[1:]))
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_angular_pdf_refuses_non_finite_densities(bad):
     # NaN passed both the sign and the integral guards before
     with pytest.raises(ValueError, match="finite"):
         AngularPdf(angular_grid(4), [bad] * 4)
+
+
+def test_value_at_accepts_grid_angles_and_refuses_off_grid_ones_at_k_2_24():
+    # a grid angle's index rounds by up to K 2**-53: a fixed 1e-9 refused some from K 2**24 on
+    k = 2**24
+    pdf = AngularPdf(angular_grid(k), np.broadcast_to(1 / (2 * np.pi), (k,)))
+    rng = np.random.default_rng(0)
+    for i in rng.integers(0, k, 2000).tolist():
+        assert pdf.value_at(float(pdf.phi[i])) == 1 / (2 * np.pi)
+    step = 2 * np.pi / k
+    for i in rng.integers(0, k, 20).tolist():
+        for off in (1e-6 * step, -1e-6 * step):
+            with pytest.raises(ValueError, match="is not on the 16777216-point grid"):
+                pdf.value_at(float(pdf.phi[i]) + off)

@@ -14,7 +14,6 @@ from relphase import (
     local_maxima,
     polarization_ellipse,
     snapshot_pdf,
-    snapshot_sequence,
     snapshot_sweep,
     to_circular,
 )
@@ -123,7 +122,7 @@ def test_db_view_peak_and_floor():
 
 
 def test_weak_coherent_counter_rotating_peaks():
-    (pdf,) = snapshot_sequence(XCoherent(1.0), [math.pi / 2], 512)
+    (pdf,) = snapshot_sweep(to_circular(XCoherent(1.0)), [math.pi / 2], 512)
     peaks = local_maxima(pdf.density)
     assert len(peaks) == 2
     angles = sorted(pdf.phi[i] for i in peaks)
@@ -131,7 +130,7 @@ def test_weak_coherent_counter_rotating_peaks():
 
 
 def test_coherent_mid_range_slices_split_in_two():
-    for pdf in snapshot_sequence(XCoherent(4.0), np.linspace(1.0, 2.0, 5), 512):
+    for pdf in snapshot_sweep(to_circular(XCoherent(4.0)), np.linspace(1.0, 2.0, 5), 512):
         peaks = local_maxima(pdf.density)
         assert len(peaks) == 2
         angles = sorted(pdf.phi[i] for i in peaks)
@@ -141,7 +140,7 @@ def test_coherent_mid_range_slices_split_in_two():
 def test_superposition_snapshot_sequence_anchors():
     # t=0 peaks only up along x (above the 0.1 visibility floor);
     # t=pi peaks at the branch cut
-    t0, tpi = snapshot_sequence(XSuperposition(((1, 1.0), (2, 1.0))), [0.0, math.pi], 512)
+    t0, tpi = snapshot_sweep(to_circular(XSuperposition(((1, 1.0), (2, 1.0)))), [0.0, math.pi], 512)
     visible = local_maxima(t0.density, floor=0.1)
     assert len(visible) == 1
     assert t0.phi[visible[0]] == 0.0
@@ -153,7 +152,7 @@ def test_superposition_snapshot_sequence_anchors():
 def test_n9_sidelobes_near_half_pi_on_db_scale():
     # at t = pi/2 the angles 0 and +-pi carry equal positive plateaus,
     # invisible on the 0.1 linear contour but ~28 dB on the 60 dB-peak view
-    (pdf,) = snapshot_sequence(XCoherent(9.0), [math.pi / 2], 512)
+    (pdf,) = snapshot_sweep(to_circular(XCoherent(9.0)), [math.pi / 2], 512)
     assert pdf.value_at(0.0) > 1e-4
     assert pdf.value_at(-np.pi) > 1e-4
     assert abs(pdf.value_at(0.0) - pdf.value_at(-np.pi)) < 1e-6

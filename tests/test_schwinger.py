@@ -6,13 +6,11 @@ import pytest
 import oracles
 from relphase import (
     PrimitiveConvention,
-    SupportError,
     TwoModeState,
     apply_jminus,
     apply_jplus,
     apply_jz,
     commutator_residuals,
-    j_squared_eigencheck,
     jm_labels,
     marginal_pdf,
     rotate_z,
@@ -67,31 +65,6 @@ def test_ladder_matrix_elements_match_kron_oracle():
             for (ns, na), v in oracles.to_dict(img.amplitudes).items():
                 got[ns * d + na] = v
             assert np.abs(got - want).max() < 1e-12
-
-
-def test_jsquared_photonic_one_photon():
-    # Pauli algebra on the doubled operators: eigenvalue j(j+2) = 3
-    val = j_squared_eigencheck(two_mode({(1, 0): 1.0}, 1), PHOTONIC)
-    assert abs(val - 3.0) < 1e-12
-
-
-def test_jsquared_photonic_two_photon_branch():
-    amp = oracles.xnumber_amp(2)
-    val = j_squared_eigencheck(two_mode(amp, 2), PHOTONIC)
-    assert abs(val - 8.0) < 1e-12  # j(j+2) with j=2
-
-
-def test_jsquared_fermionic():
-    val = j_squared_eigencheck(two_mode({(1, 1): 1.0}, 2), FERMIONIC)
-    assert abs(val - 2.0) < 1e-12  # j(j+1) with j=1
-    val = j_squared_eigencheck(two_mode({(1, 0): 1.0}, 1), FERMIONIC)
-    assert abs(val - 0.75) < 1e-12  # j=1/2
-
-
-def test_jsquared_rejects_mixed_branches():
-    state = two_mode({(1, 0): 1 / math.sqrt(2), (2, 0): 1 / math.sqrt(2)}, 2)
-    with pytest.raises(SupportError):
-        j_squared_eigencheck(state, PHOTONIC)
 
 
 def test_rotation_full_turn_is_identity():
