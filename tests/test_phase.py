@@ -8,6 +8,7 @@ from relphase import (
     AliasingError,
     AngularPdf,
     SingleModeState,
+    make_coherent_state,
     make_number_state,
     phase_pdf,
     phase_wavefunction,
@@ -98,6 +99,48 @@ def test_shift_property_rotates_density():
     moved = phase_pdf(shifted, k).density
     # moved(phi) = base(phi + theta), a circular shift on the grid
     assert np.abs(moved - np.roll(base, -steps)).max() < 1e-12
+
+
+def number_moments_from_samples(wf, order):
+    """sum_n n^order |psi_n|^2, with psi_n recovered from the K samples by inverting
+    psi(phi) = sum_n psi_n e^{-i n phi} over n = 0 .. K-1."""
+    n = np.arange(wf.phi.size)
+    coeffs = np.exp(1j * np.outer(n, wf.phi)) @ wf.values / wf.phi.size
+    return float(np.sum(n.astype(float) ** order * np.abs(coeffs) ** 2))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_wavefunction_samples_recover_number_moments(order):
+    # K > n_max samples carry the whole number distribution: nothing aliases
+    rng = np.random.default_rng(order)
+    for _ in range(20):
+        n_max = int(rng.integers(0, 25))
+        psi = oracles.random_single(rng, n_max)
+        got = number_moments_from_samples(phase_wavefunction(SingleModeState(psi), 256), order)
+        want = float(np.sum(np.arange(n_max + 1) ** order * np.abs(psi) ** 2))
+        assert abs(got - want) < 1e-8 * max(1.0, want)
+
+
+def test_number_moment_coherent_mean():
+    wf = phase_wavefunction(make_coherent_state(2.0), 1024)
+    assert abs(number_moments_from_samples(wf, 1) - 4.0) < 1e-6
+
+
+def test_two_term_density_zero_at_branch_cut():
+    k = 1024
+    pdf = phase_pdf(TWO_TERM, k)
+    assert pdf.density[0] < 1e-30 and pdf.phi[0] == -np.pi  # exact zero at phi = -pi
+    assert np.count_nonzero(pdf.density < 1e-6) == 1
+
+
+def test_random_state_density_zeros_are_isolated():
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        psi = oracles.random_single(rng, 8)
+        density = phase_pdf(SingleModeState(psi), 512).density
+        assert np.count_nonzero(density < 1e-30) <= 4
+        counts = [np.count_nonzero(density < eps) for eps in (1e-2, 1e-6, 1e-12, 1e-30)]
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

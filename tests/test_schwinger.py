@@ -15,6 +15,7 @@ from relphase import (
     marginal_pdf,
     rotate_z,
 )
+from relphase.schwinger import CommutatorReport
 
 PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC
@@ -65,6 +66,36 @@ def test_ladder_matrix_elements_match_kron_oracle():
             for (ns, na), v in oracles.to_dict(img.amplitudes).items():
                 got[ns * d + na] = v
             assert np.abs(got - want).max() < 1e-12
+
+
+def j_squared(state, convention):
+    """J^2 = (J_+ J_- + J_- J_+)/2 + J_z^2 applied through the ladder actions."""
+    up_down = apply_jplus(apply_jminus(state, convention), convention).amplitudes
+    down_up = apply_jminus(apply_jplus(state, convention), convention).amplitudes
+    return (up_down + down_up) / 2.0 + apply_jz(apply_jz(state, convention), convention).amplitudes
+
+
+def assert_casimir(state, convention, value):
+    assert np.abs(j_squared(state, convention) - value * state.amplitudes).max() < 1e-12
+
+
+def test_jsquared_photonic_one_photon():
+    # Pauli algebra on the doubled operators: eigenvalue j(j+2) = 3
+    assert_casimir(two_mode({(1, 0): 1.0}, 1), PHOTONIC, 3.0)
+
+
+def test_jsquared_photonic_two_photon_branch():
+    assert_casimir(two_mode(oracles.xnumber_amp(2), 2), PHOTONIC, 8.0)  # j(j+2) with j=2
+
+
+def test_jsquared_fermionic():
+    assert_casimir(two_mode({(1, 1): 1.0}, 2), FERMIONIC, 2.0)  # j(j+1) with j=1
+    assert_casimir(two_mode({(1, 0): 1.0}, 1), FERMIONIC, 0.75)  # j=1/2
+
+
+def test_casimir_residual_counts_in_max_residual():
+    report = CommutatorReport(2.0, cyclic_xyz=0.0, z_ladder=0.0, ladder_pair=0.0, casimir=0.5)
+    assert report.max_residual() == 0.5
 
 
 def test_rotation_full_turn_is_identity():
