@@ -21,6 +21,7 @@ _EXPORTS = {
         "PrimitiveConvention",
         "SingleModeState",
         "TwoModeState",
+        "angular_grid",
         "jm_labels",
         "make_coherent_state",
         "make_number_state",
@@ -39,7 +40,6 @@ _EXPORTS = {
     "phase": (
         "AngularPdf",
         "PhaseWavefunction",
-        "angular_grid",
         "phase_pdf",
         "phase_wavefunction",
     ),

@@ -36,6 +36,7 @@ import numpy as np  # noqa: E402
 from . import __version__
 from .errors import RelphaseError
 from .fock import (
+    DEFAULT_GRID_SIZE,
     DEFAULT_TAIL_TOL,
     SingleModeState,
     TwoModeState,
@@ -246,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if k:
             p.add_argument(
-                "--k", type=_grid_size, default=1024, help="angular grid size (default 1024)"
+                "--k", type=_grid_size, default=DEFAULT_GRID_SIZE,
+                help=f"angular grid size (default {DEFAULT_GRID_SIZE})",
             )
         if kt:
             p.add_argument(

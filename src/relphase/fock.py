@@ -17,9 +17,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import RelphaseError, TruncationError
+from .errors import AliasingError, RelphaseError, TruncationError
 
 DEFAULT_TAIL_TOL = 1e-12  # largest Poisson tail mass a coherent truncation may discard
+DEFAULT_GRID_SIZE = 1024  # angular grid size K of every density on [-pi, pi)
 # dense state budget: 2**24 complex128 amplitudes (256 MiB), a two-mode n_max <= 4095
 MAX_AMPLITUDES = 2**24
 # working-set budget: the largest array a kernel builds, 2**26 complex128 cells (1 GiB)
@@ -121,6 +122,43 @@ def check_cells(shape: tuple[int, ...], what: str) -> None:
             f"{what} of {' x '.join(map(str, shape))} cells is over the working-set "
             f"budget of {MAX_CELLS} cells"
         )
+
+
+# --- the angular grid phi_j = -pi + 2 pi j / K and its one Fourier placement rule ---
+
+
+def angular_grid(k: int) -> np.ndarray:
+    """K uniformly spaced angles on [-pi, pi)."""
+    if k < 1:
+        raise ValueError("grid size must be positive")
+    return -np.pi + 2.0 * np.pi * np.arange(k) / k
+
+
+def check_grid(k: int, m_max: float) -> None:
+    """Refuse a K-point grid that aliases frequencies up to |m| = m_max (K <= 2 m_max)."""
+    if k <= 2 * m_max:
+        raise AliasingError(f"grid size {k} admits aliasing: need K > {2 * m_max:g}")
+
+
+def scatter_series(shape: tuple, k: int, index: tuple, freqs: np.ndarray, coeffs) -> np.ndarray:
+    """Rows sum_f c_f e^{-i f phi_j} on the K-point grid: (-1)^f c_f goes to index +
+    (f mod K,) of a zero shape + (K,) array, FFT'd along its last axis, since here
+    e^{-i f phi_j} = (-1)^f e^{-2 pi i f j / K}. One row's f must be distinct mod K."""
+    check_cells(tuple(shape) + (k,), "an angular grid")
+    packed = np.zeros(tuple(shape) + (k,), dtype=complex)
+    packed[index + (freqs % k,)] = np.where(freqs % 2, -coeffs, coeffs)
+    return np.fft.fft(packed, axis=-1)
+
+
+def eval_fourier_series(coeffs: np.ndarray, k: int, lo: int = 0) -> np.ndarray:
+    """f(phi_j) = sum_n c[..., n] e^{-i (lo + n) phi_j} on the K-point grid: the last axis
+    holds consecutive frequencies from lo, leading axes are independent series, and
+    the frequency span must be < K."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    span = coeffs.shape[-1]
+    if span > k:
+        raise AliasingError(f"frequency span {span - 1} does not fit a {k}-point grid")
+    return scatter_series(coeffs.shape[:-1], k, (...,), lo + np.arange(span), coeffs)
 
 
 @dataclass(frozen=True)
@@ -320,7 +358,10 @@ def _json_real(value) -> float:
 
 def state_from_json(text: str) -> SingleModeState | TwoModeState:
     """Read a state document; any malformed field raises ValueError."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise ValueError("state document nests too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("amps"), list):
         raise ValueError('state document needs "kind", "n_max" and an "amps" list')
     kind, n_max = doc.get("kind"), _json_int(doc.get("n_max"), math.inf, "n_max")

@@ -20,8 +20,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import SupportError
-from .fock import SingleModeState, TwoModeState
-from .phase import DEFAULT_GRID_SIZE, AngularPdf, angular_grid, eval_fourier_series
+from .fock import (DEFAULT_GRID_SIZE, SingleModeState, TwoModeState, angular_grid, check_grid,
+                   eval_fourier_series)
+from .phase import AngularPdf
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,7 @@ def two_sided_coefficients(state: TwoModeState) -> tuple[int, np.ndarray]:
 def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
     """Two-sided phase density |sum_m psi_m e^{-i m phi}|^2 / 2pi."""
     lo, coeffs = two_sided_coefficients(state)
+    check_grid(k, max(-lo, lo + coeffs.size - 1))
     values = eval_fourier_series(coeffs, k, lo)
     norm = math.fsum(abs(c) ** 2 for c in coeffs)
     return AngularPdf(angular_grid(k), np.abs(values) ** 2 / (2.0 * np.pi * norm))

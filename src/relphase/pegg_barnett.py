@@ -13,9 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import SingleModeState, check_cells
-
-BRANCH_CUT = -np.pi
+from .fock import SingleModeState, angular_grid, eval_fourier_series
 
 
 @dataclass(frozen=True)
@@ -39,25 +37,16 @@ class DiscretePhasePmf:
             raise ValueError("masses must sum to 1")
 
 
-def _truncated(state: SingleModeState, s: int) -> np.ndarray:
-    """The amplitudes at n <= s, renormalized by fock's rule."""
+def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:
+    """Discrete-phase masses of the state truncated to n <= s, renormalized by fock's rule."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
     psi = state.amplitudes[: s + 1]
     if not psi.any():
         raise ValueError(f"state has no support at or below n={s}")
-    return SingleModeState.from_amplitudes(psi).amplitudes
-
-
-def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:
-    """Discrete-phase masses of the state truncated to n <= s."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    check_cells((s + 1,), "a discrete phase grid")
-    psi = _truncated(state, s)
-    theta = BRANCH_CUT + 2.0 * np.pi * np.arange(s + 1) / (s + 1)
-    signs = np.where(np.arange(psi.size) % 2, -1.0, 1.0)
-    inner = np.fft.fft(psi * signs, n=s + 1)  # e^{-i n theta_m} with theta_0 = -pi
-    masses = np.abs(inner) ** 2 / (s + 1)
-    return DiscretePhasePmf(s, theta, masses)
+    psi = SingleModeState.from_amplitudes(psi).amplitudes
+    masses = np.abs(eval_fourier_series(psi, s + 1)) ** 2 / (s + 1)
+    return DiscretePhasePmf(s, angular_grid(s + 1), masses)
 
 
 def phase_cdf(state: SingleModeState, x: np.ndarray) -> np.ndarray:

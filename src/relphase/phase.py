@@ -12,46 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError
-from .fock import SingleModeState, check_cells
-
-DEFAULT_GRID_SIZE = 1024
-
-
-def angular_grid(k: int) -> np.ndarray:
-    """K uniformly spaced angles on [-pi, pi)."""
-    if k < 1:
-        raise ValueError("grid size must be positive")
-    return -np.pi + 2.0 * np.pi * np.arange(k) / k
-
-
-def check_grid(k: int, m_max: float) -> None:
-    """Refuse a K-point grid that aliases frequencies up to |m| = m_max (K <= 2 m_max)."""
-    if k <= 2 * m_max:
-        raise AliasingError(f"grid size {k} admits aliasing: need K > {2 * m_max:g}")
-
-
-def scatter_series(shape: tuple, k: int, index: tuple, freqs: np.ndarray, coeffs) -> np.ndarray:
-    """Rows sum_f c_f e^{-i f phi_j} on the K-point grid: (-1)^f c_f goes to index +
-    (f mod K,) of a zero shape + (K,) array, FFT'd along its last axis, since here
-    e^{-i f phi_j} = (-1)^f e^{-2 pi i f j / K}. One row's f must be distinct mod K."""
-    check_cells(tuple(shape) + (k,), "an angular grid")
-    packed = np.zeros(tuple(shape) + (k,), dtype=complex)
-    packed[index + (freqs % k,)] = np.where(freqs % 2, -coeffs, coeffs)
-    return np.fft.fft(packed, axis=-1)
-
-
-def eval_fourier_series(coeffs: np.ndarray, k: int, lo: int = 0) -> np.ndarray:
-    """Evaluate f(phi_j) = sum_n c[..., n] e^{-i (lo + n) phi_j} on the K-point grid.
-
-    The last axis holds consecutive integer frequencies starting at lo; leading
-    axes are independent series. The frequency span must be < K.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    span = coeffs.shape[-1]
-    if span > k:
-        raise AliasingError(f"frequency span {span - 1} does not fit a {k}-point grid")
-    return scatter_series(coeffs.shape[:-1], k, (...,), lo + np.arange(span), coeffs)
+from .fock import DEFAULT_GRID_SIZE, SingleModeState, angular_grid, check_grid, eval_fourier_series
 
 
 @dataclass(frozen=True)
@@ -98,7 +59,9 @@ class AngularPdf:
         return float(self.density.sum() / self.density.size) * 2.0 * np.pi  # np.mean's bits, less overhead
 
     def value_at(self, phi: float) -> float:
-        """Density at a grid-aligned angle (exact index lookup)."""
+        """Density at a grid-aligned angle in [-pi, pi] (exact index lookup; pi is -pi)."""
+        if not -np.pi <= phi <= np.pi:  # nan included
+            raise ValueError(f"phi={phi} is not an angle in [-pi, pi]")
         k = self.phi.size
         idx = (phi + np.pi) * k / (2.0 * np.pi)
         j = int(round(idx))

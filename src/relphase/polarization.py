@@ -15,8 +15,9 @@ from typing import Union
 import numpy as np
 
 from .errors import TruncationError
-from .fock import DEFAULT_TAIL_TOL, TwoModeState, _coherent_state, check_budget, coherent_truncation, simplex
-from .phase import DEFAULT_GRID_SIZE, AngularPdf
+from .fock import (DEFAULT_GRID_SIZE, DEFAULT_TAIL_TOL, TwoModeState, _coherent_state, check_budget,
+                   coherent_truncation, simplex)
+from .phase import AngularPdf
 from .pom import marginal_pdf
 
 

@@ -24,8 +24,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AliasingError, ConditioningError, SupportError
-from .fock import PrimitiveConvention, TwoModeState, check_cells, jm_labels
-from .phase import DEFAULT_GRID_SIZE, AngularPdf, angular_grid, check_grid, scatter_series
+from .fock import (DEFAULT_GRID_SIZE, PrimitiveConvention, TwoModeState, angular_grid, check_cells,
+                   check_grid, jm_labels, scatter_series)
+from .phase import AngularPdf
 
 C_MIN = 1e-12
 DEFAULT_KT = 256  # smallest default time grid

@@ -344,6 +344,16 @@ def test_json_non_finite_or_huge_amplitude_is_exit_2(capsys, tmp_path, command, 
     assert one_line_error(code, err) and out == ""
 
 
+@pytest.mark.parametrize("command, flag", [("phase", "--state"), ("ellipse", "--pol")])
+def test_deeply_nested_json_state_is_exit_2(capsys, tmp_path, command, flag):
+    # json's decoder recurses once per level, so 200,000 levels pass the interpreter's limit
+    path, out = tmp_path / "deep.json", tmp_path / "out.csv"
+    path.write_text("[" * 200_000)
+    code, stdout, err = run(capsys, command, flag, f"file:{path}", "--out", str(out))
+    assert one_line_error(code, err) and stdout == "" and not out.exists()
+    assert "nests too deeply" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -203,6 +203,11 @@ def test_json_reader_rejects_malformed_documents(doc):
         state_from_json(json.dumps(doc))
 
 
+def test_json_reader_refuses_a_deeply_nested_document():
+    with pytest.raises(ValueError, match="nests too deeply"):
+        state_from_json("[" * 100_000)
+
+
 def test_two_mode_rejects_keys_beyond_truncation():
     with pytest.raises(ValueError, match=r"\(2, 1\) exceeds n_max=2"):
         two_mode({(2, 1): 1.0}, 2)

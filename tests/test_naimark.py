@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from relphase import (
+    AliasingError,
     SingleModeState,
     SupportError,
     TwoModeState,
@@ -155,6 +156,14 @@ def test_two_sided_peak_grows_without_single_mode_bound():
 def test_one_auxiliary_photon_is_uniform():
     pdf = generalized_phase_pdf(TwoModeState(oracles.to_array({(0, 1): 1.0}, 1)), 64)
     assert np.allclose(pdf.density, 1 / (2 * np.pi))
+
+
+def test_two_sided_density_refuses_a_grid_that_aliases_its_largest_m():
+    # |0,3> + |2,0> spans m = -3..2: K = 6 fits the span but aliases m = -3 onto m = 3
+    state = TwoModeState(oracles.to_array({(0, 3): 1.0, (2, 0): 1.0}, 3) / math.sqrt(2))
+    with pytest.raises(AliasingError, match="need K > 6"):
+        generalized_phase_pdf(state, 6)
+    assert generalized_phase_pdf(state, 7).density.size == 7
 
 
 def test_off_subspace_support_is_rejected():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ def test_angular_pdf_refuses_non_finite_densities(bad):
     # NaN passed both the sign and the integral guards before
     with pytest.raises(ValueError, match="finite"):
         AngularPdf(angular_grid(4), [bad] * 4)
+
+
+@pytest.mark.parametrize("phi, index", [
+    (math.inf, None), (math.nan, None), (1e300, None), (4.0, None),
+    (math.pi, 0), (-math.pi, 0), (-math.pi / 4, 3),
+])
+def test_value_at_takes_only_angles_in_minus_pi_to_pi(phi, index):
+    # no grid resolves these: inf and nan have no index, and one ulp of 1e300 spans many cells
+    pdf = phase_pdf(SingleModeState.from_amplitudes([1.0, 0.5]), 8)
+    if index is None:
+        with pytest.raises(ValueError, match=re.escape(f"phi={phi} ")):
+            pdf.value_at(phi)
+    else:
+        assert pdf.value_at(phi) == pdf.density[index]
 
 
 def test_value_at_accepts_grid_angles_and_refuses_off_grid_ones_at_k_2_24():

@@ -18,7 +18,7 @@ from relphase import (
     marginal_pdf,
     snapshot_sweep,
 )
-from relphase.phase import angular_grid, scatter_series
+from relphase.fock import angular_grid, scatter_series
 from relphase.pom import C_MIN, time_grid_size
 
 PHOTONIC = PrimitiveConvention.PHOTONIC

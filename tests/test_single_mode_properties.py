@@ -1,0 +1,73 @@
+"""Property tests: single-mode kernels on the angular grid against the direct-sum oracles."""
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
+from relphase import (
+    AliasingError,
+    SingleModeState,
+    generalized_phase_pdf,
+    make_coherent_state,
+    make_number_state,
+    pb_pmf,
+    phase_pdf,
+    single_to_two_mode,
+)
+from relphase.fock import angular_grid
+
+MAX_N = 24
+amplitude = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+near_unit = st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+states = st.one_of(
+    st.lists(amplitude, min_size=1, max_size=MAX_N + 1).filter(any).map(SingleModeState.from_amplitudes),
+    st.integers(0, MAX_N).flatmap(
+        lambda n_max: st.integers(0, n_max).map(lambda n: make_number_state(n, n_max))
+    ),
+    st.tuples(st.floats(0.0, 3.0), st.floats(-math.pi, math.pi)).map(
+        lambda p: make_coherent_state(math.sqrt(p[0]) * cmath.exp(1j * p[1]))
+    ),
+    # the squared norm underflows: from_amplitudes rescales before it divides
+    st.lists(near_unit, min_size=1, max_size=MAX_N + 1).map(
+        lambda amps: SingleModeState.from_amplitudes(np.array(amps) * 1e-160)
+    ),
+)
+
+
+def series(state):
+    return {n: c for n, c in enumerate(state.amplitudes.tolist())}
+
+
+@given(states.flatmap(lambda s: st.tuples(st.just(s), st.integers(s.n_max, 3 * s.n_max + 5))))
+def test_pb_masses_match_the_direct_sum_on_the_angular_grid(case):
+    state, s = case
+    pmf = pb_pmf(state, s)
+    assert np.array_equal(pmf.theta, angular_grid(s + 1))
+    want = np.abs(oracles.direct_series(series(state), pmf.theta)) ** 2 / (s + 1)
+    assert np.max(np.abs(pmf.masses - want)) < 1e-12
+    assert abs(math.fsum(pmf.masses) - 1.0) < 1e-12
+
+
+@given(states.flatmap(lambda s: st.tuples(st.just(s), st.integers(1, 4 * s.n_max + 8))))
+def test_two_sided_density_of_a_single_mode_is_its_phase_density(case):
+    state, k = case
+    two = single_to_two_mode(state)
+    m_max = int(np.flatnonzero(state.amplitudes)[-1])  # the largest |m| of the two-sided support
+    if k <= 2 * m_max:
+        with pytest.raises(AliasingError):
+            phase_pdf(state, k)
+        with pytest.raises(AliasingError):
+            generalized_phase_pdf(two, k)
+        return
+    two_sided = generalized_phase_pdf(two, k)
+    want = oracles.direct_phase_pdf(state.amplitudes, angular_grid(k))
+    assert np.max(np.abs(two_sided.density - want)) < 1e-12
+    if k > 2 * state.n_max:  # phase_pdf bounds K by the declared n_max, not by the support
+        one_sided = phase_pdf(state, k)
+        assert np.array_equal(two_sided.phi, one_sided.phi)
+        assert np.max(np.abs(two_sided.density - one_sided.density)) < 1e-12
