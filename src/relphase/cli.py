@@ -37,6 +37,7 @@ from . import __version__
 from .errors import RelphaseError
 from .fock import (
     DEFAULT_GRID_SIZE,
+    DEFAULT_KT,
     DEFAULT_TAIL_TOL,
     SingleModeState,
     TwoModeState,
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         if kt:
             p.add_argument(
                 "--kt", type=_grid_size, default=None,
-                help="time grid size (default: the larger of 256 and the state's "
+                help=f"time grid size (default: the larger of {DEFAULT_KT} and the state's "
                 "exact-quadrature size)",
             )
         p.add_argument("--n-max", type=_n_max, default=None, help="Fock truncation override")

@@ -21,6 +21,7 @@ from .errors import AliasingError, RelphaseError, TruncationError
 
 DEFAULT_TAIL_TOL = 1e-12  # largest Poisson tail mass a coherent truncation may discard
 DEFAULT_GRID_SIZE = 1024  # angular grid size K of every density on [-pi, pi)
+DEFAULT_KT = 256  # smallest default time grid
 # dense state budget: 2**24 complex128 amplitudes (256 MiB), a two-mode n_max <= 4095
 MAX_AMPLITUDES = 2**24
 # working-set budget: the largest array a kernel builds, 2**26 complex128 cells (1 GiB)
@@ -163,7 +164,8 @@ def eval_fourier_series(coeffs: np.ndarray, k: int, lo: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoModeState:
-    """Amplitudes a[n_s, n_a] on the simplex n_s + n_a <= n_max, held dense.
+    """Amplitudes a[n_s, n_a] on the simplex n_s + n_a <= n_max, held dense, and the
+    convention that reads the occupations as (j, m).
 
     The array is (n_max+1) x (n_max+1) and zero wherever n_s + n_a > n_max.
     The container itself admits any norm (operator images are returned
@@ -171,8 +173,11 @@ class TwoModeState:
     """
 
     amplitudes: np.ndarray
+    convention: PrimitiveConvention = PrimitiveConvention.PHOTONIC
 
     def __post_init__(self):
+        if not isinstance(self.convention, PrimitiveConvention):
+            raise TypeError(f"convention must be a PrimitiveConvention, not {self.convention!r}")
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 2 or amps.shape[0] != amps.shape[1] or amps.size == 0:
             raise ValueError("amplitudes must be a non-empty square 2-d array")
@@ -184,13 +189,15 @@ class TwoModeState:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def from_amplitudes(cls, amplitudes: np.ndarray) -> "TwoModeState":
+    def from_amplitudes(
+        cls, amplitudes: np.ndarray, convention: PrimitiveConvention = PrimitiveConvention.PHOTONIC
+    ) -> "TwoModeState":
         """Build and renormalize; rejects the zero array."""
         amps = np.ascontiguousarray(amplitudes, dtype=complex)
         # the norm of the support alone, in row-major order, then real division of
         # each part (numpy's complex / real multiplies by a rounded reciprocal)
         e, norm = _norm(amps[amps != 0])
-        return cls((_ldexp(amps, e).view(float) / norm).view(complex))
+        return cls((_ldexp(amps, e).view(float) / norm).view(complex), convention)
 
     @property
     def n_max(self) -> int:
@@ -331,7 +338,8 @@ def single_to_two_mode(state: SingleModeState) -> TwoModeState:
 
 # --- JSON interchange -------------------------------------------------------
 # {"kind": "single"|"two", "n_max": int, "amps": [[n_s, n_a, re, im], ...]}
-# Single-mode states use n_a = 0 rows.
+# Single-mode states use n_a = 0 rows. Documents hold amplitudes only: a two-mode
+# state's convention is not written, and a two-mode document reads as photonic.
 
 
 def state_to_json(state: SingleModeState | TwoModeState) -> str:

@@ -127,7 +127,8 @@ def two_sided_coefficients(state: TwoModeState) -> tuple[int, np.ndarray]:
 
 
 def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
-    """Two-sided phase density |sum_m psi_m e^{-i m phi}|^2 / 2pi."""
+    """Two-sided phase density |sum_m psi_m e^{-i m phi}|^2 / 2pi, with m = n_s - n_a
+    (the shift-subspace series) whatever the state's convention."""
     lo, coeffs = two_sided_coefficients(state)
     check_grid(k, max(-lo, lo + coeffs.size - 1))
     values = eval_fourier_series(coeffs, k, lo)

@@ -24,14 +24,12 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AliasingError, ConditioningError, SupportError
-from .fock import (DEFAULT_GRID_SIZE, PrimitiveConvention, TwoModeState, angular_grid, check_cells,
-                   check_grid, jm_labels, scatter_series)
+from .fock import (DEFAULT_GRID_SIZE, DEFAULT_KT, PrimitiveConvention, TwoModeState, angular_grid,
+                   check_cells, check_grid, jm_labels, scatter_series)
 from .phase import AngularPdf
 
 C_MIN = 1e-12
-DEFAULT_KT = 256  # smallest default time grid
 _BLOCK_CELLS = 1 << 16  # cells of one block of snapshot_sweep's angular transients
-PHOTONIC = PrimitiveConvention.PHOTONIC
 
 
 @dataclass(frozen=True)
@@ -62,18 +60,18 @@ def _check_norm(total: float) -> None:  # total: the branch norms' sum
         raise ValueError(f"branch norms sum to {total!r}, not 1")
 
 
-def _cells(state: TwoModeState, convention: PrimitiveConvention):
+def _cells(state: TwoModeState):
     """(j, m, v): the labels and amplitudes of the nonzero cells, in (n_s, n_a) order."""
     ns, na = np.nonzero(state.amplitudes)
-    j, m = jm_labels(ns, na, convention)
+    j, m = jm_labels(ns, na, state.convention)
     return j, m, state.amplitudes[ns, na]
 
 
-def _branches(state: TwoModeState, convention: PrimitiveConvention, k: int):
+def _branches(state: TwoModeState, k: int):
     """(js, values): the occupied j, ascending, and Psi_j on the K-point grid.
     A cell lands in its branch's row at frequency floor(m), distinct there (one m
     lattice per j); half-integer branches get back the e^{-i phi/2} this drops."""
-    j, m, v = _cells(state, convention)
+    j, m, v = _cells(state)
     check_grid(k, np.abs(m).max())
     js, rows = np.unique(j, return_inverse=True)
     values = scatter_series((js.size,), k, (rows,), np.floor(m).astype(int), v)
@@ -98,54 +96,42 @@ def _conditioned(j, m, v, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ms, b[: ts.size], c[: ts.size]
 
 
-def branch_wavefunctions(
-    state: TwoModeState, k: int = DEFAULT_GRID_SIZE, *, convention: PrimitiveConvention = PHOTONIC
-) -> BranchSet:
+def branch_wavefunctions(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> BranchSet:
     """Sample Psi_j(phi) = sum_m Psi_{j,m} e^{-i m phi} for every branch."""
-    js, values = _branches(state, convention, k)
-    return BranchSet(convention, angular_grid(k), dict(zip(js.tolist(), values)))
+    js, values = _branches(state, k)
+    return BranchSet(state.convention, angular_grid(k), dict(zip(js.tolist(), values)))
 
 
-def marginal_pdf(
-    state: TwoModeState, k: int = DEFAULT_GRID_SIZE, *, convention: PrimitiveConvention = PHOTONIC
-) -> AngularPdf:
+def marginal_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
     """Time-averaged distribution: branch probabilities added in ascending j."""
-    power = sum(np.abs(row) ** 2 for row in _branches(state, convention, k)[1])
+    power = sum(np.abs(row) ** 2 for row in _branches(state, k)[1])
     total = float(np.mean(power))  # the branch norms' sum
     _check_norm(total)
     return AngularPdf(angular_grid(k), power / (2.0 * np.pi * total))
 
 
-def conditioning_probability(
-    state: TwoModeState, t: float, *, convention: PrimitiveConvention = PHOTONIC
-) -> float:
+def conditioning_probability(state: TwoModeState, t: float) -> float:
     """C(t) = sum_m |sum_j Psi_{j,m} e^{-i j t}|^2 (2pi times the time density)."""
-    return float(_conditioned(*_cells(state, convention), [t])[2][0])
+    return float(_conditioned(*_cells(state), [t])[2][0])
 
 
-def snapshot_pdf(
-    state: TwoModeState, t: float, k: int = DEFAULT_GRID_SIZE,
-    *, convention: PrimitiveConvention = PHOTONIC,
-) -> AngularPdf:
+def snapshot_pdf(state: TwoModeState, t: float, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
     """Conditional distribution at time t: branch amplitudes added.
 
     Refuses times of numerically vanishing conditioning probability instead
     of renormalizing noise.
     """
-    (pdf,) = snapshot_sweep(state, [t], k, convention=convention)
+    (pdf,) = snapshot_sweep(state, [t], k)
     if pdf is None:
-        c = conditioning_probability(state, t, convention=convention)
+        c = conditioning_probability(state, t)
         raise ConditioningError(f"conditioning probability {c:.3e} at t={t} is below {C_MIN:g}")
     return pdf
 
 
-def snapshot_sweep(
-    state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE,
-    *, convention: PrimitiveConvention = PHOTONIC,
-) -> list[AngularPdf | None]:
+def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> list[AngularPdf | None]:
     """Snapshots along a time grid; refused times yield None (gaps). The live times'
     densities fill one float64 array _BLOCK_CELLS at a time: no complex kt x K transient."""
-    j, m, v = _cells(state, convention)
+    j, m, v = _cells(state)
     check_grid(k, np.abs(m).max())
     # snapshots add amplitudes across m: mixed integer/half-integer m interfere 4pi-periodically
     if np.any(m % 1 != m[0] % 1):
@@ -167,21 +153,18 @@ def snapshot_sweep(
     return [None if gap else AngularPdf(phi, next(densities)) for gap in refused]
 
 
-def time_grid_size(state: TwoModeState, convention: PrimitiveConvention = PHOTONIC) -> int:
+def time_grid_size(state: TwoModeState) -> int:
     """Grid large enough to integrate every branch-difference exponential exactly:
     4 (ceil(j_max) + 1), j_max from each n_s row's last amplitude (no read of the cells)."""
     occupied = state.amplitudes[:, ::-1] != 0  # row n_s's last amplitude is at n_a = n_max - argmax
     n_sum = (np.arange(state.n_max + 1) - occupied.argmax(axis=1))[occupied.any(axis=1)].max() + state.n_max
-    return 4 * (int(math.ceil(jm_labels(n_sum, 0, convention)[0])) + 1)
+    return 4 * (int(math.ceil(jm_labels(n_sum, 0, state.convention)[0])) + 1)
 
 
 def time_grid(state: TwoModeState, k_t: int | None = None) -> int:
     """k_t, by default the larger of DEFAULT_KT and time_grid_size; refuses a grid
     below time_grid_size or over the working-set budget."""
-    return _time_grid(time_grid_size(state), k_t)
-
-
-def _time_grid(needed: int, k_t: int | None) -> int:
+    needed = time_grid_size(state)
     k_t = max(DEFAULT_KT, needed) if k_t is None else k_t
     if k_t < needed:
         raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
@@ -189,10 +172,8 @@ def _time_grid(needed: int, k_t: int | None) -> int:
     return k_t
 
 
-def absolute_time_pdf(
-    state: TwoModeState, k_t: int | None = None, *, convention: PrimitiveConvention = PHOTONIC
-) -> AngularPdf:
+def absolute_time_pdf(state: TwoModeState, k_t: int | None = None) -> AngularPdf:
     """Density of the conditioning time, C(t)/2pi, on time_grid(state, k_t) points of [-pi, pi)."""
-    j, m, v = _cells(state, convention)
-    ts = angular_grid(_time_grid(time_grid_size(state, convention), k_t))
+    j, m, v = _cells(state)
+    ts = angular_grid(time_grid(state, k_t))
     return AngularPdf(ts, _conditioned(j, m, v, ts)[2] / (2.0 * np.pi))

@@ -23,35 +23,36 @@ def _scale(convention: PrimitiveConvention) -> float:
     return 2.0 if convention is PrimitiveConvention.PHOTONIC else 1.0
 
 
-def apply_jz(state: TwoModeState, convention: PrimitiveConvention) -> TwoModeState:
+def apply_jz(state: TwoModeState) -> TwoModeState:
     """J_z image (unnormalized): amplitude times m."""
     n = np.arange(state.n_max + 1)
-    return TwoModeState(state.amplitudes * jm_labels(n[:, None], n, convention)[1])
+    return TwoModeState(state.amplitudes * jm_labels(n[:, None], n, state.convention)[1], state.convention)
 
 
-def apply_jplus(state: TwoModeState, convention: PrimitiveConvention) -> TwoModeState:
+def apply_jplus(state: TwoModeState) -> TwoModeState:
     """J_+ image (unnormalized): moves one quantum from the second mode to the first."""
     n = np.arange(1, state.n_max + 1)
     out = np.zeros_like(state.amplitudes)
     # (n_s, n_a) -> (n_s + 1, n_a - 1) with weight sqrt((n_s + 1) n_a)
-    out[1:, :-1] = _scale(convention) * np.sqrt(np.outer(n, n)) * state.amplitudes[:-1, 1:]
-    return TwoModeState(out)
+    out[1:, :-1] = _scale(state.convention) * np.sqrt(np.outer(n, n)) * state.amplitudes[:-1, 1:]
+    return TwoModeState(out, state.convention)
 
 
-def apply_jminus(state: TwoModeState, convention: PrimitiveConvention) -> TwoModeState:
+def apply_jminus(state: TwoModeState) -> TwoModeState:
     """J_- image (unnormalized): moves one quantum from the first mode to the second."""
     n = np.arange(1, state.n_max + 1)
     out = np.zeros_like(state.amplitudes)
     # (n_s, n_a) -> (n_s - 1, n_a + 1) with weight sqrt(n_s (n_a + 1))
-    out[:-1, 1:] = _scale(convention) * np.sqrt(np.outer(n, n)) * state.amplitudes[1:, :-1]
-    return TwoModeState(out)
+    out[:-1, 1:] = _scale(state.convention) * np.sqrt(np.outer(n, n)) * state.amplitudes[1:, :-1]
+    return TwoModeState(out, state.convention)
 
 
 def rotate_z(state: TwoModeState, phi: float) -> TwoModeState:
-    """Rotation about z in the circular (photonic) basis: phase e^{-i(n_r-n_l)phi}."""
+    """Rotation about z in the circular (photonic) basis: phase e^{-i(n_r-n_l)phi}
+    whatever the state's convention, which the image keeps."""
     n = np.arange(state.n_max + 1)
     _, m = jm_labels(n[:, None], n, PrimitiveConvention.PHOTONIC)
-    return TwoModeState(state.amplitudes * np.exp(-1j * m * phi))
+    return TwoModeState(state.amplitudes * np.exp(-1j * m * phi), state.convention)
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def _dense_operators(convention: PrimitiveConvention, n_max: int):
         for col, key in enumerate(zip(*basis)):
             unit = np.zeros((n_max + 1,) * 2, dtype=complex)
             unit[key] = 1.0
-            mat[:, col] = apply_fn(TwoModeState(unit), convention).amplitudes[basis]
+            mat[:, col] = apply_fn(TwoModeState(unit, convention)).amplitudes[basis]
         return mat
 
     return build(apply_jplus), build(apply_jminus), build(apply_jz), jm_labels(*basis, convention)[0]

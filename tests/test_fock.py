@@ -226,6 +226,33 @@ def test_two_mode_array_is_read_only():
         state.amplitudes[0, 0] = 0.5
 
 
+@pytest.mark.parametrize("convention", ["photonic", None, 1])
+def test_two_mode_convention_must_be_a_primitive_convention(convention):
+    with pytest.raises(TypeError, match="convention must be a PrimitiveConvention"):
+        TwoModeState(np.ones((1, 1)), convention)
+
+
+def test_from_amplitudes_keeps_its_convention():
+    amps = oracles.to_array(oracles.random_two_amp(np.random.default_rng(8), 3), 3)
+    assert TwoModeState.from_amplitudes(amps).convention is PHOTONIC
+    for convention in PrimitiveConvention:
+        state = TwoModeState.from_amplitudes(amps, convention)
+        assert state.convention is convention
+        assert state.amplitudes.tobytes() == TwoModeState.from_amplitudes(amps).amplitudes.tobytes()
+
+
+def test_constructors_without_a_convention_make_photonic_states():
+    fermionic = TwoModeState(oracles.to_array({(1, 0): 1.0}, 1), FERMIONIC)
+    made = [to_circular(XCoherent(2.0)), single_to_two_mode(make_number_state(1, 2)),
+            state_from_json(state_to_json(fermionic))]
+    assert [state.convention for state in made] == [PHOTONIC] * 3
+
+
+def test_json_holds_amplitudes_only():
+    amps = oracles.to_array(oracles.random_two_amp(np.random.default_rng(6), 4), 4)
+    assert state_to_json(TwoModeState(amps, FERMIONIC)) == state_to_json(TwoModeState(amps))
+
+
 def test_constructors_normalize():
     rng = np.random.default_rng(9)
     amp = {k: 3.7 * v for k, v in oracles.random_two_amp(rng, 5).items()}

@@ -87,6 +87,22 @@ def test_readme_layout_names_resolve_on_their_module():
     assert fresh(code) == "[]"
 
 
+def test_only_jm_labels_and_commutator_residuals_take_a_convention():
+    """A two-mode state carries its convention, so no public function over a state
+    asks for one: of the package's exports and the public functions of pom and
+    schwinger, only the two that take no state have a convention parameter."""
+    code = (
+        "import inspect, relphase\n"
+        "from relphase import pom, schwinger\n"
+        "fns = [getattr(relphase, n) for n in relphase.__all__]\n"
+        "fns += [f for m in (pom, schwinger) for n, f in vars(m).items()\n"
+        "        if not n.startswith('_') and inspect.isfunction(f) and f.__module__ == m.__name__]\n"
+        "print(sorted({f.__name__ for f in fns\n"
+        "              if inspect.isfunction(f) and 'convention' in inspect.signature(f).parameters}))\n"
+    )
+    assert fresh(code) == "['commutator_residuals', 'jm_labels']"
+
+
 def test_unknown_name_is_an_attribute_error():
     code = "import relphase\ntry:\n    relphase.nope\nexcept AttributeError:\n    print('ok')"
     assert fresh(code) == "ok"

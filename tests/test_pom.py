@@ -27,8 +27,8 @@ PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC
 
 
-def two_mode(amp, n_max):
-    return TwoModeState(oracles.to_array(amp, n_max))
+def two_mode(amp, n_max, convention=PHOTONIC):
+    return TwoModeState(oracles.to_array(amp, n_max), convention)
 
 
 def eq67_state():
@@ -193,15 +193,14 @@ def test_one_time_has_the_bits_of_the_same_time_on_a_grid(convention):
     would go to gemv, not to a grid's gemm)."""
     coh = to_circular(XCoherent(9.0))  # its even totals: one m lattice in either convention
     n = np.arange(coh.n_max + 1)
-    state = TwoModeState.from_amplitudes(coh.amplitudes * ((n[:, None] + n) % 2 == 0))
+    state = TwoModeState.from_amplitudes(coh.amplitudes * ((n[:, None] + n) % 2 == 0), convention)
     times = np.linspace(0.0, math.pi, 17)
-    for t, pdf in zip(times.tolist(), snapshot_sweep(state, times, 128, convention=convention)):
-        assert np.array_equal(snapshot_pdf(state, t, 128, convention=convention).density, pdf.density)
-    pdf = absolute_time_pdf(state, convention=convention)
-    one_by_one = [conditioning_probability(state, t, convention=convention) / (2 * np.pi)
-                  for t in pdf.phi.tolist()]
+    for t, pdf in zip(times.tolist(), snapshot_sweep(state, times, 128)):
+        assert np.array_equal(snapshot_pdf(state, t, 128).density, pdf.density)
+    pdf = absolute_time_pdf(state)
+    one_by_one = [conditioning_probability(state, t) / (2 * np.pi) for t in pdf.phi.tolist()]
     assert one_by_one == pdf.density.tolist()
-    assert snapshot_sweep(state, [], 128, convention=convention) == []
+    assert snapshot_sweep(state, [], 128) == []
 
 
 def test_default_time_grid_is_the_larger_of_256_and_the_state_size():
@@ -218,25 +217,25 @@ def test_fermionic_branches_and_time_density():
     # half-integer branches: marginal and time density stay 2 pi-periodic
     rng = np.random.default_rng(7)
     amp = oracles.random_two_amp(rng, 5)
-    state = two_mode(amp, 5)
+    state = two_mode(amp, 5, FERMIONIC)
     assert any(jm_labels(*key, FERMIONIC)[0] % 1 for key in amp)  # genuinely half-integer
-    assert abs(marginal_pdf(state, 64, convention=FERMIONIC).integral() - 1.0) < 1e-10
-    pdf = absolute_time_pdf(state, convention=FERMIONIC)
+    assert abs(marginal_pdf(state, 64).integral() - 1.0) < 1e-10
+    pdf = absolute_time_pdf(state)
     assert abs(pdf.integral() - 1.0) < 1e-8
 
 
 def test_fermionic_snapshot_needs_single_m_lattice():
     # mixed integer/half-integer m interferes with period 4 pi: refused
     rng = np.random.default_rng(7)
-    mixed = random_state(rng, 5)
+    mixed = two_mode(oracles.random_two_amp(rng, 5), 5, FERMIONIC)
     with pytest.raises(SupportError):
-        snapshot_pdf(mixed, 0.9, 64, convention=FERMIONIC)
+        snapshot_pdf(mixed, 0.9, 64)
     # same-parity totals keep all m on one lattice: snapshot is well defined
     amp = {k: v for k, v in oracles.random_two_amp(rng, 6).items() if (k[0] + k[1]) % 2 == 1}
     norm = math.sqrt(sum(abs(v) ** 2 for v in amp.values()))
     amp = {k: v / norm for k, v in amp.items()}
-    odd = two_mode(amp, 6)
-    assert abs(snapshot_pdf(odd, 0.9, 64, convention=FERMIONIC).integral() - 1.0) < 1e-10
+    odd = two_mode(amp, 6, FERMIONIC)
+    assert abs(snapshot_pdf(odd, 0.9, 64).integral() - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("kernel", [marginal_pdf, branch_wavefunctions])
@@ -252,22 +251,22 @@ def test_unnormalized_state_is_refused(kernel):
 @pytest.mark.parametrize(
     "kernel",
     [
-        lambda state, k, convention: marginal_pdf(state, k, convention=convention),
-        lambda state, k, convention: snapshot_sweep(state, [0.0, 1.0], k, convention=convention),
+        lambda state, k: marginal_pdf(state, k),
+        lambda state, k: snapshot_sweep(state, [0.0, 1.0], k),
     ],
     ids=["marginal_pdf", "snapshot_sweep"],
 )
 def test_grid_of_twice_the_largest_m_is_refused(kernel, convention, refused):
-    state = two_mode({(5, 0): 1.0}, 5)
+    state = two_mode({(5, 0): 1.0}, 5, convention)
     with pytest.raises(AliasingError, match=f"grid size {refused} admits aliasing"):
-        kernel(state, refused, convention)
-    kernel(state, refused + 1, convention)
+        kernel(state, refused)
+    kernel(state, refused + 1)
 
 
 def test_grid_check_runs_before_the_m_lattice_check():
     # m = 2.5 and m = 0 mix the lattices; a grid of 5 also aliases m = 2.5
-    state = two_mode({(5, 0): 0.6, (1, 1): 0.8}, 5)
+    state = two_mode({(5, 0): 0.6, (1, 1): 0.8}, 5, FERMIONIC)
     with pytest.raises(AliasingError):
-        snapshot_sweep(state, [0.0], 5, convention=FERMIONIC)
+        snapshot_sweep(state, [0.0], 5)
     with pytest.raises(SupportError):
-        snapshot_sweep(state, [0.0], 6, convention=FERMIONIC)
+        snapshot_sweep(state, [0.0], 6)

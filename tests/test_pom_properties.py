@@ -53,7 +53,7 @@ def occupation_state(jm_amps, convention):
     c = 2 photonic and 1 fermionic."""
     c = 2 if convention is PHOTONIC else 1
     amps = {(round((j + m) / c), round((j - m) / c)): v for (j, m), v in jm_amps.items()}
-    return TwoModeState(oracles.to_array(amps, max(ns + na for ns, na in amps)))
+    return TwoModeState(oracles.to_array(amps, max(ns + na for ns, na in amps)), convention)
 
 
 @st.composite
@@ -87,20 +87,21 @@ def one_lattice_sweeps(draw):
 def test_branch_wavefunctions_and_marginal_match_oracle(state, convention):
     # fermionic states carry half-integer branches, with and without integer ones
     k = 16
-    bs = branch_wavefunctions(state, k, convention=convention)
+    state = TwoModeState(state.amplitudes, convention)
+    bs = branch_wavefunctions(state, k)
     jm = oracles.jm_map(oracles.to_dict(state.amplitudes), photonic=convention is PHOTONIC)
     want = oracles.branch_values(jm, bs.phi)
     assert set(bs.branches) == set(want)
     for j, values in want.items():
         assert np.abs(bs.branches[j] - values).max() < 1e-12
-    marginal = marginal_pdf(state, k, convention=convention)
+    marginal = marginal_pdf(state, k)
     assert np.abs(marginal.density - oracles.direct_marginal(jm, marginal.phi)).max() < 1e-12
 
 
 @given(one_lattice_sweeps(), st.sampled_from([8, 9, 16]))
 def test_snapshot_sweep_matches_oracle_with_gaps(sweep, k):
     amps, convention, times = sweep
-    slices = snapshot_sweep(occupation_state(amps, convention), times, k, convention=convention)
+    slices = snapshot_sweep(occupation_state(amps, convention), times, k)
     assert len(slices) == times.size
     phis = angular_grid(k)
     for t, pdf in zip(times, slices):
@@ -114,8 +115,9 @@ def test_snapshot_sweep_matches_oracle_with_gaps(sweep, k):
 
 @given(two_mode_states(), conventions, st.integers(0, 5))
 def test_absolute_time_pdf_matches_oracle(state, convention, extra):
-    k_t = time_grid_size(state, convention) + extra
-    pdf = absolute_time_pdf(state, k_t, convention=convention)
+    state = TwoModeState(state.amplitudes, convention)
+    k_t = time_grid_size(state) + extra
+    pdf = absolute_time_pdf(state, k_t)
     amps = oracles.jm_map(oracles.to_dict(state.amplitudes), photonic=convention is PHOTONIC)
     want = [oracles.direct_C(amps, t) / (2 * np.pi) for t in pdf.phi]
     assert np.abs(pdf.density - want).max() < 1e-12
@@ -140,7 +142,7 @@ def test_time_average_of_weighted_snapshots_is_the_marginal(data, gap, extra):
 def whole_array_sweep(state, times, k):
     """(live mask, densities) of a sweep, from one scatter, FFT and |.|^2 / C over
     every live time at once."""
-    ms, b, c = pom._conditioned(*pom._cells(state, PHOTONIC), times)
+    ms, b, c = pom._conditioned(*pom._cells(state), times)
     live = ~(c <= C_MIN)
     values = scatter_series((int(live.sum()),), k, (...,), np.floor(ms).astype(int), b[live])
     return live, np.abs(values) ** 2 / (2.0 * np.pi * c[live, None])

@@ -21,30 +21,29 @@ PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC
 
 
-def two_mode(amp, n_max):
-    return TwoModeState(oracles.to_array(amp, n_max))
+def two_mode(amp, n_max, convention=PHOTONIC):
+    return TwoModeState(oracles.to_array(amp, n_max), convention)
 
 
 def test_jz_eigenvalues():
-    one_r = two_mode({(1, 0): 1.0}, 1)
-    assert apply_jz(one_r, PHOTONIC).amplitudes[(1, 0)] == 1.0
-    assert apply_jz(one_r, FERMIONIC).amplitudes[(1, 0)] == 0.5
+    assert apply_jz(two_mode({(1, 0): 1.0}, 1)).amplitudes[(1, 0)] == 1.0
+    assert apply_jz(two_mode({(1, 0): 1.0}, 1, FERMIONIC)).amplitudes[(1, 0)] == 0.5
     balanced = two_mode({(1, 1): 1.0}, 2)
-    assert apply_jz(balanced, PHOTONIC).amplitudes[(1, 1)] == 0  # annihilated
+    assert apply_jz(balanced).amplitudes[(1, 1)] == 0  # annihilated
 
 
 def test_photonic_lowering_skips_m_zero():
-    img = apply_jminus(two_mode({(1, 0): 1.0}, 1), PHOTONIC)
+    img = apply_jminus(two_mode({(1, 0): 1.0}, 1))
     assert oracles.to_dict(img.amplitudes) == {(0, 1): 2.0}
 
 
 def test_fermionic_lowering_unit_coefficient():
-    img = apply_jminus(two_mode({(1, 0): 1.0}, 1), FERMIONIC)
+    img = apply_jminus(two_mode({(1, 0): 1.0}, 1, FERMIONIC))
     assert oracles.to_dict(img.amplitudes) == {(0, 1): 1.0}
 
 
 def test_raising_annihilates_vacuum():
-    img = apply_jplus(two_mode({(0, 0): 1.0}, 0), PHOTONIC)
+    img = apply_jplus(two_mode({(0, 0): 1.0}, 0))
     assert not img.amplitudes.any()
 
 
@@ -55,12 +54,12 @@ def test_ladder_matrix_elements_match_kron_oracle():
         jp, jm, jz, simplex = oracles.kron_j_ops(photonic, n_max)
         d = n_max + 2
         amp = oracles.random_two_amp(rng, n_max)
-        state = two_mode(amp, n_max)
+        state = two_mode(amp, n_max, conv)
         vec = np.zeros(d * d, complex)
         for (ns, na), v in amp.items():
             vec[ns * d + na] = v
         for apply_fn, mat in ((apply_jplus, jp), (apply_jminus, jm), (apply_jz, jz)):
-            img = apply_fn(state, conv)
+            img = apply_fn(state)
             want = mat @ vec
             got = np.zeros(d * d, complex)
             for (ns, na), v in oracles.to_dict(img.amplitudes).items():
@@ -68,29 +67,29 @@ def test_ladder_matrix_elements_match_kron_oracle():
             assert np.abs(got - want).max() < 1e-12
 
 
-def j_squared(state, convention):
+def j_squared(state):
     """J^2 = (J_+ J_- + J_- J_+)/2 + J_z^2 applied through the ladder actions."""
-    up_down = apply_jplus(apply_jminus(state, convention), convention).amplitudes
-    down_up = apply_jminus(apply_jplus(state, convention), convention).amplitudes
-    return (up_down + down_up) / 2.0 + apply_jz(apply_jz(state, convention), convention).amplitudes
+    up_down = apply_jplus(apply_jminus(state)).amplitudes
+    down_up = apply_jminus(apply_jplus(state)).amplitudes
+    return (up_down + down_up) / 2.0 + apply_jz(apply_jz(state)).amplitudes
 
 
-def assert_casimir(state, convention, value):
-    assert np.abs(j_squared(state, convention) - value * state.amplitudes).max() < 1e-12
+def assert_casimir(state, value):
+    assert np.abs(j_squared(state) - value * state.amplitudes).max() < 1e-12
 
 
 def test_jsquared_photonic_one_photon():
     # Pauli algebra on the doubled operators: eigenvalue j(j+2) = 3
-    assert_casimir(two_mode({(1, 0): 1.0}, 1), PHOTONIC, 3.0)
+    assert_casimir(two_mode({(1, 0): 1.0}, 1), 3.0)
 
 
 def test_jsquared_photonic_two_photon_branch():
-    assert_casimir(two_mode(oracles.xnumber_amp(2), 2), PHOTONIC, 8.0)  # j(j+2) with j=2
+    assert_casimir(two_mode(oracles.xnumber_amp(2), 2), 8.0)  # j(j+2) with j=2
 
 
 def test_jsquared_fermionic():
-    assert_casimir(two_mode({(1, 1): 1.0}, 2), FERMIONIC, 2.0)  # j(j+1) with j=1
-    assert_casimir(two_mode({(1, 0): 1.0}, 1), FERMIONIC, 0.75)  # j=1/2
+    assert_casimir(two_mode({(1, 1): 1.0}, 2, FERMIONIC), 2.0)  # j(j+1) with j=1
+    assert_casimir(two_mode({(1, 0): 1.0}, 1, FERMIONIC), 0.75)  # j=1/2
 
 
 def test_casimir_residual_counts_in_max_residual():
@@ -139,6 +138,13 @@ def test_rotation_shifts_angle_distribution():
     assert np.abs(moved - np.roll(base, -steps)).max() < 1e-12
 
 
+@pytest.mark.parametrize("convention", list(PrimitiveConvention))
+def test_images_keep_the_state_convention(convention):
+    state = two_mode(oracles.random_two_amp(np.random.default_rng(5), 3), 3, convention)
+    images = [apply_jz(state), apply_jplus(state), apply_jminus(state), rotate_z(state, 0.4)]
+    assert [image.convention for image in images] == [convention] * 4
+
+
 def test_photonic_m_parity():
     rng = np.random.default_rng(4)
     amp = oracles.random_two_amp(rng, 6)
@@ -156,10 +162,7 @@ def test_commutator_residuals(convention, constant):
 
 def test_z_ladder_raises_m_by_two_photonic():
     balanced = two_mode({(1, 1): 1.0}, 2)
-    jp = apply_jplus(balanced, PHOTONIC)
-    comm = (
-        apply_jz(jp, PHOTONIC).amplitudes
-        - apply_jplus(apply_jz(balanced, PHOTONIC), PHOTONIC).amplitudes
-    )
+    jp = apply_jplus(balanced)
+    comm = apply_jz(jp).amplitudes - apply_jplus(apply_jz(balanced)).amplitudes
     assert jp.amplitudes.any()
     assert np.abs(comm - 2.0 * jp.amplitudes).max() < 1e-12

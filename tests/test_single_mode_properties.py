@@ -12,11 +12,14 @@ from relphase import (
     AliasingError,
     SingleModeState,
     generalized_phase_pdf,
+    heterodyne_moments,
     make_coherent_state,
     make_number_state,
     pb_pmf,
+    phase_cdf,
     phase_pdf,
     single_to_two_mode,
+    y_moments,
 )
 from relphase.fock import angular_grid
 
@@ -41,6 +44,32 @@ states = st.one_of(
 
 def series(state):
     return {n: c for n, c in enumerate(state.amplitudes.tolist())}
+
+
+@given(states)
+def test_moments_match_the_tensor_oracles(state):
+    """Means and second moments of both extensions, so the +1/4 (heterodyne) and
+    +|psi_0|^2/4 (shift) inflations of the second moments are pinned."""
+    het, y = heterodyne_moments(state), y_moments(state)
+    got = [het.mean_X, het.mean_P, het.second_X, het.second_P,
+           y.mean_Y1, y.mean_Y2, y.second_Y1, y.second_Y2]
+    want = [*oracles.heterodyne_product_moments(state.amplitudes),
+            *oracles.y_product_moments(state.amplitudes)]
+    for value, oracle in zip(got, want):
+        assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+@given(states.flatmap(lambda s: st.tuples(st.just(s), st.integers(s.n_max, 3 * s.n_max + 5))))
+def test_phase_cdf_on_the_pmf_grid_is_the_termwise_series(case):
+    state, s = case
+    theta = pb_pmf(state, s).theta
+    assert np.max(np.abs(phase_cdf(state, theta) - oracles.series_cdf(state.amplitudes, theta))) < 1e-12
+
+
+@given(states.flatmap(lambda s: st.tuples(st.just(s), st.integers(2 * s.n_max + 1, 4 * s.n_max + 8))))
+def test_phase_density_integrates_to_one(case):
+    state, k = case
+    assert abs(phase_pdf(state, k).integral() - 1.0) < 1e-12
 
 
 @given(states.flatmap(lambda s: st.tuples(st.just(s), st.integers(s.n_max, 3 * s.n_max + 5))))
