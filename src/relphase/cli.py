@@ -41,6 +41,7 @@ from .fock import (
     DEFAULT_TAIL_TOL,
     SingleModeState,
     TwoModeState,
+    angular_grid,
     make_coherent_state,
     make_number_state,
     single_to_two_mode,
@@ -207,7 +208,8 @@ def cmd_sweep(args) -> int:
     slices = snapshot_sweep(state, times, args.k)
     if gaps := slices.count(None):
         print(f"skipped {gaps} time(s) of vanishing conditioning probability", file=sys.stderr)
-    live = [((t,), pdf.phi, pdf.density) for t, pdf in zip(times.tolist(), slices) if pdf is not None]
+    phi = angular_grid(args.k)  # one grid for every slice: the table formats its column once
+    live = [((t,), phi, pdf.density) for t, pdf in zip(times.tolist(), slices) if pdf is not None]
     _write_table(args, ("t", "phi", "density"), live)
     return 0
 

@@ -65,6 +65,16 @@ def _ldexp(amps: np.ndarray, e: int) -> np.ndarray:
     return np.ldexp(np.ascontiguousarray(amps).view(float), e).view(complex)
 
 
+def _frozen(samples, what: str, dtype=None) -> np.ndarray:
+    """samples as a read-only array (an array of that dtype is not copied); refused
+    unless non-empty and 1-d."""
+    samples = np.asarray(samples, dtype=dtype)
+    if samples.ndim != 1 or samples.size == 0:
+        raise ValueError(f"{what} must be a non-empty 1-d sequence")
+    samples.setflags(write=False)
+    return samples
+
+
 @dataclass(frozen=True)
 class SingleModeState:
     """Amplitudes over the number basis n = 0..n_max."""
@@ -72,11 +82,7 @@ class SingleModeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError("amplitudes must be a non-empty 1-d sequence")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _frozen(np.array(self.amplitudes, complex), "amplitudes"))
 
     @classmethod
     def from_amplitudes(cls, amplitudes: Sequence[complex]) -> "SingleModeState":

@@ -20,8 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import SupportError
-from .fock import (DEFAULT_GRID_SIZE, SingleModeState, TwoModeState, angular_grid, check_grid,
-                   eval_fourier_series)
+from .fock import DEFAULT_GRID_SIZE, SingleModeState, TwoModeState, check_grid, eval_fourier_series
 from .phase import AngularPdf
 
 
@@ -133,4 +132,4 @@ def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> An
     check_grid(k, max(-lo, lo + coeffs.size - 1))
     values = eval_fourier_series(coeffs, k, lo)
     norm = math.fsum(abs(c) ** 2 for c in coeffs)
-    return AngularPdf(angular_grid(k), np.abs(values) ** 2 / (2.0 * np.pi * norm))
+    return AngularPdf(np.abs(values) ** 2 / (2.0 * np.pi * norm))

@@ -9,32 +9,34 @@ Kolmogorov distance below quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .fock import SingleModeState, angular_grid, eval_fourier_series
+from .fock import SingleModeState, _frozen, angular_grid, eval_fourier_series
 
 
 @dataclass(frozen=True)
 class DiscretePhasePmf:
-    s: int
-    theta: np.ndarray
+    """Masses at the s + 1 angles theta = angular_grid(s + 1), s = masses.size - 1."""
+
     masses: np.ndarray
 
     def __post_init__(self):
-        for name in ("theta", "masses"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.theta.size != self.s + 1 or self.masses.size != self.s + 1:
-            raise ValueError("need exactly s+1 angles and masses")
-        if not (np.isfinite(self.theta).all() and np.isfinite(self.masses).all()):
-            raise ValueError("angles and masses must be finite")
-        if np.any(self.masses < 0):
-            raise ValueError("masses must be non-negative")
+        object.__setattr__(self, "masses", _frozen(self.masses, "masses", float))
+        if not (np.isfinite(self.masses).all() and (self.masses >= 0).all()):
+            raise ValueError("masses must be finite and non-negative")
         if abs(self.masses.sum() - 1.0) > 1e-10:
             raise ValueError("masses must sum to 1")
+
+    @property
+    def s(self) -> int:
+        return self.masses.size - 1
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        return _frozen(angular_grid(self.masses.size), "theta")
 
 
 def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:
@@ -45,8 +47,7 @@ def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:
     if not psi.any():
         raise ValueError(f"state has no support at or below n={s}")
     psi = SingleModeState.from_amplitudes(psi).amplitudes
-    masses = np.abs(eval_fourier_series(psi, s + 1)) ** 2 / (s + 1)
-    return DiscretePhasePmf(s, angular_grid(s + 1), masses)
+    return DiscretePhasePmf(np.abs(eval_fourier_series(psi, s + 1)) ** 2 / (s + 1))
 
 
 def phase_cdf(state: SingleModeState, x: np.ndarray) -> np.ndarray:

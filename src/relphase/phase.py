@@ -9,24 +9,26 @@ the bandwidth; constructors enforce K > 2 n_max.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fock import DEFAULT_GRID_SIZE, SingleModeState, angular_grid, check_grid, eval_fourier_series
+from .fock import (DEFAULT_GRID_SIZE, SingleModeState, _frozen, angular_grid, check_grid,
+                   eval_fourier_series)
 
 
 @dataclass(frozen=True)
 class PhaseWavefunction:
-    phi: np.ndarray
+    """Samples of psi on the grid angular_grid(values.size)."""
+
     values: np.ndarray
 
     def __post_init__(self):
-        for name in ("phi", "values"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.phi.shape != self.values.shape:
-            raise ValueError("grid and values must have matching shapes")
+        object.__setattr__(self, "values", _frozen(self.values, "values"))
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return _frozen(angular_grid(self.values.size), "phi")
 
     def norm_squared(self) -> float:
         """(1/2pi) integral |psi|^2 dphi as the periodic Riemann sum."""
@@ -35,25 +37,21 @@ class PhaseWavefunction:
 
 @dataclass(frozen=True)
 class AngularPdf:
-    """Sampled probability density per radian on [-pi, pi)."""
+    """Sampled probability density per radian on the grid angular_grid(density.size)."""
 
-    phi: np.ndarray
     density: np.ndarray
 
     def __post_init__(self):
-        for name in ("phi", "density"):
-            arr = np.asarray(getattr(self, name), dtype=float if name == "density" else None)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.phi.shape != self.density.shape:
-            raise ValueError("grid and density must have matching shapes")
-        if not (np.isfinite(self.phi).all() and np.isfinite(self.density).all()):
-            raise ValueError("grid and density must be finite")
-        if (self.density < 0).any():
-            raise ValueError("densities must be non-negative")
+        object.__setattr__(self, "density", _frozen(self.density, "density", float))
+        if not (np.isfinite(self.density).all() and (self.density >= 0).all()):
+            raise ValueError("densities must be finite and non-negative")
         total = self.integral()
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"density integrates to {total!r}, not 1")
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return _frozen(angular_grid(self.density.size), "phi")
 
     def integral(self) -> float:
         return float(self.density.sum() / self.density.size) * 2.0 * np.pi  # np.mean's bits, less overhead
@@ -62,7 +60,7 @@ class AngularPdf:
         """Density at a grid-aligned angle in [-pi, pi] (exact index lookup; pi is -pi)."""
         if not -np.pi <= phi <= np.pi:  # nan included
             raise ValueError(f"phi={phi} is not an angle in [-pi, pi]")
-        k = self.phi.size
+        k = self.density.size
         idx = (phi + np.pi) * k / (2.0 * np.pi)
         j = int(round(idx))
         # a grid angle's rounding grows like K ulp(pi) / 2pi in index units (K 2**-53 at most to K 2**26)
@@ -74,11 +72,9 @@ class AngularPdf:
 def phase_wavefunction(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> PhaseWavefunction:
     """psi(phi_k) = sum_n psi_n e^{-i n phi_k}, evaluated by FFT."""
     check_grid(k, state.n_max)
-    values = eval_fourier_series(state.amplitudes, k)  # checks the working set first
-    return PhaseWavefunction(angular_grid(k), values)
+    return PhaseWavefunction(eval_fourier_series(state.amplitudes, k))  # checks the working set first
 
 
 def phase_pdf(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
     """P(phi) = |psi(phi)|^2 / 2pi."""
-    wf = phase_wavefunction(state, k)
-    return AngularPdf(wf.phi, np.abs(wf.values) ** 2 / (2.0 * np.pi))
+    return AngularPdf(np.abs(phase_wavefunction(state, k).values) ** 2 / (2.0 * np.pi))

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .errors import AliasingError, ConditioningError, SupportError
-from .fock import (DEFAULT_GRID_SIZE, DEFAULT_KT, PrimitiveConvention, TwoModeState, angular_grid,
-                   check_cells, check_grid, jm_labels, scatter_series)
+from .fock import (DEFAULT_GRID_SIZE, DEFAULT_KT, PrimitiveConvention, TwoModeState, _frozen,
+                   angular_grid, check_cells, check_grid, jm_labels, scatter_series)
 from .phase import AngularPdf
 
 C_MIN = 1e-12
@@ -34,25 +35,21 @@ _BLOCK_CELLS = 1 << 16  # cells of one block of snapshot_sweep's angular transie
 
 @dataclass(frozen=True)
 class BranchSet:
-    """Per-branch angular wavefunctions on a shared grid."""
+    """Per-branch angular wavefunctions on one grid, angular_grid of their sample count."""
 
     convention: PrimitiveConvention
-    phi: np.ndarray
     branches: Mapping[float, np.ndarray]
 
     def __post_init__(self):
-        arr = np.asarray(self.phi)
-        arr.setflags(write=False)
-        object.__setattr__(self, "phi", arr)
-        frozen = {}
-        for j, vals in dict(self.branches).items():
-            v = np.asarray(vals, dtype=complex)
-            if v.shape != self.phi.shape:
-                raise ValueError("branch samples must match the grid")
-            v.setflags(write=False)
-            frozen[j] = v
+        frozen = {j: _frozen(v, "branch samples", complex) for j, v in dict(self.branches).items()}
+        if len({v.size for v in frozen.values()}) > 1:
+            raise ValueError("branch samples must share one grid size")
         object.__setattr__(self, "branches", frozen)
         _check_norm(math.fsum(float(np.mean(np.abs(v) ** 2)) for v in self.branches.values()))
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return _frozen(angular_grid(next(iter(self.branches.values())).size), "phi")
 
 
 def _check_norm(total: float) -> None:  # total: the branch norms' sum
@@ -99,7 +96,7 @@ def _conditioned(j, m, v, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def branch_wavefunctions(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> BranchSet:
     """Sample Psi_j(phi) = sum_m Psi_{j,m} e^{-i m phi} for every branch."""
     js, values = _branches(state, k)
-    return BranchSet(state.convention, angular_grid(k), dict(zip(js.tolist(), values)))
+    return BranchSet(state.convention, dict(zip(js.tolist(), values)))
 
 
 def marginal_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
@@ -107,7 +104,7 @@ def marginal_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
     power = sum(np.abs(row) ** 2 for row in _branches(state, k)[1])
     total = float(np.mean(power))  # the branch norms' sum
     _check_norm(total)
-    return AngularPdf(angular_grid(k), power / (2.0 * np.pi * total))
+    return AngularPdf(power / (2.0 * np.pi * total))
 
 
 def conditioning_probability(state: TwoModeState, t: float) -> float:
@@ -149,8 +146,8 @@ def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> li
         rows = live[lo : lo + step]
         values = scatter_series((rows.size,), k, (...,), freqs, b[rows])
         np.divide(np.abs(values) ** 2, 2.0 * np.pi * c[rows, None], out=density[lo : lo + step])
-    phi, densities = angular_grid(k), iter(density)
-    return [None if gap else AngularPdf(phi, next(densities)) for gap in refused]
+    densities = iter(density)
+    return [None if gap else AngularPdf(next(densities)) for gap in refused]
 
 
 def time_grid_size(state: TwoModeState) -> int:
@@ -174,6 +171,4 @@ def time_grid(state: TwoModeState, k_t: int | None = None) -> int:
 
 def absolute_time_pdf(state: TwoModeState, k_t: int | None = None) -> AngularPdf:
     """Density of the conditioning time, C(t)/2pi, on time_grid(state, k_t) points of [-pi, pi)."""
-    j, m, v = _cells(state)
-    ts = angular_grid(time_grid(state, k_t))
-    return AngularPdf(ts, _conditioned(j, m, v, ts)[2] / (2.0 * np.pi))
+    return AngularPdf(_conditioned(*_cells(state), angular_grid(time_grid(state, k_t)))[2] / (2.0 * np.pi))

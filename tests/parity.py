@@ -1,0 +1,107 @@
+"""Byte parity of the relphase CLI between this tree and another checkout.
+
+    python3 tests/parity.py OTHER_ROOT
+
+Runs every case in CASES twice in fresh interpreters, once with this tree's
+src on PYTHONPATH and once with OTHER_ROOT/src, each run in an empty working
+directory. Both runs read the same input files, written once with this tree's
+relphase. A case is identical when the exit code, stdout, stderr and every
+file left in its working directory match byte for byte. Prints one line per
+case and exits 1 if any case differs (2 on a usage error).
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, argv); {inputs} is the shared input directory, and outputs go to the working directory
+CASES = [
+    # the benchmark's eight commands on inputs built the way it builds them (seed 1)
+    ("sweep xcoh:9 file", ["sweep", "--pol", "file:{inputs}/xcoh9.json", "--kt", "256", "--k", "1024",
+                           "--out", "sweep9.csv"]),
+    ("sweep xcoh:30 file", ["sweep", "--pol", "file:{inputs}/xcoh30.json", "--kt", "308", "--k", "256",
+                            "--out", "sweep30.csv"]),
+    ("ellipse xcoh:100", ["ellipse", "--pol", "xcoh:100", "--out", "ellipse.csv"]),
+    ("ellipse --db json xcoh:100", ["ellipse", "--pol", "xcoh:100", "--db", "--format", "json",
+                                    "--out", "ellipse_db.json"]),
+    ("timepdf xcoh:100 kt 716", ["timepdf", "--pol", "xcoh:100", "--kt", "716", "--out", "timepdf.csv"]),
+    ("phase coh:1000", ["phase", "--state", "coh:1000", "--k", "4096", "--out", "phase.csv"]),
+    ("pb coh:1000 file", ["pb", "--state", "file:{inputs}/coh1000.json", "--s", "4096,16384",
+                          "--report", "pb.json", "--out", "pb.csv"]),
+    ("moments coh:1000", ["moments", "--state", "coh:1000", "--out", "moments.json"]),
+    # default time grids, to stdout
+    ("sweep xcoh:9 default kt", ["sweep", "--pol", "xcoh:9", "--k", "128"]),
+    ("timepdf xcoh:100 default kt", ["timepdf", "--pol", "xcoh:100"]),
+    # the help texts and the version
+    ("--help", ["--help"]),
+    ("--version", ["--version"]),
+    *((f"{c} --help", [c, "--help"]) for c in ("phase", "pb", "moments", "sweep", "ellipse", "timepdf")),
+    # refusals: a usage error (exit 2) and a numerical precondition (exit 3)
+    ("exit 2: unknown spec", ["phase", "--state", "wat:7"]),
+    ("exit 3: aliasing grid", ["phase", "--state", "coh:9", "--k", "8"]),
+]
+
+
+def write_inputs(inputs: Path) -> None:
+    """The benchmark's seeded input states, from this tree's relphase."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+    from relphase import XCoherent, make_coherent_state, rotate_z, state_to_json, to_circular
+
+    rng = np.random.default_rng(1)
+    for mean in (9, 30):
+        state = rotate_z(to_circular(XCoherent(float(mean))), rng.uniform(-np.pi, np.pi))
+        (inputs / f"xcoh{mean}.json").write_text(state_to_json(state))
+    alpha = np.sqrt(1000.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    (inputs / "coh1000.json").write_text(state_to_json(make_coherent_state(alpha)))
+
+
+def run_case(src: Path, argv: list[str], work: Path) -> tuple:
+    """(exit code, stdout, stderr, {file name: bytes}) of one CLI run in the empty dir work."""
+    work.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "relphase.cli", *argv], cwd=work, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True)
+    files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def differences(ours: tuple, theirs: tuple) -> list[str]:
+    what = []
+    if ours[0] != theirs[0]:
+        what.append(f"exit {ours[0]} vs {theirs[0]}")
+    what += [name for name, a, b in (("stdout", ours[1], theirs[1]), ("stderr", ours[2], theirs[2]))
+             if a != b]
+    return what + [name for name in sorted(ours[3].keys() | theirs[3].keys())
+                   if ours[3].get(name) != theirs[3].get(name)]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "src" / "relphase" / "cli.py").is_file():
+        print("usage: python3 tests/parity.py OTHER_ROOT (a checkout with src/relphase)", file=sys.stderr)
+        return 2
+    other = Path(argv[0]).resolve() / "src"
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="relphase-parity-") as tmp:
+        inputs = Path(tmp) / "inputs"
+        inputs.mkdir()
+        write_inputs(inputs)
+        for i, (name, case) in enumerate(CASES):
+            case = [arg.replace("{inputs}", str(inputs)) for arg in case]
+            ours = run_case(ROOT / "src", case, Path(tmp) / "ours" / str(i))
+            theirs = run_case(other, case, Path(tmp) / "theirs" / str(i))
+            what = differences(ours, theirs)
+            failed += bool(what)
+            status = "DIFFERS" if what else "identical"
+            print(f"{status:9}  exit {ours[0]}  {name}" + (f": {', '.join(what)}" if what else ""))
+    print(f"{len(CASES) - failed} of {len(CASES)} cases identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -832,3 +832,38 @@ def test_abbreviated_option_is_a_usage_error(capsys, argv):
 def test_negative_n_max_is_a_usage_error(capsys, argv):
     err = usage_error(capsys, [*argv, "--n-max", "-1"])
     assert "argument --n-max: n_max must be a non-negative integer, not '-1'" in err
+
+
+def test_sweep_formats_its_phi_column_once(capsys, tmp_path, monkeypatch):
+    """K + n + n K values for n live slices of K <= BLOCK_ROWS rows: the phi grid once,
+    then each slice's t and densities. A grid object per slice would format phi n times."""
+    from relphase import table
+
+    formatted = []
+    format_15g = table._format_15g
+
+    def counted(values, ends):
+        formatted.append(np.size(values))
+        return format_15g(values, ends)
+
+    monkeypatch.setattr(table, "_format_15g", counted)
+    path = tmp_path / "gap.json"
+    path.write_text(state_to_json(GAP_STATE))
+    for kt, k in ((13, 64), (1025, 32)):  # one gap, at t = pi/2; 1024 slices span four blocks
+        formatted.clear()
+        code, _, err = run(capsys, "sweep", "--pol", f"file:{path}", "--kt", str(kt), "--k", str(k))
+        assert code == 0 and "skipped 1 time(s)" in err
+        n = kt - 1
+        assert sum(formatted) == k + n + n * k
+
+
+def test_parity_cases_cover_every_subcommand():
+    """tests/parity.py runs each subcommand of the parser and its --help."""
+    import argparse
+
+    import parity
+
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    argvs = [argv for _, argv in parity.CASES]
+    assert {argv[0] for argv in argvs if "--help" not in argv} >= set(sub.choices)
+    assert {argv[0] for argv in argvs if argv[1:] == ["--help"]} == set(sub.choices)

@@ -123,4 +123,4 @@ def test_distance_refuses_a_pmf_of_a_truncated_state():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_discrete_pmf_refuses_non_finite_masses(bad):
     with pytest.raises(ValueError, match="finite"):
-        DiscretePhasePmf(3, np.arange(4.0), [bad] * 4)
+        DiscretePhasePmf([bad] * 4)

@@ -148,7 +148,7 @@ def test_random_state_density_zeros_are_isolated():
 def test_angular_pdf_refuses_non_finite_densities(bad):
     # NaN passed both the sign and the integral guards before
     with pytest.raises(ValueError, match="finite"):
-        AngularPdf(angular_grid(4), [bad] * 4)
+        AngularPdf([bad] * 4)
 
 
 @pytest.mark.parametrize("phi, index", [
@@ -168,7 +168,7 @@ def test_value_at_takes_only_angles_in_minus_pi_to_pi(phi, index):
 def test_value_at_accepts_grid_angles_and_refuses_off_grid_ones_at_k_2_24():
     # a grid angle's index rounds by up to K 2**-53: a fixed 1e-9 refused some from K 2**24 on
     k = 2**24
-    pdf = AngularPdf(angular_grid(k), np.broadcast_to(1 / (2 * np.pi), (k,)))
+    pdf = AngularPdf(np.broadcast_to(1 / (2 * np.pi), (k,)))
     rng = np.random.default_rng(0)
     for i in rng.integers(0, k, 2000).tolist():
         assert pdf.value_at(float(pdf.phi[i])) == 1 / (2 * np.pi)

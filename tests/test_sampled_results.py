@@ -1,0 +1,94 @@
+"""The sampled result types hold only their samples: each grid is fock's angular_grid
+of the sample count, read-only and built once per result."""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from relphase import (
+    AngularPdf,
+    BranchSet,
+    DiscretePhasePmf,
+    PhaseWavefunction,
+    PrimitiveConvention,
+    SingleModeState,
+    XSuperposition,
+    absolute_time_pdf,
+    angular_grid,
+    branch_wavefunctions,
+    generalized_phase_pdf,
+    make_number_state,
+    marginal_pdf,
+    pb_pmf,
+    phase_pdf,
+    phase_wavefunction,
+    single_to_two_mode,
+    snapshot_pdf,
+    to_circular,
+)
+from relphase.pegg_barnett import kolmogorov_distance
+
+# each type with a valid 4-sample input (the 2-d and empty cases reshape it)
+BUILDERS = {
+    "AngularPdf": (AngularPdf, np.full(4, 1 / (2 * np.pi))),
+    "PhaseWavefunction": (PhaseWavefunction, np.ones(4, complex)),
+    "DiscretePhasePmf": (DiscretePhasePmf, np.full(4, 0.25)),
+    "BranchSet": (lambda x: BranchSet(PrimitiveConvention.PHOTONIC, {0.0: x}), np.ones(4, complex)),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@pytest.mark.parametrize("shape", ["2-d", "empty"])
+def test_samples_must_be_a_non_empty_1d_array(name, shape):
+    build, unit = BUILDERS[name]
+    build(unit)  # the 1-d samples are accepted
+    bad = np.tile(unit, (2, 1)) if shape == "2-d" else unit[:0]
+    with pytest.raises(ValueError, match="must be a non-empty 1-d sequence"):
+        build(bad)
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (AngularPdf, ["density"]),
+    (PhaseWavefunction, ["values"]),
+    (DiscretePhasePmf, ["masses"]),
+    (BranchSet, ["convention", "branches"]),
+])
+def test_no_result_type_stores_a_grid(cls, fields):
+    assert [f.name for f in dataclasses.fields(cls)] == fields
+
+
+STATE = SingleModeState.from_amplitudes([1.0, 0.5j, -0.25])
+TWO_MODE = to_circular(XSuperposition(((1, 1.0), (2, 0.5))))
+K = 16
+
+
+@pytest.mark.parametrize("produce, grid, samples", [
+    (lambda: phase_wavefunction(STATE, K), "phi", "values"),
+    (lambda: phase_pdf(STATE, K), "phi", "density"),
+    (lambda: generalized_phase_pdf(single_to_two_mode(STATE), K), "phi", "density"),
+    (lambda: marginal_pdf(TWO_MODE, K), "phi", "density"),
+    (lambda: snapshot_pdf(TWO_MODE, 0.3, K), "phi", "density"),
+    (lambda: branch_wavefunctions(TWO_MODE, K), "phi", "branches"),
+    (lambda: absolute_time_pdf(TWO_MODE, 40), "phi", "density"),
+    (lambda: pb_pmf(STATE, 6), "theta", "masses"),
+])
+def test_each_producers_grid_is_angular_grid_of_its_sample_count(produce, grid, samples):
+    result = produce()
+    values = getattr(result, samples)
+    count = {v.size for v in values.values()}.pop() if samples == "branches" else values.size
+    got = getattr(result, grid)
+    assert got.dtype == float and got.tobytes() == angular_grid(count).tobytes()
+    assert getattr(result, grid) is got and not got.flags.writeable
+
+
+def test_pb_pmf_s_is_its_truncation():
+    for s in (2, 6, 31):
+        pmf = pb_pmf(STATE, s)
+        assert pmf.s == s and pmf.theta.size == pmf.masses.size == s + 1
+
+
+def test_uniform_masses_sit_on_the_grid_for_the_distance():
+    # four equal masses at -pi, -pi/2, 0, pi/2 against |1>'s flat density: steps of 1/4
+    pmf = DiscretePhasePmf([0.25] * 4)
+    assert math.isclose(kolmogorov_distance(pmf, make_number_state(1, 1)), 0.25, abs_tol=1e-15)
