@@ -75,6 +75,12 @@ def _frozen(samples, what: str, dtype=None) -> np.ndarray:
     return samples
 
 
+def _support(coeffs: np.ndarray) -> slice:
+    """Slice of a 1-d coefficient array from its first to its last nonzero entry, empty if none."""
+    nonzero = np.flatnonzero(coeffs)
+    return slice(int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else slice(0, 0)
+
+
 @dataclass(frozen=True)
 class SingleModeState:
     """Amplitudes over the number basis n = 0..n_max."""
@@ -94,9 +100,6 @@ class SingleModeState:
     @property
     def n_max(self) -> int:
         return self.amplitudes.size - 1
-
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 def jm_labels(ns, na, convention: PrimitiveConvention = PrimitiveConvention.PHOTONIC):
@@ -208,9 +211,6 @@ class TwoModeState:
     @property
     def n_max(self) -> int:
         return self.amplitudes.shape[0] - 1
-
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 def make_number_state(n: int, n_max: int) -> SingleModeState:

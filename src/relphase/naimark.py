@@ -20,7 +20,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import SupportError
-from .fock import DEFAULT_GRID_SIZE, SingleModeState, TwoModeState, check_grid, eval_fourier_series
+from .fock import (DEFAULT_GRID_SIZE, SingleModeState, TwoModeState, _support, check_grid,
+                   eval_fourier_series)
 from .phase import AngularPdf
 
 
@@ -107,28 +108,18 @@ def y_moments(state: SingleModeState) -> YMoments:
     )
 
 
-def two_sided_coefficients(state: TwoModeState) -> tuple[int, np.ndarray]:
-    """Coefficients psi_m of the two-sided series for a shift-subspace state.
-
-    m >= 0 reads psi_{m,0}; m < 0 reads psi_{0,-m}. Returns the lowest m and
-    the coefficients over consecutive m from there. Raises SupportError for
-    amplitudes with both modes excited.
-    """
+def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
+    """Two-sided phase density |sum_m psi_m e^{-i m phi}|^2 / 2pi of a shift-subspace state,
+    with m = n_s - n_a whatever the state's convention: m >= 0 reads psi_{m,0}, m < 0
+    reads psi_{0,-m}. Raises SupportError for amplitudes with both modes excited."""
     a = state.amplitudes
     both = np.argwhere(a[1:, 1:])
     if both.size:
         ns, na = (both[0] + 1).tolist()
         raise SupportError(f"state has support at (n_s, n_a) = ({ns}, {na}); need n_s * n_a = 0")
-    # m = -n_max..-1 from row 0 (psi_{0,-m}), m = 0..n_max from column 0 (psi_{m,0})
-    coeffs = np.concatenate([a[0, :0:-1], a[:, 0]])
-    support = np.flatnonzero(coeffs)
-    return int(support[0]) - state.n_max, coeffs[support[0] : support[-1] + 1]
-
-
-def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
-    """Two-sided phase density |sum_m psi_m e^{-i m phi}|^2 / 2pi, with m = n_s - n_a
-    (the shift-subspace series) whatever the state's convention."""
-    lo, coeffs = two_sided_coefficients(state)
+    coeffs = np.concatenate([a[0, :0:-1], a[:, 0]])  # psi_m for m = -n_max..n_max
+    support = _support(coeffs)
+    lo, coeffs = support.start - state.n_max, coeffs[support]
     check_grid(k, max(-lo, lo + coeffs.size - 1))
     values = eval_fourier_series(coeffs, k, lo)
     norm = math.fsum(abs(c) ** 2 for c in coeffs)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import SingleModeState, _frozen, angular_grid, eval_fourier_series
+from .fock import SingleModeState, _frozen, _support, angular_grid, eval_fourier_series
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,9 @@ class DiscretePhasePmf:
 
 def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:
     """Discrete-phase masses of the state truncated to n <= s, renormalized by fock's rule."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    psi = state.amplitudes[: s + 1]
-    if not psi.any():
+    if _support(state.amplitudes).start > s:
         raise ValueError(f"state has no support at or below n={s}")
-    psi = SingleModeState.from_amplitudes(psi).amplitudes
+    psi = SingleModeState.from_amplitudes(state.amplitudes[: s + 1]).amplitudes
     return DiscretePhasePmf(np.abs(eval_fourier_series(psi, s + 1)) ** 2 / (s + 1))
 
 
@@ -76,11 +73,11 @@ def kolmogorov_distance(pmf: DiscretePhasePmf, state: SingleModeState) -> float:
     """sup_x |F_discrete(x) - F_continuous(x)| with right-continuous steps.
 
     Both CDFs are monotone between step angles, so the supremum is attained
-    at a step angle approached from either side. A pmf of s < n_max is of a
-    truncated state, not of this one, and is refused.
+    at a step angle approached from either side. A pmf of s below the highest
+    occupied n is of a truncated state, not of this one, and is refused.
     """
-    if pmf.s < state.n_max:
-        raise ValueError(f"s={pmf.s} truncates the state (n_max={state.n_max})")
+    if pmf.s < (n := _support(state.amplitudes).stop - 1):
+        raise ValueError(f"s={pmf.s} truncates the state (occupied up to n={n})")
     cont = phase_cdf(state, pmf.theta)
     cum = np.cumsum(pmf.masses)
     before = cum - pmf.masses

@@ -4,7 +4,7 @@ The number amplitudes are the Fourier-series coefficients of the phase
 wavefunction, psi(phi) = sum_n psi_n e^{-i n phi}, sampled on the uniform
 grid phi_k = -pi + 2 pi k / K. All integrands are trigonometric polynomials,
 so the plain periodic Riemann sum is an exact quadrature whenever K exceeds
-the bandwidth; constructors enforce K > 2 n_max.
+the bandwidth; constructors enforce K > 2 n, n the highest occupied number.
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import (DEFAULT_GRID_SIZE, SingleModeState, _frozen, angular_grid, check_grid,
-                   eval_fourier_series)
+from .fock import (DEFAULT_GRID_SIZE, SingleModeState, _frozen, _support, angular_grid,
+                   check_grid, eval_fourier_series)
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,10 @@ class AngularPdf:
 
 
 def phase_wavefunction(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> PhaseWavefunction:
-    """psi(phi_k) = sum_n psi_n e^{-i n phi_k}, evaluated by FFT."""
-    check_grid(k, state.n_max)
-    return PhaseWavefunction(eval_fourier_series(state.amplitudes, k))  # checks the working set first
+    """psi(phi_k) = sum_n psi_n e^{-i n phi_k} over the occupied n, evaluated by FFT."""
+    support = _support(state.amplitudes)
+    check_grid(k, support.stop - 1)  # the series then checks the working set
+    return PhaseWavefunction(eval_fourier_series(state.amplitudes[support], k, support.start))
 
 
 def phase_pdf(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:

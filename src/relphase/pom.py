@@ -150,19 +150,29 @@ def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> li
     return [None if gap else AngularPdf(next(densities)) for gap in refused]
 
 
+def _time_grids(state: TwoModeState) -> tuple[int, int]:
+    """(time_grid_size, display default), j_min and j_max from each n_s row's first and
+    last amplitude (no read of the cells)."""
+    occupied, n_s = state.amplitudes != 0, np.arange(state.n_max + 1)
+    rows = occupied.any(axis=1)  # a row's last amplitude: n_a = n_max - argmax of it reversed
+    n_sums = np.array([(n_s + occupied.argmax(axis=1))[rows].min(),
+                       (n_s - occupied[:, ::-1].argmax(axis=1))[rows].max() + state.n_max])
+    j_min, j_max = jm_labels(n_sums, 0, state.convention)[0].tolist()
+    return int(j_max - j_min) + 1, max(DEFAULT_KT, 4 * (math.ceil(j_max) + 1))
+
+
 def time_grid_size(state: TwoModeState) -> int:
-    """Grid large enough to integrate every branch-difference exponential exactly:
-    4 (ceil(j_max) + 1), j_max from each n_s row's last amplitude (no read of the cells)."""
-    occupied = state.amplitudes[:, ::-1] != 0  # row n_s's last amplitude is at n_a = n_max - argmax
-    n_sum = (np.arange(state.n_max + 1) - occupied.argmax(axis=1))[occupied.any(axis=1)].max() + state.n_max
-    return 4 * (int(math.ceil(jm_labels(n_sum, 0, state.convention)[0])) + 1)
+    """Size int(j_max - j_min) + 1 of a periodic time grid that integrates C(t), and on one
+    m lattice each C-weighted snapshot, exactly. j - m is an integer in both conventions, so
+    C, a sum of |.|^2 over m columns, has integer t-frequencies j - j' (no mixed-m refusal)."""
+    return _time_grids(state)[0]
 
 
 def time_grid(state: TwoModeState, k_t: int | None = None) -> int:
-    """k_t, by default the larger of DEFAULT_KT and time_grid_size; refuses a grid
-    below time_grid_size or over the working-set budget."""
-    needed = time_grid_size(state)
-    k_t = max(DEFAULT_KT, needed) if k_t is None else k_t
+    """k_t, by default the display default max(DEFAULT_KT, 4 (ceil(j_max) + 1)); refuses a k_t
+    below time_grid_size (every grid from there up is exact) or over the working-set budget."""
+    needed, default = _time_grids(state)
+    k_t = default if k_t is None else k_t
     if k_t < needed:
         raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
     check_cells((k_t,), "a time grid")

@@ -44,6 +44,15 @@ CASES = [
     # refusals: a usage error (exit 2) and a numerical precondition (exit 3)
     ("exit 2: unknown spec", ["phase", "--state", "wat:7"]),
     ("exit 3: aliasing grid", ["phase", "--state", "coh:9", "--k", "8"]),
+    # the occupied support bounds K, s and kt: refusals it lifts, and one it keeps per bound
+    ("phase num:2 n-max 10 k 8", ["phase", "--state", "num:2", "--n-max", "10", "--k", "8"]),
+    ("exit 3: phase num:2 k 4", ["phase", "--state", "num:2", "--k", "4"]),
+    ("pb num:2 n-max 10 s 4", ["pb", "--state", "num:2", "--n-max", "10", "--s", "4",
+                               "--report", "pb.json", "--out", "pb.csv"]),
+    ("exit 2: pb coh:1 s 2", ["pb", "--state", "coh:1", "--s", "2", "--report", "pb.json",
+                              "--out", "pb.csv"]),
+    ("timepdf xcoh:100 kt 179", ["timepdf", "--pol", "xcoh:100", "--kt", "179"]),
+    ("exit 3: timepdf xcoh:30 kt 76", ["timepdf", "--pol", "xcoh:30", "--kt", "76"]),
 ]
 
 

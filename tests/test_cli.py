@@ -146,10 +146,10 @@ def test_sweep_reports_gaps(capsys, tmp_path):
 @pytest.mark.parametrize(
     "default, explicit",
     [
-        # xcoh:30 needs 308 times, above the default floor of 256
+        # xcoh:30's display default 4 (j_max + 1) is 308 times, above the floor of 256
         (["sweep", "--pol", "xcoh:30", "--k", "256"], ["--kt", "308"]),
         (["timepdf", "--pol", "xcoh:100"], ["--kt", "716"]),
-        # xcoh:9 needs 152: the default stays 256
+        # xcoh:9's is 152: the default stays 256
         (["sweep", "--pol", "xcoh:9", "--k", "128"], ["--kt", "256"]),
         (["timepdf", "--pol", "xcoh:9"], ["--kt", "256"]),
     ],
@@ -162,10 +162,34 @@ def test_default_time_grid_is_the_larger_of_256_and_the_state_size(capsys, defau
 
 @pytest.mark.parametrize("command", ["sweep", "timepdf"])
 def test_explicit_time_grid_below_state_size_is_exit_3(capsys, command):
+    # xcoh:30 occupies j = 0..76, so 77 times are exact and 76 alias
     k = ["--k", "256"] if command == "sweep" else []  # timepdf has no angular grid
-    code, out, err = run(capsys, command, "--pol", "xcoh:30", "--kt", "255", *k)
+    code, out, err = run(capsys, command, "--pol", "xcoh:30", "--kt", "76", *k)
     assert code == 3 and out == "" and err.count("\n") == 1
-    assert "time grid 255 is below the exact-quadrature size 308" in err
+    assert "time grid 76 is below the exact-quadrature size 77" in err
+
+
+def test_exact_time_grid_below_the_display_default_is_accepted(capsys):
+    # xcoh:100 occupies j = 0..178: 179 times are exact, though the display default is 716
+    code, out, err = run(capsys, "timepdf", "--pol", "xcoh:100", "--kt", "179")
+    assert code == 0 and err == ""
+    _, data = rows_of(out)
+    assert data.shape == (179, 2)
+    assert abs(data[:, 1].mean() * 2 * math.pi - 1.0) < 1e-12
+
+
+def test_grids_and_truncations_are_bounded_by_the_occupied_n_not_n_max(capsys, tmp_path):
+    # num:2 at n_max 10 occupies only n = 2: K 8 > 2 n and s 4 >= n are exact
+    phase = ["phase", "--state", "num:2", "--k", "8"]
+    assert run(capsys, *phase, "--n-max", "10") == run(capsys, *phase)
+    outputs = []
+    for n_max in ("10", "2"):
+        table, report = tmp_path / f"pb{n_max}.csv", tmp_path / f"pb{n_max}.json"
+        code, out, err = run(capsys, "pb", "--state", "num:2", "--n-max", n_max, "--s", "4",
+                             "--report", str(report), "--out", str(table))
+        assert (code, out, err) == (0, "", "")
+        outputs.append((table.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_timepdf_reads_the_cells_once(capsys, monkeypatch):
@@ -440,9 +464,10 @@ def test_overflowing_superposition_is_exit_2_without_warnings(capsys):
 
 
 def test_refused_pb_report_leaves_no_table(capsys, tmp_path):
-    # the report refuses s below n_max; the masses alone would be fine
+    # coh:1 occupies n = 0..14: the report refuses s = 2 below that, though the masses
+    # of the state cut to n <= 2 are fine
     table, report = tmp_path / "pb.csv", tmp_path / "pb.json"
-    code, _, err = run(capsys, "pb", "--state", "num:0", "--n-max", "1", "--s", "0",
+    code, _, err = run(capsys, "pb", "--state", "coh:1", "--s", "2",
                        "--report", str(report), "--out", str(table))
     assert one_line_error(code, err) and "truncates the state" in err
     assert not table.exists() and not report.exists()

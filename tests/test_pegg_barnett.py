@@ -115,9 +115,20 @@ def test_rejects_truncating_s():
 
 
 def test_distance_refuses_a_pmf_of_a_truncated_state():
-    state = make_number_state(1, 3)
+    # occupied n = 0 and 3: s = 2 keeps mass at n = 0 but truncates the state
+    state = SingleModeState.from_amplitudes([1.0, 0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="truncates the state"):
         kolmogorov_distance(pb_pmf(state, 2), state)
+    # |1> declared at n_max 3 occupies n = 1 alone: s = 1 truncates nothing
+    padded, tight = make_number_state(1, 3), make_number_state(1, 1)
+    want = kolmogorov_distance(pb_pmf(tight, 1), tight)
+    assert kolmogorov_distance(pb_pmf(padded, 1), padded) == want
+
+
+@pytest.mark.parametrize("s", [-3, -1, 2])
+def test_pmf_refuses_a_truncation_without_support(s):
+    with pytest.raises(ValueError, match=f"no support at or below n={s}"):
+        pb_pmf(make_number_state(3, 5), s)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -204,13 +204,16 @@ def test_one_time_has_the_bits_of_the_same_time_on_a_grid(convention):
 
 
 def test_default_time_grid_is_the_larger_of_256_and_the_state_size():
-    small = two_mode(oracles.xnumber_amp(2), 2)  # exact from 12 times
+    # the default is a display default, max(256, 4 (j_max + 1)); exact grids need j_max - j_min + 1
+    small = two_mode(oracles.xnumber_amp(2), 2)  # j = 2 alone: exact from 1 time
     assert absolute_time_pdf(small).phi.size == time_grid(small) == DEFAULT_KT == 256
-    large = to_circular(XCoherent(100.0))  # exact from 716 times
-    assert absolute_time_pdf(large).phi.size == time_grid(large) == time_grid_size(large) == 716
+    assert time_grid_size(small) == 1
+    large = to_circular(XCoherent(100.0))  # j = 0..178: exact from 179 times, displayed on 716
+    assert absolute_time_pdf(large).phi.size == time_grid(large) == 716
+    assert time_grid_size(large) == time_grid(large, 179) == 179
     assert time_grid(large, 800) == 800
-    with pytest.raises(AliasingError, match="time grid 715 is below the exact-quadrature size 716"):
-        absolute_time_pdf(large, 715)
+    with pytest.raises(AliasingError, match="time grid 178 is below the exact-quadrature size 179"):
+        absolute_time_pdf(large, 178)
 
 
 def test_fermionic_branches_and_time_density():

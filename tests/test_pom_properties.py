@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 import oracles
 from relphase import pom
 from relphase import (
+    AliasingError,
     PrimitiveConvention,
     TwoModeState,
     absolute_time_pdf,
     branch_wavefunctions,
+    conditioning_probability,
     marginal_pdf,
     snapshot_sweep,
 )
@@ -138,6 +140,41 @@ def test_time_average_of_weighted_snapshots_is_the_marginal(data, gap, extra):
     average = sum(weighted) / times.phi.size
     assert np.abs(average - marginal_pdf(state, k).density).max() < 1e-10
 
+
+
+@given(two_mode_states(), conventions)
+def test_time_density_integrates_to_one_on_the_exact_time_grid(state, convention):
+    """On time_grid_size times the mean of C(t) is exact, mixed m included: C adds
+    |.|^2 over m columns, and within one column j - j' is an integer."""
+    state = TwoModeState(state.amplitudes, convention)
+    assert abs(absolute_time_pdf(state, time_grid_size(state)).integral() - 1.0) < 1e-12
+
+
+@given(one_lattice_sweeps())
+def test_mixture_identity_holds_on_the_exact_time_grid(sweep):
+    """Criterion 08 on time_grid_size times, in both conventions; snapshots need one m
+    lattice, on which every j - j' is an integer of at most j_max - j_min."""
+    amps, convention, _ = sweep
+    state, k = occupation_state(amps, convention), 16
+    times = absolute_time_pdf(state, time_grid_size(state))
+    assert abs(times.integral() - 1.0) < 1e-12
+    slices = snapshot_sweep(state, times.phi, k)
+    weighted = [2 * np.pi * c * pdf.density for c, pdf in zip(times.density, slices)
+                if pdf is not None]
+    average = sum(weighted) / times.phi.size
+    assert np.abs(average - marginal_pdf(state, k).density).max() < 1e-12
+
+
+def test_one_time_below_time_grid_size_misses_the_integral():
+    """(|0,0> + |1,1>)/sqrt(2), photonic: j = 0 and 2 share the column m = 0, so
+    C(t) = 1 + cos 2t, whose mean over 3 times is 1 and over 2 times is 2."""
+    r = 1 / math.sqrt(2)
+    state = TwoModeState(oracles.to_array({(0, 0): r, (1, 1): r}, 2))
+    assert time_grid_size(state) == 3
+    assert abs(absolute_time_pdf(state, 3).integral() - 1.0) < 1e-12
+    assert abs(np.mean([conditioning_probability(state, t) for t in angular_grid(2)]) - 2.0) < 1e-12
+    with pytest.raises(AliasingError, match="time grid 2 is below the exact-quadrature size 3"):
+        absolute_time_pdf(state, 2)
 
 def whole_array_sweep(state, times, k):
     """(live mask, densities) of a sweep, from one scatter, FFT and |.|^2 / C over

@@ -96,7 +96,6 @@ def test_two_sided_density_of_a_single_mode_is_its_phase_density(case):
     two_sided = generalized_phase_pdf(two, k)
     want = oracles.direct_phase_pdf(state.amplitudes, angular_grid(k))
     assert np.max(np.abs(two_sided.density - want)) < 1e-12
-    if k > 2 * state.n_max:  # phase_pdf bounds K by the declared n_max, not by the support
-        one_sided = phase_pdf(state, k)
-        assert np.array_equal(two_sided.phi, one_sided.phi)
-        assert np.max(np.abs(two_sided.density - one_sided.density)) < 1e-12
+    one_sided = phase_pdf(state, k)
+    assert np.array_equal(two_sided.phi, one_sided.phi)
+    assert np.max(np.abs(two_sided.density - one_sided.density)) < 1e-12
