@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         if kt:
             p.add_argument(
                 "--kt", type=_grid_size, default=None,
-                help=f"time grid size, at least j_max - j_min + 1 (display default: the larger "
-                f"of {DEFAULT_KT} and 4 (ceil(j_max) + 1))",
+                help=f"time grid size; timepdf refuses fewer than j_max - j_min + 1 points, sweep "
+                f"does not (display default: the larger of {DEFAULT_KT} and 4 (ceil(j_max) + 1))",
             )
         p.add_argument("--n-max", type=_n_max, default=None, help="Fock truncation override")
         p.add_argument(

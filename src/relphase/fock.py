@@ -40,14 +40,14 @@ class PrimitiveConvention(Enum):
 
 
 def _norm(amps: np.ndarray) -> tuple[int, float]:
-    """(e, norm): a constructor divides amps * 2**e by norm. e is 0 unless the squared
-    norm underflows (lies below the smallest normal float); then 2**e brings the
-    largest |amplitude| into [0.5, 1), so the squares keep their precision. Zero and
-    non-finite norms are refused."""
+    """(e, norm): a constructor divides amps * 2**e by norm. e is 0 unless the squared norm
+    underflows or overflows (is not a finite normal float); then 2**e brings the largest real
+    or imaginary part (an |amplitude| can overflow where its parts do not) into [0.5, 1), so
+    the squares keep their precision. Zero and non-finite norms are refused."""
     squared = float(np.vdot(amps, amps).real)
     e = 0
-    if squared < sys.float_info.min and np.any(amps):
-        e = -math.frexp(float(np.max(np.abs(amps))))[1]
+    if not sys.float_info.min <= squared <= sys.float_info.max and np.any(amps):
+        e = -math.frexp(float(np.max(np.abs([amps.real, amps.imag]))))[1]
         amps = _ldexp(amps, e)
         squared = float(np.vdot(amps, amps).real)
     norm = math.sqrt(squared)

@@ -150,35 +150,26 @@ def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> li
     return [None if gap else AngularPdf(next(densities)) for gap in refused]
 
 
-def _time_grids(state: TwoModeState) -> tuple[int, int]:
-    """(time_grid_size, display default), j_min and j_max from each n_s row's first and
-    last amplitude (no read of the cells)."""
-    occupied, n_s = state.amplitudes != 0, np.arange(state.n_max + 1)
-    rows = occupied.any(axis=1)  # a row's last amplitude: n_a = n_max - argmax of it reversed
-    n_sums = np.array([(n_s + occupied.argmax(axis=1))[rows].min(),
-                       (n_s - occupied[:, ::-1].argmax(axis=1))[rows].max() + state.n_max])
-    j_min, j_max = jm_labels(n_sums, 0, state.convention)[0].tolist()
-    return int(j_max - j_min) + 1, max(DEFAULT_KT, 4 * (math.ceil(j_max) + 1))
-
-
-def time_grid_size(state: TwoModeState) -> int:
-    """Size int(j_max - j_min) + 1 of a periodic time grid that integrates C(t), and on one
-    m lattice each C-weighted snapshot, exactly. j - m is an integer in both conventions, so
-    C, a sum of |.|^2 over m columns, has integer t-frequencies j - j' (no mixed-m refusal)."""
-    return _time_grids(state)[0]
-
-
 def time_grid(state: TwoModeState, k_t: int | None = None) -> int:
-    """k_t, by default the display default max(DEFAULT_KT, 4 (ceil(j_max) + 1)); refuses a k_t
-    below time_grid_size (every grid from there up is exact) or over the working-set budget."""
-    needed, default = _time_grids(state)
-    k_t = default if k_t is None else k_t
-    if k_t < needed:
-        raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
+    """k_t, by default the display default max(DEFAULT_KT, 4 (ceil(j_max) + 1)), j_max from
+    each n_s row's last amplitude (no read of the cells); refuses a k_t over the working-set
+    budget. Sweep times need nothing more: each snapshot is normalized at its own time."""
+    if k_t is None:
+        occupied = state.amplitudes[:, ::-1] != 0  # a row's last amplitude: n_a = n_max - argmax
+        rows = occupied.any(axis=1)
+        n_sum = (np.arange(state.n_max + 1) - occupied.argmax(axis=1))[rows].max() + state.n_max
+        k_t = max(DEFAULT_KT, 4 * (math.ceil(jm_labels(n_sum, 0, state.convention)[0]) + 1))
     check_cells((k_t,), "a time grid")
     return k_t
 
 
 def absolute_time_pdf(state: TwoModeState, k_t: int | None = None) -> AngularPdf:
-    """Density of the conditioning time, C(t)/2pi, on time_grid(state, k_t) points of [-pi, pi)."""
-    return AngularPdf(_conditioned(*_cells(state), angular_grid(time_grid(state, k_t)))[2] / (2.0 * np.pi))
+    """Density of the conditioning time, C(t)/2pi, on time_grid(state, k_t) points of [-pi, pi).
+    Refuses fewer than int(j_max - j_min) + 1 points, the size from which a periodic grid
+    integrates C(t), and on one m lattice each C-weighted snapshot, exactly: j - m is an integer
+    in both conventions, so C, a sum of |.|^2 over m columns, has integer t-frequencies j - j'."""
+    k_t = time_grid(state, k_t)
+    j, m, v = _cells(state)
+    if k_t < (needed := int(j.max() - j.min()) + 1):
+        raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
+    return AngularPdf(_conditioned(j, m, v, angular_grid(k_t))[2] / (2.0 * np.pi))

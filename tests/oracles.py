@@ -247,6 +247,16 @@ def jm_map(amp, photonic=True):
     return out
 
 
+def time_grid_size(state):
+    """int(j_max - j_min) + 1 over the nonzero cells of a two-mode state (its .amplitudes
+    a[n_s, n_a], its .convention photonic, j = n_s + n_a, or fermionic, j = (n_s + n_a) / 2):
+    C(t)'s t-frequencies are integers j - j', so from this many periodic times a grid
+    integrates it exactly."""
+    n_sums = np.add(*np.nonzero(state.amplitudes))
+    c = 1 if state.convention.value == "photonic" else 0.5
+    return int(c * (n_sums.max() - n_sums.min())) + 1
+
+
 def branch_values(jm, phis):
     js = sorted({j for j, _ in jm})
     out = {}

@@ -53,6 +53,11 @@ CASES = [
                               "--out", "pb.csv"]),
     ("timepdf xcoh:100 kt 179", ["timepdf", "--pol", "xcoh:100", "--kt", "179"]),
     ("exit 3: timepdf xcoh:30 kt 76", ["timepdf", "--pol", "xcoh:30", "--kt", "76"]),
+    # sweep's times are snapshot instants, not a quadrature: no exact-size refusal
+    ("sweep xcoh:30 kt 76", ["sweep", "--pol", "xcoh:30", "--kt", "76", "--k", "256",
+                             "--out", "sweep30.csv"]),
+    # a superposition whose squared norm overflows
+    ("ellipse xsup 1e200", ["ellipse", "--pol", "xsup:1,1e200;2,1e200", "--k", "8"]),
 ]
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import time_grid_size
 from relphase import (
     PrimitiveConvention,
     SingleModeState,
@@ -35,7 +36,6 @@ from relphase import (
     y_moments,
 )
 from relphase.phase import angular_grid
-from relphase.pom import time_grid_size
 
 PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC

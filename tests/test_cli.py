@@ -160,13 +160,22 @@ def test_default_time_grid_is_the_larger_of_256_and_the_state_size(capsys, defau
     assert run(capsys, *default, *explicit) == (0, out, "")
 
 
-@pytest.mark.parametrize("command", ["sweep", "timepdf"])
-def test_explicit_time_grid_below_state_size_is_exit_3(capsys, command):
-    # xcoh:30 occupies j = 0..76, so 77 times are exact and 76 alias
-    k = ["--k", "256"] if command == "sweep" else []  # timepdf has no angular grid
-    code, out, err = run(capsys, command, "--pol", "xcoh:30", "--kt", "76", *k)
+def test_timepdf_time_grid_below_the_exact_size_is_exit_3(capsys):
+    # xcoh:30 occupies j = 0..76, so 77 times integrate C(t) exactly and 76 alias
+    code, out, err = run(capsys, "timepdf", "--pol", "xcoh:30", "--kt", "76")
     assert code == 3 and out == "" and err.count("\n") == 1
     assert "time grid 76 is below the exact-quadrature size 77" in err
+
+
+@pytest.mark.parametrize("pol, kt, k", [("xcoh:30", 76, 256), ("xcoh:1", 3, 32), ("xcoh:30", 1, 256)])
+def test_sweep_takes_a_time_grid_below_the_exact_size(capsys, pol, kt, k):
+    # sweep integrates nothing over t: each snapshot is normalized at its own time
+    code, out, err = run(capsys, "sweep", "--pol", pol, "--kt", str(kt), "--k", str(k))
+    assert code == 0 and err == ""
+    _, data = rows_of(out)
+    times = data[:, 0].reshape(kt, k)
+    assert (times == times[:, :1]).all() and np.allclose(times[:, 0], np.linspace(0.0, math.pi, kt))
+    assert np.abs(data[:, 2].reshape(kt, k).mean(axis=1) * 2 * math.pi - 1.0).max() < 1e-12
 
 
 def test_exact_time_grid_below_the_display_default_is_accepted(capsys):
@@ -355,9 +364,9 @@ def test_json_missing_kind_is_exit_2(capsys, tmp_path):
     [
         ("phase", "single", "[[0, 0, NaN, 0]]"),
         ("phase", "single", "[[0, 0, 1, Infinity]]"),
-        ("phase", "single", "[[0, 0, 1e200, 0], [1, 0, 1e200, 0]]"),
+        ("phase", "single", "[[0, 0, 1e400, 0], [1, 0, 1, 0]]"),  # beyond the largest float
         ("ellipse", "two", "[[0, 0, NaN, 0]]"),
-        ("ellipse", "two", "[[0, 0, 1e200, 0], [1, 0, 1e200, 0]]"),
+        ("ellipse", "two", "[[0, 0, 1, 0], [1, 0, 0, -1e400]]"),
     ],
 )
 def test_json_non_finite_or_huge_amplitude_is_exit_2(capsys, tmp_path, command, kind, rows):
@@ -733,6 +742,25 @@ def test_json_state_whose_squared_norm_underflows_is_read(capsys, tmp_path, comm
     assert code == 0 and err == ""
     _, data = rows_of(out)
     assert np.allclose(data[:, 1], 1 / (2 * np.pi), rtol=1e-14)
+
+
+@pytest.mark.parametrize("command", ["phase", "ellipse"])
+def test_json_state_whose_squared_norm_overflows_is_read(capsys, tmp_path, command):
+    # (|0> + |1>) at weight 1e200: the squared norm overflows, the state is that of weight 1
+    kind, flag = ("single", "--state") if command == "phase" else ("two", "--pol")
+    outputs = []
+    for weight in ("1e200", "1"):
+        path = tmp_path / f"state{weight}.json"
+        path.write_text(f'{{"kind": "{kind}", "n_max": 1, "amps": [[0, 0, {weight}, 0], '
+                        f'[1, 0, {weight}, 0]]}}')
+        outputs.append(run(capsys, command, flag, f"file:{path}", "--k", "16"))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("weight", ["1e200", "1e300"])
+def test_superposition_whose_squared_norm_overflows_is_measured(capsys, weight):
+    got = run(capsys, "ellipse", "--pol", f"xsup:1,{weight};2,{weight}", "--k", "8")
+    assert got == run(capsys, "ellipse", "--pol", "xsup:1,1;2,1", "--k", "8") and got[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -193,9 +193,6 @@ def test_json_field_names_fixed():
         {"kind": "single", "n_max": 1, "amps": [[0, 0, "1", 0.0]]},  # non-numeric
         {"kind": "single", "n_max": 1, "amps": [[0, 0, float("nan"), 0.0]]},
         {"kind": "two", "n_max": 1, "amps": [[0, 0, 1.0, float("inf")]]},
-        # the norm overflows
-        {"kind": "two", "n_max": 1, "amps": [[0, 0, 1e200, 0.0], [1, 0, 1e200, 0.0]]},
-        {"kind": "single", "n_max": 1, "amps": [[0, 0, 1e200, 0.0], [1, 0, 1e200, 0.0]]},
         ["single", 1, []],
     ],
 )
@@ -270,6 +267,41 @@ def test_constructors_normalize_amplitudes_whose_squares_underflow(tiny):
     unit[0, 1], unit[1, 1], unit[2, 0] = 1, 1, 1j
     two = TwoModeState.from_amplitudes(unit * tiny)
     assert np.allclose(two.amplitudes, unit / math.sqrt(3), rtol=1e-15)
+
+
+@pytest.mark.parametrize("huge", [1e155, 1e200, 1e300, 1e308])
+def test_constructors_normalize_amplitudes_whose_squares_overflow(huge):
+    # (1, 1, 1j)/sqrt(3) at a scale where the squared norm is not a finite float
+    single = SingleModeState.from_amplitudes(np.array([1, 1, 1j]) * huge)
+    assert np.allclose(single.amplitudes, np.array([1, 1, 1j]) / math.sqrt(3), rtol=1e-15)
+    unit = np.zeros((3, 3), dtype=complex)
+    unit[0, 1], unit[1, 1], unit[2, 0] = 1, 1, 1j
+    two = TwoModeState.from_amplitudes(unit * huge)
+    assert np.allclose(two.amplitudes, unit / math.sqrt(3), rtol=1e-15)
+
+
+def test_constructors_normalize_amplitudes_whose_moduli_overflow():
+    # |1.5e308 (1 + 1j)| is beyond the largest float, though each part is finite
+    unit = np.array([1 + 1j, 1 - 1j])
+    assert np.allclose(SingleModeState.from_amplitudes(1.5e308 * unit).amplitudes, unit / 2, rtol=1e-15)
+    two = TwoModeState.from_amplitudes(1.5e308 * np.array([unit, [0, 0]]))
+    assert np.allclose(two.amplitudes, np.array([unit, [0, 0]]) / 2, rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["single", "two"])
+def test_json_reader_reads_amplitudes_whose_squared_norm_overflows(kind):
+    doc = {"kind": kind, "n_max": 1, "amps": [[0, 0, 1e200, 0.0], [1, 0, 1e200, 0.0]]}
+    unit = {**doc, "amps": [[0, 0, 1.0, 0.0], [1, 0, 1.0, 0.0]]}
+    got, want = (state_from_json(json.dumps(d)) for d in (doc, unit))
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("amps", [[float("inf"), 1.0], [float("nan"), 1.0], [1e308, -float("inf")]])
+def test_constructors_refuse_non_finite_amplitudes(amps):
+    with pytest.raises(ValueError, match="cannot normalize a vector of norm (inf|nan)"):
+        SingleModeState.from_amplitudes(amps)
+    with pytest.raises(ValueError, match="cannot normalize a vector of norm (inf|nan)"):
+        TwoModeState.from_amplitudes(np.array([amps, [0.0, 0.0]]))
 
 
 def test_constructors_divide_by_the_plain_norm_when_its_square_is_normal():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import time_grid_size
 from relphase import (
     AliasingError,
     ConditioningError,
@@ -20,7 +21,7 @@ from relphase import (
     snapshot_sweep,
 )
 from relphase.phase import angular_grid
-from relphase.pom import DEFAULT_KT, time_grid, time_grid_size
+from relphase.pom import DEFAULT_KT, time_grid
 from relphase.polarization import XCoherent, to_circular
 
 PHOTONIC = PrimitiveConvention.PHOTONIC

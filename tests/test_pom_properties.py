@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import time_grid_size
 from relphase import pom
 from relphase import (
     AliasingError,
@@ -21,7 +22,7 @@ from relphase import (
     snapshot_sweep,
 )
 from relphase.fock import angular_grid, scatter_series
-from relphase.pom import C_MIN, time_grid_size
+from relphase.pom import C_MIN
 
 PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC
