@@ -41,6 +41,7 @@ from .fock import (
     DEFAULT_TAIL_TOL,
     SingleModeState,
     TwoModeState,
+    _check_tail_tol,
     angular_grid,
     make_coherent_state,
     make_number_state,
@@ -151,17 +152,17 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
         return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".relphase-{os.urandom(8).hex()}")
-    try:
+    try:  # an OSError of any step names the output, never the temp file
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _write_table(args, header: Sequence[str], groups) -> None:
@@ -293,6 +294,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tail_tol(args.tail_tol)  # every spec, not only the coherent ones that read it
         return args.fn(args)
     except (OSError, ValueError) as exc:  # SpecError included
         code, text = 2, str(exc)

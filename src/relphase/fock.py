@@ -144,10 +144,10 @@ def angular_grid(k: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(k) / k
 
 
-def check_grid(k: int, m_max: float) -> None:
-    """Refuse a K-point grid that aliases frequencies up to |m| = m_max (K <= 2 m_max)."""
-    if k <= 2 * m_max:
-        raise AliasingError(f"grid size {k} admits aliasing: need K > {2 * m_max:g}")
+def check_grid(k: int, freqs: np.ndarray) -> None:
+    """Refuse a K-point grid that aliases the frequencies freqs: K <= 2 max|f| (none, no refusal)."""
+    if k <= (bound := 2 * np.abs(freqs).max(initial=0)):
+        raise AliasingError(f"grid size {k} admits aliasing: need K > {bound:g}")
 
 
 def scatter_series(shape: tuple, k: int, index: tuple, freqs: np.ndarray, coeffs) -> np.ndarray:
@@ -158,17 +158,6 @@ def scatter_series(shape: tuple, k: int, index: tuple, freqs: np.ndarray, coeffs
     packed = np.zeros(tuple(shape) + (k,), dtype=complex)
     packed[index + (freqs % k,)] = np.where(freqs % 2, -coeffs, coeffs)
     return np.fft.fft(packed, axis=-1)
-
-
-def eval_fourier_series(coeffs: np.ndarray, k: int, lo: int = 0) -> np.ndarray:
-    """f(phi_j) = sum_n c[..., n] e^{-i (lo + n) phi_j} on the K-point grid: the last axis
-    holds consecutive frequencies from lo, leading axes are independent series, and
-    the frequency span must be < K."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    span = coeffs.shape[-1]
-    if span > k:
-        raise AliasingError(f"frequency span {span - 1} does not fit a {k}-point grid")
-    return scatter_series(coeffs.shape[:-1], k, (...,), lo + np.arange(span), coeffs)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import SupportError
-from .fock import (DEFAULT_GRID_SIZE, SingleModeState, TwoModeState, _support, check_grid,
-                   eval_fourier_series)
+from .fock import DEFAULT_GRID_SIZE, SingleModeState, TwoModeState, check_grid, scatter_series
 from .phase import AngularPdf
 
 
@@ -118,9 +117,9 @@ def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> An
         ns, na = (both[0] + 1).tolist()
         raise SupportError(f"state has support at (n_s, n_a) = ({ns}, {na}); need n_s * n_a = 0")
     coeffs = np.concatenate([a[0, :0:-1], a[:, 0]])  # psi_m for m = -n_max..n_max
-    support = _support(coeffs)
-    lo, coeffs = support.start - state.n_max, coeffs[support]
-    check_grid(k, max(-lo, lo + coeffs.size - 1))
-    values = eval_fourier_series(coeffs, k, lo)
+    occupied = np.flatnonzero(coeffs)
+    m, coeffs = occupied - state.n_max, coeffs[occupied]
+    check_grid(k, m)
+    values = scatter_series((), k, (), m, coeffs)
     norm = math.fsum(abs(c) ** 2 for c in coeffs)
     return AngularPdf(np.abs(values) ** 2 / (2.0 * np.pi * norm))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import SingleModeState, _frozen, _support, angular_grid, eval_fourier_series
+from .fock import SingleModeState, _frozen, _support, angular_grid, scatter_series
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:
     if _support(state.amplitudes).start > s:
         raise ValueError(f"state has no support at or below n={s}")
     psi = SingleModeState.from_amplitudes(state.amplitudes[: s + 1]).amplitudes
-    return DiscretePhasePmf(np.abs(eval_fourier_series(psi, s + 1)) ** 2 / (s + 1))
+    values = scatter_series((), s + 1, (), np.arange(psi.size), psi)  # a DFT of length s + 1
+    return DiscretePhasePmf(np.abs(values) ** 2 / (s + 1))
 
 
 def phase_cdf(state: SingleModeState, x: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import (DEFAULT_GRID_SIZE, SingleModeState, _frozen, _support, angular_grid,
-                   check_grid, eval_fourier_series)
+from .fock import (DEFAULT_GRID_SIZE, SingleModeState, _frozen, angular_grid, check_grid,
+                   scatter_series)
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ class AngularPdf:
 
 def phase_wavefunction(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> PhaseWavefunction:
     """psi(phi_k) = sum_n psi_n e^{-i n phi_k} over the occupied n, evaluated by FFT."""
-    support = _support(state.amplitudes)
-    check_grid(k, support.stop - 1)  # the series then checks the working set
-    return PhaseWavefunction(eval_fourier_series(state.amplitudes[support], k, support.start))
+    n = np.flatnonzero(state.amplitudes)
+    check_grid(k, n)  # the series then checks the working set
+    return PhaseWavefunction(scatter_series((), k, (), n, state.amplitudes[n]))
 
 
 def phase_pdf(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:

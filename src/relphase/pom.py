@@ -69,7 +69,7 @@ def _branches(state: TwoModeState, k: int):
     A cell lands in its branch's row at frequency floor(m), distinct there (one m
     lattice per j); half-integer branches get back the e^{-i phi/2} this drops."""
     j, m, v = _cells(state)
-    check_grid(k, np.abs(m).max())
+    check_grid(k, m)
     js, rows = np.unique(j, return_inverse=True)
     values = scatter_series((js.size,), k, (rows,), np.floor(m).astype(int), v)
     values[js % 1 != 0] *= np.exp(-0.5j * angular_grid(k))
@@ -129,9 +129,9 @@ def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> li
     """Snapshots along a time grid; refused times yield None (gaps). The live times'
     densities fill one float64 array _BLOCK_CELLS at a time: no complex kt x K transient."""
     j, m, v = _cells(state)
-    check_grid(k, np.abs(m).max())
+    check_grid(k, m)
     # snapshots add amplitudes across m: mixed integer/half-integer m interfere 4pi-periodically
-    if np.any(m % 1 != m[0] % 1):
+    if np.any(m % 1 != m[:1] % 1):
         raise SupportError(
             "state mixes integer and half-integer m; its relative-phase "
             "interference is 4pi-periodic and has no density on [-pi, pi)"

@@ -58,6 +58,10 @@ CASES = [
                              "--out", "sweep30.csv"]),
     # a superposition whose squared norm overflows
     ("ellipse xsup 1e200", ["ellipse", "--pol", "xsup:1,1e200;2,1e200", "--k", "8"]),
+    # --tail-tol is checked for every spec, not only the coherent ones
+    ("exit 2: phase num:3 tail-tol nan", ["phase", "--state", "num:3", "--tail-tol", "nan"]),
+    # an --out that names a directory: the refusal names the output, not a temp file
+    ("exit 2: phase --out a directory", ["phase", "--state", "num:1", "--k", "8", "--out", "{inputs}"]),
 ]
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from relphase import (
     TwoModeState,
+    make_number_state,
     snapshot_sweep,
     state_from_json,
     state_to_json,
@@ -314,8 +315,6 @@ def test_version_flag(capsys):
 
 
 def test_file_state_round_trip(capsys, tmp_path):
-    from relphase import make_number_state
-
     path = tmp_path / "s.json"
     _, out, _ = run(capsys, "phase", "--state", "num:1", "--k", "16")
     path.write_text(state_to_json(make_number_state(1, 1)))
@@ -495,17 +494,37 @@ def test_output_file_mode_follows_umask(capsys, tmp_path):
 
 
 def test_missing_output_directory_names_the_output(capsys, tmp_path):
-    path = tmp_path / "missing" / "out.csv"
-    code, _, err = run(capsys, "phase", "--state", "num:1", "--k", "8", "--out", str(path))
-    assert one_line_error(code, err)
-    assert str(path) in err and ".relphase-" not in err
+    # a missing directory, an --out that is a directory, and a --report that is one: the
+    # refusal names the output (not the temp file, whichever step failed), and no temp file is left
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    for argv, path in [
+        (["phase", "--state", "num:1", "--k", "8", "--out"], tmp_path / "missing" / "out.csv"),
+        (["phase", "--state", "num:1", "--k", "8", "--out"], directory),
+        (["pb", "--state", "num:1", "--s", "4", "--report"], directory),
+    ]:
+        code, _, err = run(capsys, *argv, str(path))
+        assert one_line_error(code, err)
+        assert str(path) in err and ".relphase-" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not any(directory.iterdir())
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
-def test_tail_tol_outside_unit_interval_is_exit_2(capsys, tol):
-    code, out, err = run(capsys, "phase", "--state", "coh:9", "--tail-tol", tol)
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "1", "5"])
+@pytest.mark.parametrize("argv", [
+    ["phase", "--state", "coh:9"],
+    ["phase", "--state", "num:3"],
+    ["moments", "--state", "num:0"],
+    ["ellipse", "--pol", "xnum:2", "--k", "8"],
+    ["phase", "--state", "file:{state}"],
+], ids=["coh", "num", "moments-num", "ellipse-xnum", "file"])
+def test_tail_tol_outside_unit_interval_is_exit_2(capsys, tmp_path, argv, tol):
+    # every spec, not only the coherent ones whose truncation reads the tolerance
+    state = tmp_path / "state.json"
+    state.write_text(state_to_json(make_number_state(1, 1)))
+    argv = [arg.replace("{state}", str(state)) for arg in argv]
+    code, out, err = run(capsys, *argv, "--tail-tol", tol)
     assert one_line_error(code, err) and out == ""
-    assert "tail_tol" in err
+    assert err == f"error: tail_tol must lie in (0, 1), got {float(tol)!r}\n"
 
 
 SPECIAL_VALUES = [-0.0, 5e-324, 1e16, 123456789012345.6, 0.1, 1 / 3, 64.0, 3.0, -2.0,

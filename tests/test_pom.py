@@ -267,6 +267,18 @@ def test_grid_of_twice_the_largest_m_is_refused(kernel, convention, refused):
     kernel(state, refused + 1)
 
 
+def test_all_zero_state_built_directly_is_refused_by_each_kernel():
+    # no cells: no frequency for the aliasing rule to refuse, so each kernel refuses the
+    # state its own way (no kernel indexes an empty label array)
+    zero = TwoModeState(np.zeros((3, 3)))
+    for kernel in (marginal_pdf, branch_wavefunctions):
+        with pytest.raises(ValueError, match="branch norms sum to 0.0"):
+            kernel(zero, 8)
+    assert snapshot_sweep(zero, [0.0, 1.0], 8) == [None, None]
+    with pytest.raises(ConditioningError, match="conditioning probability 0.000e"):
+        snapshot_pdf(zero, 0.0, 8)
+
+
 def test_grid_check_runs_before_the_m_lattice_check():
     # m = 2.5 and m = 0 mix the lattices; a grid of 5 also aliases m = 2.5
     state = two_mode({(5, 0): 0.6, (1, 1): 0.8}, 5, FERMIONIC)
