@@ -66,9 +66,9 @@ def _ldexp(amps: np.ndarray, e: int) -> np.ndarray:
 
 
 def _frozen(samples, what: str, dtype=None) -> np.ndarray:
-    """samples as a read-only array (an array of that dtype is not copied); refused
-    unless non-empty and 1-d."""
-    samples = np.asarray(samples, dtype=dtype)
+    """A read-only copy of samples, so the caller's array stays theirs; refused unless
+    non-empty and 1-d."""
+    samples = np.array(samples, dtype=dtype)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-d sequence")
     samples.setflags(write=False)
@@ -88,7 +88,7 @@ class SingleModeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _frozen(np.array(self.amplitudes, complex), "amplitudes"))
+        object.__setattr__(self, "amplitudes", _frozen(self.amplitudes, "amplitudes", complex))
 
     @classmethod
     def from_amplitudes(cls, amplitudes: Sequence[complex]) -> "SingleModeState":

@@ -126,8 +126,8 @@ def snapshot_pdf(state: TwoModeState, t: float, k: int = DEFAULT_GRID_SIZE) -> A
 
 
 def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> list[AngularPdf | None]:
-    """Snapshots along a time grid; refused times yield None (gaps). The live times'
-    densities fill one float64 array _BLOCK_CELLS at a time: no complex kt x K transient."""
+    """Snapshots along a time grid; refused times yield None (gaps). The live times' densities
+    are made _BLOCK_CELLS at a time, each row copied into its AngularPdf: no kt x K transient."""
     j, m, v = _cells(state)
     check_grid(k, m)
     # snapshots add amplitudes across m: mixed integer/half-integer m interfere 4pi-periodically
@@ -137,17 +137,15 @@ def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> li
             "interference is 4pi-periodic and has no density on [-pi, pi)"
         )
     ms, b, c = _conditioned(j, m, v, times)
-    refused = c <= C_MIN
-    live = np.flatnonzero(~refused)
+    live = np.flatnonzero(~(c <= C_MIN))  # a NaN C stays live, for AngularPdf to refuse
     check_cells((live.size, k), "an angular grid")
-    density = np.empty((live.size, k))
-    freqs, step = np.floor(ms).astype(int), max(1, _BLOCK_CELLS // k)
+    pdfs, freqs, step = [None] * c.size, np.floor(ms).astype(int), max(1, _BLOCK_CELLS // k)
     for lo in range(0, live.size, step):
         rows = live[lo : lo + step]
         values = scatter_series((rows.size,), k, (...,), freqs, b[rows])
-        np.divide(np.abs(values) ** 2, 2.0 * np.pi * c[rows, None], out=density[lo : lo + step])
-    densities = iter(density)
-    return [None if gap else AngularPdf(next(densities)) for gap in refused]
+        for t, density in zip(rows.tolist(), np.abs(values) ** 2 / (2.0 * np.pi * c[rows, None])):
+            pdfs[t] = AngularPdf(density)
+    return pdfs
 
 
 def time_grid(state: TwoModeState, k_t: int | None = None) -> int:
@@ -168,8 +166,10 @@ def absolute_time_pdf(state: TwoModeState, k_t: int | None = None) -> AngularPdf
     Refuses fewer than int(j_max - j_min) + 1 points, the size from which a periodic grid
     integrates C(t), and on one m lattice each C-weighted snapshot, exactly: j - m is an integer
     in both conventions, so C, a sum of |.|^2 over m columns, has integer t-frequencies j - j'."""
-    k_t = time_grid(state, k_t)
     j, m, v = _cells(state)
+    if not v.size:  # before time_grid's row scan and j.max() reduce an empty array
+        raise ValueError("cannot normalize the zero vector")
+    k_t = time_grid(state, k_t)
     if k_t < (needed := int(j.max() - j.min()) + 1):
         raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
     return AngularPdf(_conditioned(j, m, v, angular_grid(k_t))[2] / (2.0 * np.pi))

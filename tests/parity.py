@@ -62,6 +62,10 @@ CASES = [
     ("exit 2: phase num:3 tail-tol nan", ["phase", "--state", "num:3", "--tail-tol", "nan"]),
     # an --out that names a directory: the refusal names the output, not a temp file
     ("exit 2: phase --out a directory", ["phase", "--state", "num:1", "--k", "8", "--out", "{inputs}"]),
+    # the paper's own examples, as tests/test_paper_claims.py runs them
+    ("sweep eq67 kt 3", ["sweep", "--pol", "xsup:1,1;2,1", "--kt", "3", "--k", "1024"]),
+    ("pb coh:1 s 64,128,256", ["pb", "--state", "coh:1", "--s", "64,128,256", "--report", "pb.json"]),
+    ("moments num:3", ["moments", "--state", "num:3"]),
 ]
 
 

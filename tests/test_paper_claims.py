@@ -1,10 +1,11 @@
-"""The abstract's claims, read from the CLI's CSV output as a user would read them.
+"""The abstract's claims, read from the CLI's CSV or JSON output as a user would read them.
 
-Each test runs commands in-process, parses the tables they write, and checks one
+Each test runs commands in-process, parses the tables or JSON they write, and checks one
 claim at its acceptance criterion's tolerances. test_acceptance.py checks the same
 claims on the library's values; here the CLI layer (spec parsing, grid labels,
 formatting, the table writer) sits between the kernel and the assertion.
 """
+import json
 import math
 
 import numpy as np
@@ -85,3 +86,79 @@ def test_absolute_time_density_and_snapshot_peaks_at_a_quarter_period_are_criter
     assert np.unique(sweep["t"]).size == 3
     peak0, peak_half = (sweep["density"][rows_at(sweep, "t", t)].max() for t in (0.0, math.pi / 2))
     assert 0.25 < peak_half / peak0 < 1.0
+
+
+def single_mode_file(tmp_path, amps):
+    """A file: spec of the single-mode state with number amplitudes amps, renormalized on read."""
+    rows = [[n, 0, a, 0.0] for n, a in enumerate(amps) if a]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"kind": "single", "n_max": len(amps) - 1, "amps": rows}))
+    return f"file:{path}"
+
+
+# "a conditional measurement which takes a snapshot in absolute time (corresponding to adding
+# probability amplitudes)": in Eq. 67's state the two branches' amplitudes cancel at phi = -pi
+# at t = 0, leaving criterion 02's analytic ratio, and the peak moves from 0 to -pi by t = pi
+def test_the_eq67_snapshot_falls_at_minus_pi_by_criterion_02s_ratio_and_its_peak_flips(capsys):
+    sweep = table(capsys, "sweep", "--pol", "xsup:1,1;2,1", "--kt", "3", "--k", "1024")
+    assert np.abs(np.unique(sweep["t"]) - [0.0, math.pi / 2, math.pi]).max() < 1e-12
+
+    def snapshot(t):
+        rows = rows_at(sweep, "t", t)
+        return {key: column[rows] for key, column in sweep.items()}
+
+    def peak_phi(snap):
+        return snap["phi"][np.argmax(snap["density"])]
+
+    at_0 = snapshot(0.0)
+    (minus_pi,), (zero,) = (at_0["density"][rows_at(at_0, "phi", phi)] for phi in (-math.pi, 0.0))
+    analytic = ((1 - math.sqrt(2) + 2**-0.5) / (1 + math.sqrt(2) + 2**-0.5)) ** 2
+    assert abs(minus_pi / zero - analytic) < 1e-10
+    assert abs(peak_phi(at_0)) < 1e-9 and abs(peak_phi(snapshot(math.pi)) + math.pi) < 1e-9
+
+
+# "the limited dimensionality of the state space is shown to prevent wavefunction collapse":
+# the Pegg-Barnett masses on s + 1 angles approach the continuous density as s grows, and
+# criterion 09's Kolmogorov distances fall strictly from s = 64 to 128 to 256, ending below 0.02
+@pytest.mark.parametrize("state", ["num:0", "num:1", "(|0>+|1>)/sqrt2", "coh:1", "coh:2"])
+def test_the_pegg_barnett_distances_fall_with_s_to_criterion_09s_bound(capsys, tmp_path, state):
+    spec = single_mode_file(tmp_path, [1.0, 1.0]) if state.startswith("(") else state
+    report = tmp_path / "pb.json"
+    masses = table(capsys, "pb", "--state", spec, "--s", "64,128,256", "--report", str(report))
+    assert np.unique(masses["s"]).tolist() == [64, 128, 256]
+    doc = json.loads(report.read_text())
+    assert [row["s"] for row in doc] == [64, 128, 256]
+    d64, d128, d256 = (row["distance"] for row in doc)
+    assert d64 > d128 > d256 and d256 < 0.02
+
+
+# "an auxiliary system is shown to function as a noise source and the fuzzy statistics
+# manifest": criterion 07's moment identities, the joint cosine/sine outcome of unit magnitude
+# and each joint quadrature variance the intrinsic one plus 1/4 of inflation
+VARIANCES = {  # (var_X, var_P): the intrinsic variances, (2n + 1)/4 and (3 +- sqrt2)/4, plus 1/4
+    **{f"num:{n}": ((n + 1) / 2, (n + 1) / 2) for n in range(5)},
+    "(|0>+|2>)/sqrt2": (1 + math.sqrt(2) / 4, 1 - math.sqrt(2) / 4),
+}
+
+
+@pytest.mark.parametrize("state", VARIANCES)
+def test_the_joint_moments_carry_criterion_07s_unit_magnitude_and_quarter_inflation(capsys, tmp_path, state):
+    spec = single_mode_file(tmp_path, [1.0, 0.0, 1.0]) if state.startswith("(") else state
+    assert main(["moments", "--state", spec]) == 0
+    moments = json.loads(capsys.readouterr().out)
+    assert abs(moments["second_Y1"] + moments["second_Y2"] - 1.0) < 1e-12
+    var_x, var_p = VARIANCES[state]
+    assert abs(moments["var_X"] - var_x) < 1e-12 and abs(moments["var_P"] - var_p) < 1e-12
+
+
+# "the first layer is comprised of a simple Fourier transform of the complementary
+# wavefunction": by Parseval each written density integrates to 1 as the periodic Riemann sum
+# on its K-point grid, to criterion 11's normalization tolerance
+@pytest.mark.parametrize("argv", [
+    ["phase", "--state", "coh:9", "--k", "256"],
+    ["ellipse", "--pol", "xsup:0,1;1,0.5;3,0.2", "--k", "256"],
+], ids=["phase", "ellipse"])
+def test_each_written_density_integrates_to_1_within_criterion_11s_tolerance(capsys, argv):
+    columns = table(capsys, *argv)
+    assert columns["phi"].size == 256 and abs(columns["phi"][0] + math.pi) < 1e-9
+    assert abs(columns["density"].sum() * 2 * math.pi / 256 - 1.0) < 1e-8

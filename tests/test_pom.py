@@ -269,11 +269,15 @@ def test_grid_of_twice_the_largest_m_is_refused(kernel, convention, refused):
 
 def test_all_zero_state_built_directly_is_refused_by_each_kernel():
     # no cells: no frequency for the aliasing rule to refuse, so each kernel refuses the
-    # state its own way (no kernel indexes an empty label array)
+    # state its own way (no kernel indexes or reduces an empty label array, nor divides by 0)
     zero = TwoModeState(np.zeros((3, 3)))
     for kernel in (marginal_pdf, branch_wavefunctions):
         with pytest.raises(ValueError, match="branch norms sum to 0.0"):
             kernel(zero, 8)
+    for refuse in (lambda: absolute_time_pdf(zero), lambda: absolute_time_pdf(zero, 8),
+                   lambda: generalized_phase_pdf(zero, 8)):
+        with pytest.raises(ValueError, match="^cannot normalize the zero vector$"):
+            refuse()
     assert snapshot_sweep(zero, [0.0, 1.0], 8) == [None, None]
     with pytest.raises(ConditioningError, match="conditioning probability 0.000e"):
         snapshot_pdf(zero, 0.0, 8)

@@ -1,5 +1,6 @@
 """The sampled result types hold only their samples: each grid is fock's angular_grid
-of the sample count, read-only and built once per result."""
+of the sample count, read-only and built once per result. Every value type holds a
+read-only copy of its input, so the caller's array stays writable and theirs."""
 import dataclasses
 import math
 
@@ -13,6 +14,7 @@ from relphase import (
     PhaseWavefunction,
     PrimitiveConvention,
     SingleModeState,
+    TwoModeState,
     XSuperposition,
     absolute_time_pdf,
     angular_grid,
@@ -46,6 +48,26 @@ def test_samples_must_be_a_non_empty_1d_array(name, shape):
     bad = np.tile(unit, (2, 1)) if shape == "2-d" else unit[:0]
     with pytest.raises(ValueError, match="must be a non-empty 1-d sequence"):
         build(bad)
+
+
+# the value types that hold input arrays: the sampled results and the two states
+OWNERS = {
+    **BUILDERS,
+    "SingleModeState": (SingleModeState, np.array([0.6, 0.8j])),
+    "TwoModeState": (TwoModeState, np.array([[0.6, 0.0], [0.8j, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("name", OWNERS)
+def test_each_value_type_holds_a_copy_and_leaves_the_callers_array_writable(name):
+    build, unit = OWNERS[name]
+    given = unit.copy()
+    result = build(given)
+    held = result.branches[0.0] if name == "BranchSet" else getattr(result, dataclasses.fields(result)[0].name)
+    assert given.flags.writeable and not held.flags.writeable
+    kept = held.tobytes()
+    given *= 2  # the caller's array is theirs to change
+    assert held.tobytes() == kept and given.tobytes() != kept
 
 
 @pytest.mark.parametrize("cls, fields", [
