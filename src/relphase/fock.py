@@ -66,8 +66,7 @@ def _ldexp(amps: np.ndarray, e: int) -> np.ndarray:
 
 
 def _frozen(samples, what: str, dtype=None) -> np.ndarray:
-    """A read-only copy of samples, so the caller's array stays theirs; refused unless
-    non-empty and 1-d."""
+    """A read-only copy of the samples a caller hands in (theirs stays writable); 1-d, non-empty."""
     samples = np.array(samples, dtype=dtype)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-d sequence")
@@ -138,10 +137,13 @@ def check_cells(shape: tuple[int, ...], what: str) -> None:
 
 
 def angular_grid(k: int) -> np.ndarray:
-    """K uniformly spaced angles on [-pi, pi)."""
+    """K uniformly spaced angles -pi + 2 pi j / K on [-pi, pi), built in place and read-only."""
     if k < 1:
         raise ValueError("grid size must be positive")
-    return -np.pi + 2.0 * np.pi * np.arange(k) / k
+    grid = np.arange(k, dtype=float)
+    np.add(np.divide(np.multiply(grid, 2.0 * np.pi, out=grid), k, out=grid), -np.pi, out=grid)
+    grid.setflags(write=False)
+    return grid
 
 
 def check_grid(k: int, freqs: np.ndarray) -> None:
@@ -245,18 +247,21 @@ def coherent_n_max(mean: float, tail_tol: float, modes: int = 1) -> int:
     largest n_max a `modes`-mode state can hold within the size budget.
     """
     _check_tail_tol(tail_tol)
+    _check_mean(mean)
     # generous cap; the tail decays superexponentially past the mean
     limit = budget_n_max(modes)
     cap = min(int(mean + 200 * math.sqrt(mean + 1) + 200), limit)
     if mean == 0.0:
         return 0
+    # Chernoff: P(X <= limit) <= e^(limit - mean + limit ln(mean/limit)); below e^-800 every tail reads 1
+    hopeless = mean > limit and limit - mean + limit * math.log(mean / limit) < -800
     terms, pmf, total = _pmf_terms(mean), array("d"), 0.0  # the masses, built as read
-    while len(pmf) <= cap and 1.0 - total >= tail_tol:
+    while not hopeless and len(pmf) <= cap and 1.0 - total >= tail_tol:
         pmf.append(next(terms))
         total += pmf[-1]
     lo, hi = -1, cap + 1  # tail(lo) >= tail_tol > tail(hi), the ends taken on trust
     n, step = len(pmf) - 1, 1
-    while hi - lo > 1:  # steps double away from the estimate, then the bracket halves
+    while not hopeless and hi - lo > 1:  # steps double away from the estimate, then the bracket halves
         pmf.extend(itertools.islice(terms, max(0, n + 1 - len(pmf))))
         if poisson_tail(mean, n, pmf) < tail_tol:
             hi, n = n, n - step
@@ -281,6 +286,11 @@ def _check_tail_tol(tail_tol: float) -> None:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
 
 
+def _check_mean(mean: float) -> None:
+    if not 0.0 <= mean < math.inf:  # nan included
+        raise ValueError(f"mean photon number must be finite and >= 0, got {mean!r}")
+
+
 def coherent_truncation(mean: float, n_max: int | None, tail_tol: float, modes: int = 1) -> int:
     """Truncation for a coherent excitation: the smallest adequate one when n_max
     is None; an explicit n_max keeps it if its tail mass is below tail_tol and
@@ -289,7 +299,8 @@ def coherent_truncation(mean: float, n_max: int | None, tail_tol: float, modes: 
     if n_max is None:
         return coherent_n_max(mean, tail_tol, modes)
     check_budget(n_max, modes)  # before a tail sum over n_max terms
-    _check_tail_tol(tail_tol)  # the search checks it again only on a refusal
+    _check_tail_tol(tail_tol)  # the search checks both again only on a refusal
+    _check_mean(mean)
     if poisson_tail(mean, n_max) < tail_tol:
         return n_max
     needed = coherent_n_max(mean, tail_tol, modes)
@@ -308,7 +319,8 @@ def make_coherent_state(
     Raises TruncationError when the discarded Poisson tail mass at the given
     n_max is not below tail_tol; n_max=None picks the smallest adequate value.
     """
-    return _coherent_state(alpha, coherent_truncation(abs(alpha) ** 2, n_max, tail_tol))
+    mean = math.inf if abs(alpha) >= 2.0**512 else abs(alpha) ** 2  # ** 2 overflows from 2**512
+    return _coherent_state(alpha, coherent_truncation(mean, n_max, tail_tol))
 
 
 def _coherent_state(alpha: complex, n_max: int) -> SingleModeState:

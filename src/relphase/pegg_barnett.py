@@ -25,7 +25,7 @@ class DiscretePhasePmf:
 
     def __post_init__(self):
         object.__setattr__(self, "masses", _frozen(self.masses, "masses", float))
-        if not (np.isfinite(self.masses).all() and (self.masses >= 0).all()):
+        if not (self.masses.min() >= 0 and self.masses.max() < np.inf):  # nan fails both
             raise ValueError("masses must be finite and non-negative")
         if abs(self.masses.sum() - 1.0) > 1e-10:
             raise ValueError("masses must sum to 1")
@@ -36,7 +36,7 @@ class DiscretePhasePmf:
 
     @cached_property
     def theta(self) -> np.ndarray:
-        return _frozen(angular_grid(self.masses.size), "theta")
+        return angular_grid(self.masses.size)
 
 
 def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:

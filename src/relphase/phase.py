@@ -25,10 +25,12 @@ class PhaseWavefunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values, "values"))
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
 
     @cached_property
     def phi(self) -> np.ndarray:
-        return _frozen(angular_grid(self.values.size), "phi")
+        return angular_grid(self.values.size)
 
     def norm_squared(self) -> float:
         """(1/2pi) integral |psi|^2 dphi as the periodic Riemann sum."""
@@ -43,7 +45,7 @@ class AngularPdf:
 
     def __post_init__(self):
         object.__setattr__(self, "density", _frozen(self.density, "density", float))
-        if not (np.isfinite(self.density).all() and (self.density >= 0).all()):
+        if not (self.density.min() >= 0 and self.density.max() < np.inf):  # nan fails both
             raise ValueError("densities must be finite and non-negative")
         total = self.integral()
         if abs(total - 1.0) > 1e-8:
@@ -51,7 +53,7 @@ class AngularPdf:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        return _frozen(angular_grid(self.density.size), "phi")
+        return angular_grid(self.density.size)
 
     def integral(self) -> float:
         return float(self.density.sum() / self.density.size) * 2.0 * np.pi  # np.mean's bits, less overhead

@@ -56,8 +56,6 @@ def to_circular(
 
     if isinstance(spec, XCoherent):
         mean = float(spec.mean_n)
-        if mean < 0:
-            raise ValueError("mean photon number must be >= 0")
         n_max = coherent_truncation(mean, n_max, tail_tol, modes=2)
         # R and L coherent states of mean mean/2 (tails below mean's), cut to the simplex
         psi = _coherent_state(math.sqrt(mean / 2.0), n_max).amplitudes

@@ -49,11 +49,11 @@ class BranchSet:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        return _frozen(angular_grid(next(iter(self.branches.values())).size), "phi")
+        return angular_grid(next(iter(self.branches.values())).size)
 
 
 def _check_norm(total: float) -> None:  # total: the branch norms' sum
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:  # nan included
         raise ValueError(f"branch norms sum to {total!r}, not 1")
 
 

@@ -66,6 +66,10 @@ CASES = [
     ("sweep eq67 kt 3", ["sweep", "--pol", "xsup:1,1;2,1", "--kt", "3", "--k", "1024"]),
     ("pb coh:1 s 64,128,256", ["pb", "--state", "coh:1", "--s", "64,128,256", "--report", "pb.json"]),
     ("moments num:3", ["moments", "--state", "num:3"]),
+    # an angular column at a K that is not a power of two, where the grid's division rounds
+    ("phase coh:9 k 1000", ["phase", "--state", "coh:9", "--k", "1000"]),
+    # a mean far past the budget, refused before any Poisson mass is built
+    ("exit 3: phase coh:1e9 k 16", ["phase", "--state", "coh:1e9", "--k", "16"]),
 ]
 
 

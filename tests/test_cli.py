@@ -17,7 +17,7 @@ from relphase import (
     state_from_json,
     state_to_json,
 )
-from relphase import cli, pegg_barnett, pom
+from relphase import cli, fock, pegg_barnett, pom
 from relphase.cli import main
 from relphase.table import BLOCK_ROWS, table_chunks
 
@@ -84,6 +84,25 @@ def test_truncation_error_is_exit_3(capsys):
     code, _, err = run(capsys, "phase", "--state", "coh:9", "--n-max", "5")
     assert code == 3
     assert "n_max" in err
+
+
+def no_masses(mean):
+    yield pytest.fail(f"built a Poisson mass of mean {mean:g}")
+
+
+@pytest.mark.parametrize("argv, mean, n_max, modes", [
+    (["ellipse", "--pol", "xcoh:1e6", "--k", "16"], "1e+06", 4095, 2),
+    (["phase", "--state", "coh:1e9", "--k", "16"], "1e+09", 16777215, 1),
+])
+def test_a_mean_far_past_the_budget_is_exit_3_before_any_mass_is_built(
+        capsys, monkeypatch, argv, mean, n_max, modes):
+    monkeypatch.setattr(fock, "_pmf_terms", no_masses)
+    monkeypatch.setattr(fock, "poisson_tail", lambda *args: pytest.fail("the search probed a tail"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (f"error: mean {mean} needs n_max > {n_max} for tail mass below 1e-12, so a "
+                   f"{modes}-mode state needs more than 16777216 amplitudes; the budget is "
+                   "16777216 (256 MiB)\n")
 
 
 def test_pb_masses_and_report(capsys, tmp_path):

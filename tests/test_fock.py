@@ -370,11 +370,44 @@ def test_truncation_search_stays_within_the_budget(monkeypatch):
     monkeypatch.setattr(fock, "poisson_tail",
                         lambda mean, n, *pmf: calls.append(n) or tail(mean, n, *pmf))
     with pytest.raises(TruncationError, match=r"n_max > 4095 .* budget is 16777216"):
-        to_circular(XCoherent(1e6))
+        to_circular(XCoherent(4100.0))  # just past the budget, where the Chernoff bound lets it probe
     assert calls and max(calls) <= fock.budget_n_max(2) == 4095
     # a mean that fits gets the n_max of the unbounded search, in either budget
     for mean, n_max in ((0.0, 0), (9.0, 37), (100.0, 178), (1000.0, 1232)):
         assert fock.coherent_n_max(mean, 1e-12) == fock.coherent_n_max(mean, 1e-12, 2) == n_max
+
+
+def xcoherent(mean, *n_max):
+    return to_circular(XCoherent(mean), *n_max)
+
+
+NOT_A_MEAN = "mean photon number must be finite and >= 0, got "
+
+
+@pytest.mark.parametrize("build, args, got", [
+    (make_coherent_state, (math.nan,), "nan"),
+    (make_coherent_state, (math.nan, 5), "nan"),  # poisson_tail(nan, 5) reads as 0.0
+    (make_coherent_state, (math.inf,), "inf"),
+    (make_coherent_state, (1e200,), "inf"),  # |alpha| ** 2 overflows
+    (make_coherent_state, (complex(2.0**512, 0.0),), "inf"),
+    (xcoherent, (math.nan,), "nan"),
+    (xcoherent, (math.inf,), "inf"),
+    (xcoherent, (-1.0,), "-1.0"),
+    (xcoherent, (-1.0, 5), "-1.0"),
+    (fock.coherent_n_max, (-0.5, 1e-12), "-0.5"),
+    (fock.coherent_truncation, (math.nan, 5, 1e-12), "nan"),
+], ids=["nan", "nan-n_max", "inf", "1e200", "2**512", "xcoh-nan", "xcoh-inf", "xcoh-negative",
+        "xcoh-negative-n_max", "search-negative", "explicit-nan"])
+def test_a_coherent_mean_that_is_not_finite_and_non_negative_is_refused(build, args, got):
+    with pytest.raises(ValueError) as err:
+        build(*args)
+    assert str(err.value) == NOT_A_MEAN + got
+
+
+def test_only_an_alpha_whose_square_overflows_reads_as_an_infinite_mean():
+    # the largest |alpha| below 2**512 keeps its finite square, and the budget refuses that mean
+    with pytest.raises(TruncationError, match=r"mean 1\.79769e\+308 needs n_max > 16777215"):
+        make_coherent_state(math.nextafter(2.0**512, 0.0))
 
 
 TAIL_TOLS = (1e-15, 1e-12, 1e-6, 0.5, 0.999)

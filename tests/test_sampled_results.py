@@ -114,3 +114,30 @@ def test_uniform_masses_sit_on_the_grid_for_the_distance():
     # four equal masses at -pi, -pi/2, 0, pi/2 against |1>'s flat density: steps of 1/4
     pmf = DiscretePhasePmf([0.25] * 4)
     assert math.isclose(kolmogorov_distance(pmf, make_number_state(1, 1)), 0.25, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 1000, 1024, 4097, 100003])
+def test_angular_grid_is_read_only_with_the_bits_of_the_written_formula(k):
+    grid = angular_grid(k)
+    assert grid.dtype == float and not grid.flags.writeable
+    assert grid.tobytes() == (-np.pi + 2.0 * np.pi * np.arange(k) / k).tobytes()
+
+
+# each type's refusal of a sample that is nan, inf or -inf; a branch's shows in the norms' sum
+NON_FINITE = {
+    "AngularPdf": "densities must be finite and non-negative",
+    "PhaseWavefunction": "values must be finite",
+    "DiscretePhasePmf": "masses must be finite and non-negative",
+    "BranchSet": "branch norms sum to {}, not 1",
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_each_sampled_type_refuses_a_non_finite_sample(name, bad):
+    build, unit = BUILDERS[name]
+    samples = unit.copy()
+    samples[0] = bad
+    with pytest.raises(ValueError) as err:
+        build(samples)
+    assert str(err.value) == NON_FINITE[name].format(abs(bad))
