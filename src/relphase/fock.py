@@ -1,8 +1,8 @@
 """One- and two-mode truncated Fock states.
 
-States are immutable value objects; every operation returns a new state.
-Constructors renormalize after truncation and report inadequate truncation
-instead of silently losing norm.
+States are immutable finite unit vectors: the class constructors refuse any other
+amplitudes, and `from_amplitudes` renormalizes before them. Every operation returns a new
+state; constructors report inadequate truncation instead of silently losing norm.
 """
 from __future__ import annotations
 
@@ -58,6 +58,13 @@ def _norm(amps: np.ndarray) -> tuple[int, float]:
     return e, norm
 
 
+def _check_unit(amps: np.ndarray) -> None:
+    """Refuse a squared norm off 1 by over 1e-10; in one vdot nan, +-inf and zero fail too."""
+    squared = float(np.vdot(amps, amps).real)
+    if not abs(squared - 1.0) <= 1e-10:  # nan included
+        raise ValueError(f"amplitudes have squared norm {squared!r}, not 1")
+
+
 def _ldexp(amps: np.ndarray, e: int) -> np.ndarray:
     """amps * 2**e, exact for any e: each real part goes through np.ldexp."""
     if e == 0:
@@ -75,12 +82,12 @@ def _frozen(samples, what: str, dtype=None) -> np.ndarray:
 
 
 def _support(coeffs: np.ndarray) -> slice:
-    """Slice of a 1-d coefficient array from its first to its last nonzero entry, empty if none."""
+    """Slice of a state's 1-d coefficient array from its first to its last nonzero entry."""
     nonzero = np.flatnonzero(coeffs)
-    return slice(int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else slice(0, 0)
+    return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleModeState:
     """Amplitudes over the number basis n = 0..n_max."""
 
@@ -88,6 +95,7 @@ class SingleModeState:
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _frozen(self.amplitudes, "amplitudes", complex))
+        _check_unit(self.amplitudes)
 
     @classmethod
     def from_amplitudes(cls, amplitudes: Sequence[complex]) -> "SingleModeState":
@@ -147,8 +155,8 @@ def angular_grid(k: int) -> np.ndarray:
 
 
 def check_grid(k: int, freqs: np.ndarray) -> None:
-    """Refuse a K-point grid that aliases the frequencies freqs: K <= 2 max|f| (none, no refusal)."""
-    if k <= (bound := 2 * np.abs(freqs).max(initial=0)):
+    """Refuse a K-point grid that aliases the non-empty frequencies freqs: K <= 2 max|f|."""
+    if k <= (bound := 2 * np.abs(freqs).max()):
         raise AliasingError(f"grid size {k} admits aliasing: need K > {bound:g}")
 
 
@@ -162,14 +170,12 @@ def scatter_series(shape: tuple, k: int, index: tuple, freqs: np.ndarray, coeffs
     return np.fft.fft(packed, axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoModeState:
-    """Amplitudes a[n_s, n_a] on the simplex n_s + n_a <= n_max, held dense, and the
-    convention that reads the occupations as (j, m).
+    """Unit-norm amplitudes a[n_s, n_a] on the simplex n_s + n_a <= n_max, held dense, and
+    the convention that reads the occupations as (j, m).
 
     The array is (n_max+1) x (n_max+1) and zero wherever n_s + n_a > n_max.
-    The container itself admits any norm (operator images are returned
-    unnormalized); the public constructors always produce unit norm.
     """
 
     amplitudes: np.ndarray
@@ -185,6 +191,7 @@ class TwoModeState:
         if outside.size:
             ns, na = outside[0].tolist()
             raise ValueError(f"amplitude at ({ns}, {na}) exceeds n_max={amps.shape[0] - 1}")
+        _check_unit(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

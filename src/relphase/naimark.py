@@ -118,8 +118,6 @@ def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> An
         raise SupportError(f"state has support at (n_s, n_a) = ({ns}, {na}); need n_s * n_a = 0")
     coeffs = np.concatenate([a[0, :0:-1], a[:, 0]])  # psi_m for m = -n_max..n_max
     occupied = np.flatnonzero(coeffs)
-    if not occupied.size:  # before the division by the norm
-        raise ValueError("cannot normalize the zero vector")
     m, coeffs = occupied - state.n_max, coeffs[occupied]
     check_grid(k, m)
     values = scatter_series((), k, (), m, coeffs)

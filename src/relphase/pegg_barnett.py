@@ -17,7 +17,7 @@ import numpy as np
 from .fock import SingleModeState, _frozen, _support, angular_grid, scatter_series
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretePhasePmf:
     """Masses at the s + 1 angles theta = angular_grid(s + 1), s = masses.size - 1."""
 

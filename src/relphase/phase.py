@@ -17,7 +17,7 @@ from .fock import (DEFAULT_GRID_SIZE, SingleModeState, _frozen, angular_grid, ch
                    scatter_series)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseWavefunction:
     """Samples of psi on the grid angular_grid(values.size)."""
 
@@ -37,7 +37,7 @@ class PhaseWavefunction:
         return float(np.mean(np.abs(self.values) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngularPdf:
     """Sampled probability density per radian on the grid angular_grid(density.size)."""
 

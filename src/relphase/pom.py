@@ -33,7 +33,7 @@ C_MIN = 1e-12
 _BLOCK_CELLS = 1 << 16  # cells of one block of snapshot_sweep's angular transients
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchSet:
     """Per-branch angular wavefunctions on one grid, angular_grid of their sample count."""
 
@@ -45,16 +45,13 @@ class BranchSet:
         if len({v.size for v in frozen.values()}) > 1:
             raise ValueError("branch samples must share one grid size")
         object.__setattr__(self, "branches", frozen)
-        _check_norm(math.fsum(float(np.mean(np.abs(v) ** 2)) for v in self.branches.values()))
+        total = math.fsum(float(np.mean(np.abs(v) ** 2)) for v in frozen.values())
+        if not abs(total - 1.0) <= 1e-10:  # nan included
+            raise ValueError(f"branch norms sum to {total!r}, not 1")
 
     @cached_property
     def phi(self) -> np.ndarray:
         return angular_grid(next(iter(self.branches.values())).size)
-
-
-def _check_norm(total: float) -> None:  # total: the branch norms' sum
-    if not abs(total - 1.0) <= 1e-10:  # nan included
-        raise ValueError(f"branch norms sum to {total!r}, not 1")
 
 
 def _cells(state: TwoModeState):
@@ -103,7 +100,6 @@ def marginal_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
     """Time-averaged distribution: branch probabilities added in ascending j."""
     power = sum(np.abs(row) ** 2 for row in _branches(state, k)[1])
     total = float(np.mean(power))  # the branch norms' sum
-    _check_norm(total)
     return AngularPdf(power / (2.0 * np.pi * total))
 
 
@@ -137,7 +133,7 @@ def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> li
             "interference is 4pi-periodic and has no density on [-pi, pi)"
         )
     ms, b, c = _conditioned(j, m, v, times)
-    live = np.flatnonzero(~(c <= C_MIN))  # a NaN C stays live, for AngularPdf to refuse
+    live = np.flatnonzero(c > C_MIN)
     check_cells((live.size, k), "an angular grid")
     pdfs, freqs, step = [None] * c.size, np.floor(ms).astype(int), max(1, _BLOCK_CELLS // k)
     for lo in range(0, live.size, step):
@@ -167,8 +163,6 @@ def absolute_time_pdf(state: TwoModeState, k_t: int | None = None) -> AngularPdf
     integrates C(t), and on one m lattice each C-weighted snapshot, exactly: j - m is an integer
     in both conventions, so C, a sum of |.|^2 over m columns, has integer t-frequencies j - j'."""
     j, m, v = _cells(state)
-    if not v.size:  # before time_grid's row scan and j.max() reduce an empty array
-        raise ValueError("cannot normalize the zero vector")
     k_t = time_grid(state, k_t)
     if k_t < (needed := int(j.max() - j.min()) + 1):
         raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")

@@ -23,28 +23,28 @@ def _scale(convention: PrimitiveConvention) -> float:
     return 2.0 if convention is PrimitiveConvention.PHOTONIC else 1.0
 
 
-def apply_jz(state: TwoModeState) -> TwoModeState:
-    """J_z image (unnormalized): amplitude times m."""
+def apply_jz(state: TwoModeState) -> np.ndarray:
+    """J_z image's amplitudes (unnormalized): each amplitude times its m."""
     n = np.arange(state.n_max + 1)
-    return TwoModeState(state.amplitudes * jm_labels(n[:, None], n, state.convention)[1], state.convention)
+    return state.amplitudes * jm_labels(n[:, None], n, state.convention)[1]
 
 
-def apply_jplus(state: TwoModeState) -> TwoModeState:
-    """J_+ image (unnormalized): moves one quantum from the second mode to the first."""
+def apply_jplus(state: TwoModeState) -> np.ndarray:
+    """J_+ image's amplitudes (unnormalized): one quantum moves from the second mode to the first."""
     n = np.arange(1, state.n_max + 1)
     out = np.zeros_like(state.amplitudes)
     # (n_s, n_a) -> (n_s + 1, n_a - 1) with weight sqrt((n_s + 1) n_a)
     out[1:, :-1] = _scale(state.convention) * np.sqrt(np.outer(n, n)) * state.amplitudes[:-1, 1:]
-    return TwoModeState(out, state.convention)
+    return out
 
 
-def apply_jminus(state: TwoModeState) -> TwoModeState:
-    """J_- image (unnormalized): moves one quantum from the first mode to the second."""
+def apply_jminus(state: TwoModeState) -> np.ndarray:
+    """J_- image's amplitudes (unnormalized): one quantum moves from the first mode to the second."""
     n = np.arange(1, state.n_max + 1)
     out = np.zeros_like(state.amplitudes)
     # (n_s, n_a) -> (n_s - 1, n_a + 1) with weight sqrt(n_s (n_a + 1))
     out[:-1, 1:] = _scale(state.convention) * np.sqrt(np.outer(n, n)) * state.amplitudes[1:, :-1]
-    return TwoModeState(out, state.convention)
+    return out
 
 
 def rotate_z(state: TwoModeState, phi: float) -> TwoModeState:
@@ -78,7 +78,7 @@ def _dense_operators(convention: PrimitiveConvention, n_max: int):
         for col, key in enumerate(zip(*basis)):
             unit = np.zeros((n_max + 1,) * 2, dtype=complex)
             unit[key] = 1.0
-            mat[:, col] = apply_fn(TwoModeState(unit, convention)).amplitudes[basis]
+            mat[:, col] = apply_fn(TwoModeState(unit, convention))[basis]
         return mat
 
     return build(apply_jplus), build(apply_jminus), build(apply_jz), jm_labels(*basis, convention)[0]

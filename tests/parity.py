@@ -6,11 +6,13 @@ Runs every case in CASES twice in fresh interpreters, once with this tree's
 src on PYTHONPATH and once with OTHER_ROOT/src, each run in an empty working
 directory. Both runs read the same input files, written once with this tree's
 relphase. A case is identical when the exit code, stdout, stderr and every
-file left in its working directory match byte for byte. Prints one line per
-case and exits 1 if any case differs (2 on a usage error).
+file left in its working directory match byte for byte. Each pair in TWINS,
+two cases of this tree, must match each other the same way. Prints one line
+per case and per pair, and exits 1 if any differs (2 on a usage error).
 """
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -70,7 +72,19 @@ CASES = [
     ("phase coh:9 k 1000", ["phase", "--state", "coh:9", "--k", "1000"]),
     # a mean far past the budget, refused before any Poisson mass is built
     ("exit 3: phase coh:1e9 k 16", ["phase", "--state", "coh:1e9", "--k", "16"]),
+    # the readers renormalize before a state is built: off-unit documents read as their unit twin
+    # (xcoh9.json's amplitudes times 4, and times 2**-540, whose squared norm underflows)
+    ("ellipse xcoh:9 file", ["ellipse", "--pol", "file:{inputs}/xcoh9.json", "--k", "128"]),
+    ("ellipse xcoh:9 file x4", ["ellipse", "--pol", "file:{inputs}/xcoh9x4.json", "--k", "128"]),
+    ("ellipse xcoh:9 file underflow", ["ellipse", "--pol", "file:{inputs}/xcoh9tiny.json",
+                                       "--k", "128"]),
+    ("exit 2: ellipse all-zero file", ["ellipse", "--pol", "file:{inputs}/zero.json", "--k", "8"]),
+    ("ellipse xsup 3,4", ["ellipse", "--pol", "xsup:1,3;2,4", "--k", "8"]),
 ]
+
+# cases whose outputs must match each other's in one tree, byte for byte
+TWINS = [("ellipse xcoh:9 file", "ellipse xcoh:9 file x4"),
+         ("ellipse xcoh:9 file", "ellipse xcoh:9 file underflow")]
 
 
 def write_inputs(inputs: Path) -> None:
@@ -85,6 +99,11 @@ def write_inputs(inputs: Path) -> None:
         (inputs / f"xcoh{mean}.json").write_text(state_to_json(state))
     alpha = np.sqrt(1000.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
     (inputs / "coh1000.json").write_text(state_to_json(make_coherent_state(alpha)))
+    doc = json.loads((inputs / "xcoh9.json").read_text())
+    for name, scale in (("xcoh9x4", 4.0), ("xcoh9tiny", 2.0**-540)):  # exact scalings
+        rows = [[ns, na, re * scale, im * scale] for ns, na, re, im in doc["amps"]]
+        (inputs / f"{name}.json").write_text(json.dumps({**doc, "amps": rows}))
+    (inputs / "zero.json").write_text('{"kind": "two", "n_max": 1, "amps": [[0, 0, 0.0, 0.0]]}')
 
 
 def run_case(src: Path, argv: list[str], work: Path) -> tuple:
@@ -117,15 +136,21 @@ def main(argv: list[str]) -> int:
         inputs = Path(tmp) / "inputs"
         inputs.mkdir()
         write_inputs(inputs)
+        outputs = {}
         for i, (name, case) in enumerate(CASES):
             case = [arg.replace("{inputs}", str(inputs)) for arg in case]
-            ours = run_case(ROOT / "src", case, Path(tmp) / "ours" / str(i))
+            outputs[name] = ours = run_case(ROOT / "src", case, Path(tmp) / "ours" / str(i))
             theirs = run_case(other, case, Path(tmp) / "theirs" / str(i))
             what = differences(ours, theirs)
             failed += bool(what)
             status = "DIFFERS" if what else "identical"
             print(f"{status:9}  exit {ours[0]}  {name}" + (f": {', '.join(what)}" if what else ""))
-    print(f"{len(CASES) - failed} of {len(CASES)} cases identical")
+    for a, b in TWINS:
+        what = differences(outputs[a], outputs[b])
+        failed += bool(what)
+        print(f"{'DIFFERS' if what else 'identical':9}  twins  {a} | {b}"
+              + (f": {', '.join(what)}" if what else ""))
+    print(f"{len(CASES) + len(TWINS) - failed} of {len(CASES) + len(TWINS)} cases and twins identical")
     return 1 if failed else 0
 
 

@@ -324,7 +324,8 @@ def test_state_to_json_matches_reference_writer():
         psi[rng.random(n_max + 1) < 0.3] = 0.0  # exact zeros are left out
         if not psi.any():
             psi[0] = 1.0
-        single = SingleModeState(psi)
+        single = SingleModeState(psi / np.linalg.norm(psi))
+        psi = single.amplitudes
         amp = {(n, 0): complex(v) for n, v in enumerate(psi)}
         assert state_to_json(single) == oracles.state_json_reference("single", n_max, amp)
         two = two_mode(oracles.random_two_amp(rng, n_max, density=0.6), n_max)

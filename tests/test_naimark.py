@@ -167,7 +167,7 @@ def test_two_sided_density_refuses_a_grid_that_aliases_its_largest_m():
 
 
 def test_off_subspace_support_is_rejected():
-    state = TwoModeState(oracles.to_array({(1, 1): 1.0, (1, 2): 0.5, (2, 1): 0.5}, 3))
+    state = TwoModeState(oracles.to_array({(1, 1): 0.6, (1, 2): 0.48, (2, 1): 0.64}, 3))
     with pytest.raises(SupportError) as err:
         generalized_phase_pdf(state, 64)
     assert "(1, 1)" in str(err.value)  # the first such cell in (n_s, n_a) order

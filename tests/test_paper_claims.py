@@ -162,3 +162,28 @@ def test_each_written_density_integrates_to_1_within_criterion_11s_tolerance(cap
     columns = table(capsys, *argv)
     assert columns["phi"].size == 256 and abs(columns["phi"][0] + math.pi) < 1e-9
     assert abs(columns["density"].sum() * 2 * math.pi / 256 - 1.0) < 1e-8
+
+
+# "a marginal measurement which takes an average in absolute time (corresponding to adding
+# probabilities)": criterion 08's mixture identity, the C-weighted snapshots averaged over one
+# period reproduce the ellipse. A photonic C is pi-periodic and P_C(phi; t + pi) = P_C(phi + pi; t),
+# so with t_i = pi i / N the identity reads ellipse(phi) = (1/2N) sum_{i<N} C(t_i) [P_C(phi; t_i) +
+# P_C(phi + pi; t_i)], exact once 2N > j_max - j_min (timepdf --kt 2N refuses less). sweep --kt N+1
+# writes P_C at t_0..t_N (t_N = pi repeats t_0); timepdf --kt 2N writes C/2pi at -pi + pi i / N, so
+# its rows N..2N-1 are t_0..t_{N-1}; a gap time, C <= 1e-12, has no rows and adds 0.
+@pytest.mark.parametrize("spec,k,n,gaps", [("xcoh:9", 128, 20, False), ("xcoh:100", 360, 90, True)])
+def test_c_weighted_snapshots_average_to_the_ellipse_within_criterion_08s_tolerance(capsys, spec, k, n, gaps):
+    ellipse = table(capsys, "ellipse", "--pol", spec, "--k", str(k))["density"]
+    time = table(capsys, "timepdf", "--pol", spec, "--kt", str(2 * n))
+    assert np.abs(time["t"] - (-math.pi + math.pi * np.arange(2 * n) / n)).max() < 1e-12
+    c = 2 * math.pi * time["density"][n:]
+    sweep = table(capsys, "sweep", "--pol", spec, "--kt", str(n + 1), "--k", str(k))
+    slices = np.rint(sweep["t"] * n / math.pi).astype(int)
+    assert np.abs(sweep["t"] - math.pi * slices / n).max() < 1e-12
+    assert (np.unique(slices).size < n + 1) == gaps  # the gapped state does skip times
+    mixture = np.zeros(k)
+    for i in np.unique(slices[slices < n]):
+        snapshot = sweep["density"][slices == i]
+        assert snapshot.size == k
+        mixture += c[i] * (snapshot + np.roll(snapshot, -k // 2))
+    assert np.abs(mixture / (2 * n) - ellipse).max() < 1e-8

@@ -7,6 +7,7 @@ import oracles
 from oracles import time_grid_size
 from relphase import (
     AliasingError,
+    BranchSet,
     ConditioningError,
     PrimitiveConvention,
     SupportError,
@@ -246,8 +247,11 @@ def test_fermionic_snapshot_needs_single_m_lattice():
 def test_unnormalized_state_is_refused(kernel):
     state = random_state(np.random.default_rng(3), 4)
     kernel(state, 64)  # unit norm: accepted
-    with pytest.raises(ValueError, match="branch norms sum to"):
-        kernel(TwoModeState(2 * state.amplitudes), 64)
+    with pytest.raises(ValueError, match=r"^amplitudes have squared norm (3\.9|4\.0)\d*, not 1$"):
+        kernel(TwoModeState(2 * state.amplitudes), 64)  # refused at construction
+    branches = branch_wavefunctions(state, 64).branches  # a BranchSet keeps its own norm check
+    with pytest.raises(ValueError, match=r"^branch norms sum to (3\.9|4\.0)\d*, not 1$"):
+        BranchSet(state.convention, {j: 2 * v for j, v in branches.items()})
 
 
 # |5,0>: |m| up to 5 photonic and 2.5 fermionic, so K must exceed 5 resp. 2.5 twice over
@@ -267,20 +271,12 @@ def test_grid_of_twice_the_largest_m_is_refused(kernel, convention, refused):
     kernel(state, refused + 1)
 
 
-def test_all_zero_state_built_directly_is_refused_by_each_kernel():
-    # no cells: no frequency for the aliasing rule to refuse, so each kernel refuses the
-    # state its own way (no kernel indexes or reduces an empty label array, nor divides by 0)
-    zero = TwoModeState(np.zeros((3, 3)))
-    for kernel in (marginal_pdf, branch_wavefunctions):
-        with pytest.raises(ValueError, match="branch norms sum to 0.0"):
-            kernel(zero, 8)
-    for refuse in (lambda: absolute_time_pdf(zero), lambda: absolute_time_pdf(zero, 8),
-                   lambda: generalized_phase_pdf(zero, 8)):
-        with pytest.raises(ValueError, match="^cannot normalize the zero vector$"):
-            refuse()
-    assert snapshot_sweep(zero, [0.0, 1.0], 8) == [None, None]
-    with pytest.raises(ConditioningError, match="conditioning probability 0.000e"):
-        snapshot_pdf(zero, 0.0, 8)
+def test_all_zero_state_is_refused_at_construction():
+    # a state has cells, so no kernel meets an empty label array or a zero norm
+    with pytest.raises(ValueError, match="^amplitudes have squared norm 0.0, not 1$"):
+        TwoModeState(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="^cannot normalize the zero vector$"):
+        TwoModeState.from_amplitudes(np.zeros((3, 3)))
 
 
 def test_grid_check_runs_before_the_m_lattice_check():

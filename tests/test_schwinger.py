@@ -25,26 +25,33 @@ def two_mode(amp, n_max, convention=PHOTONIC):
     return TwoModeState(oracles.to_array(amp, n_max), convention)
 
 
+def apply_to(apply_fn, amps, convention=PHOTONIC):
+    """apply_fn's image of any amplitude array, by linearity: the operator acts on the
+    unit state amps / |amps| (a state is a unit vector) and the image is scaled back."""
+    norm = np.linalg.norm(amps)
+    return norm * apply_fn(TwoModeState(amps / norm, convention)) if norm else np.zeros_like(amps)
+
+
 def test_jz_eigenvalues():
-    assert apply_jz(two_mode({(1, 0): 1.0}, 1)).amplitudes[(1, 0)] == 1.0
-    assert apply_jz(two_mode({(1, 0): 1.0}, 1, FERMIONIC)).amplitudes[(1, 0)] == 0.5
+    assert apply_jz(two_mode({(1, 0): 1.0}, 1))[(1, 0)] == 1.0
+    assert apply_jz(two_mode({(1, 0): 1.0}, 1, FERMIONIC))[(1, 0)] == 0.5
     balanced = two_mode({(1, 1): 1.0}, 2)
-    assert apply_jz(balanced).amplitudes[(1, 1)] == 0  # annihilated
+    assert apply_jz(balanced)[(1, 1)] == 0  # annihilated
 
 
 def test_photonic_lowering_skips_m_zero():
     img = apply_jminus(two_mode({(1, 0): 1.0}, 1))
-    assert oracles.to_dict(img.amplitudes) == {(0, 1): 2.0}
+    assert oracles.to_dict(img) == {(0, 1): 2.0}
 
 
 def test_fermionic_lowering_unit_coefficient():
     img = apply_jminus(two_mode({(1, 0): 1.0}, 1, FERMIONIC))
-    assert oracles.to_dict(img.amplitudes) == {(0, 1): 1.0}
+    assert oracles.to_dict(img) == {(0, 1): 1.0}
 
 
 def test_raising_annihilates_vacuum():
     img = apply_jplus(two_mode({(0, 0): 1.0}, 0))
-    assert not img.amplitudes.any()
+    assert not img.any()
 
 
 def test_ladder_matrix_elements_match_kron_oracle():
@@ -62,16 +69,17 @@ def test_ladder_matrix_elements_match_kron_oracle():
             img = apply_fn(state)
             want = mat @ vec
             got = np.zeros(d * d, complex)
-            for (ns, na), v in oracles.to_dict(img.amplitudes).items():
+            for (ns, na), v in oracles.to_dict(img).items():
                 got[ns * d + na] = v
             assert np.abs(got - want).max() < 1e-12
 
 
 def j_squared(state):
     """J^2 = (J_+ J_- + J_- J_+)/2 + J_z^2 applied through the ladder actions."""
-    up_down = apply_jplus(apply_jminus(state)).amplitudes
-    down_up = apply_jminus(apply_jplus(state)).amplitudes
-    return (up_down + down_up) / 2.0 + apply_jz(apply_jz(state)).amplitudes
+    conv = state.convention
+    up_down = apply_to(apply_jplus, apply_jminus(state), conv)
+    down_up = apply_to(apply_jminus, apply_jplus(state), conv)
+    return (up_down + down_up) / 2.0 + apply_to(apply_jz, apply_jz(state), conv)
 
 
 def assert_casimir(state, value):
@@ -140,9 +148,14 @@ def test_rotation_shifts_angle_distribution():
 
 @pytest.mark.parametrize("convention", list(PrimitiveConvention))
 def test_images_keep_the_state_convention(convention):
+    """The rotated state keeps the convention; the ladder images, arrays, are made under it."""
     state = two_mode(oracles.random_two_amp(np.random.default_rng(5), 3), 3, convention)
-    images = [apply_jz(state), apply_jplus(state), apply_jminus(state), rotate_z(state, 0.4)]
-    assert [image.convention for image in images] == [convention] * 4
+    assert rotate_z(state, 0.4).convention is convention
+    n = np.arange(4)
+    assert np.array_equal(apply_jz(state), state.amplitudes * jm_labels(n[:, None], n, convention)[1])
+    c = 2.0 if convention is PHOTONIC else 1.0
+    assert apply_jplus(state)[1, 0] == c * state.amplitudes[0, 1]
+    assert apply_jminus(state)[0, 1] == c * state.amplitudes[1, 0]
 
 
 def test_photonic_m_parity():
@@ -163,6 +176,6 @@ def test_commutator_residuals(convention, constant):
 def test_z_ladder_raises_m_by_two_photonic():
     balanced = two_mode({(1, 1): 1.0}, 2)
     jp = apply_jplus(balanced)
-    comm = apply_jz(jp).amplitudes - apply_jplus(apply_jz(balanced)).amplitudes
-    assert jp.amplitudes.any()
-    assert np.abs(comm - 2.0 * jp.amplitudes).max() < 1e-12
+    comm = apply_to(apply_jz, jp) - apply_to(apply_jplus, apply_jz(balanced))
+    assert jp.any()
+    assert np.abs(comm - 2.0 * jp).max() < 1e-12
