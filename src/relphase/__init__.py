@@ -37,12 +37,7 @@ _EXPORTS = {
         "y_moments",
     ),
     "pegg_barnett": ("DiscretePhasePmf", "pb_convergence", "pb_pmf", "phase_cdf"),
-    "phase": (
-        "AngularPdf",
-        "PhaseWavefunction",
-        "phase_pdf",
-        "phase_wavefunction",
-    ),
+    "phase": ("AngularPdf", "phase_pdf", "phase_wavefunction"),
     "polarization": (
         "LinearPolSpec",
         "XCoherent",
@@ -54,7 +49,6 @@ _EXPORTS = {
         "to_circular",
     ),
     "pom": (
-        "BranchSet",
         "absolute_time_pdf",
         "branch_wavefunctions",
         "conditioning_probability",

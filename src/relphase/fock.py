@@ -373,7 +373,7 @@ def _json_int(value, hi: float, what: str) -> int:
 
 
 def _json_real(value) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:  # exact for ints
         raise ValueError(f"amplitude part {value!r} is not a finite number")
     return float(value)
 

@@ -57,6 +57,8 @@ def phase_cdf(state: SingleModeState, x: np.ndarray) -> np.ndarray:
     """
     psi = state.amplitudes
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"phase {x[~np.isfinite(x)][0]} is not finite")
     c = np.correlate(psi, psi, "full")[psi.size - 1 :]
     k = np.arange(1, psi.size)
     d = c[1:] / (-1j * k)

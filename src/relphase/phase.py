@@ -18,26 +18,6 @@ from .fock import (DEFAULT_GRID_SIZE, SingleModeState, _frozen, angular_grid, ch
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseWavefunction:
-    """Samples of psi on the grid angular_grid(values.size)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, "values"))
-        if not np.isfinite(self.values).all():
-            raise ValueError("values must be finite")
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        return angular_grid(self.values.size)
-
-    def norm_squared(self) -> float:
-        """(1/2pi) integral |psi|^2 dphi as the periodic Riemann sum."""
-        return float(np.mean(np.abs(self.values) ** 2))
-
-
-@dataclass(frozen=True, eq=False)
 class AngularPdf:
     """Sampled probability density per radian on the grid angular_grid(density.size)."""
 
@@ -71,13 +51,16 @@ class AngularPdf:
         return float(self.density[j % k])
 
 
-def phase_wavefunction(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> PhaseWavefunction:
-    """psi(phi_k) = sum_n psi_n e^{-i n phi_k} over the occupied n, evaluated by FFT."""
+def phase_wavefunction(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """psi(phi_k) = sum_n psi_n e^{-i n phi_k} over the occupied n on angular_grid(k), evaluated
+    by FFT: a read-only complex array of k samples, finite and of mean |psi|^2 1 as the state is."""
     n = np.flatnonzero(state.amplitudes)
     check_grid(k, n)  # the series then checks the working set
-    return PhaseWavefunction(scatter_series((), k, (), n, state.amplitudes[n]))
+    values = scatter_series((), k, (), n, state.amplitudes[n])
+    values.setflags(write=False)
+    return values
 
 
 def phase_pdf(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
     """P(phi) = |psi(phi)|^2 / 2pi."""
-    return AngularPdf(np.abs(phase_wavefunction(state, k).values) ** 2 / (2.0 * np.pi))
+    return AngularPdf(np.abs(phase_wavefunction(state, k)) ** 2 / (2.0 * np.pi))

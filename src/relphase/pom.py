@@ -18,40 +18,16 @@ which the test suite uses as the master consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
 from .errors import AliasingError, ConditioningError, SupportError
-from .fock import (DEFAULT_GRID_SIZE, DEFAULT_KT, PrimitiveConvention, TwoModeState, _frozen,
-                   angular_grid, check_cells, check_grid, jm_labels, scatter_series)
+from .fock import (DEFAULT_GRID_SIZE, DEFAULT_KT, TwoModeState, angular_grid, check_cells, check_grid,
+                   jm_labels, scatter_series)
 from .phase import AngularPdf
 
 C_MIN = 1e-12
 _BLOCK_CELLS = 1 << 16  # cells of one block of snapshot_sweep's angular transients
-
-
-@dataclass(frozen=True, eq=False)
-class BranchSet:
-    """Per-branch angular wavefunctions on one grid, angular_grid of their sample count."""
-
-    convention: PrimitiveConvention
-    branches: Mapping[float, np.ndarray]
-
-    def __post_init__(self):
-        frozen = {j: _frozen(v, "branch samples", complex) for j, v in dict(self.branches).items()}
-        if len({v.size for v in frozen.values()}) > 1:
-            raise ValueError("branch samples must share one grid size")
-        object.__setattr__(self, "branches", frozen)
-        total = math.fsum(float(np.mean(np.abs(v) ** 2)) for v in frozen.values())
-        if not abs(total - 1.0) <= 1e-10:  # nan included
-            raise ValueError(f"branch norms sum to {total!r}, not 1")
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        return angular_grid(next(iter(self.branches.values())).size)
 
 
 def _cells(state: TwoModeState):
@@ -80,6 +56,8 @@ def _conditioned(j, m, v, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     js, rows = np.unique(j, return_inverse=True)
     ms, cols = np.unique(m, return_inverse=True)
     ts = np.asarray(ts, dtype=float)
+    if not np.isfinite(ts).all():
+        raise ValueError(f"time {ts[~np.isfinite(ts)][0]} is not finite")
     check_cells((ts.size, max(js.size, ms.size)), "a time-by-branch product")
     a = np.zeros((js.size, ms.size), dtype=complex)
     a[rows, cols] = v
@@ -90,10 +68,12 @@ def _conditioned(j, m, v, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ms, b[: ts.size], c[: ts.size]
 
 
-def branch_wavefunctions(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> BranchSet:
-    """Sample Psi_j(phi) = sum_m Psi_{j,m} e^{-i m phi} for every branch."""
+def branch_wavefunctions(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> dict[float, np.ndarray]:
+    """{j: Psi_j} with Psi_j(phi) = sum_m Psi_{j,m} e^{-i m phi} on angular_grid(k), for every
+    occupied j: read-only rows of one array, whose mean |Psi_j|^2 sum to 1 as the state's norm."""
     js, values = _branches(state, k)
-    return BranchSet(state.convention, dict(zip(js.tolist(), values)))
+    values.setflags(write=False)
+    return dict(zip(js.tolist(), values))
 
 
 def marginal_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:

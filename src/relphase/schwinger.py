@@ -50,6 +50,8 @@ def apply_jminus(state: TwoModeState) -> np.ndarray:
 def rotate_z(state: TwoModeState, phi: float) -> TwoModeState:
     """Rotation about z in the circular (photonic) basis: phase e^{-i(n_r-n_l)phi}
     whatever the state's convention, which the image keeps."""
+    if not np.isfinite(phi):
+        raise ValueError(f"rotation angle {phi} is not finite")
     n = np.arange(state.n_max + 1)
     _, m = jm_labels(n[:, None], n, PrimitiveConvention.PHOTONIC)
     return TwoModeState(state.amplitudes * np.exp(-1j * m * phi), state.convention)

@@ -80,6 +80,12 @@ CASES = [
                                        "--k", "128"]),
     ("exit 2: ellipse all-zero file", ["ellipse", "--pol", "file:{inputs}/zero.json", "--k", "8"]),
     ("ellipse xsup 3,4", ["ellipse", "--pol", "xsup:1,3;2,4", "--k", "8"]),
+    # an integer amplitude of 400 digits, beyond the largest float, under both readers
+    ("exit 2: phase 400-digit amplitude", ["phase", "--state", "file:{inputs}/huge1.json", "--k", "8"]),
+    ("exit 2: ellipse 400-digit amplitude", ["ellipse", "--pol", "file:{inputs}/huge2.json", "--k", "8"]),
+    # spec refusals: a negative coherent mean and an empty truncation list
+    ("exit 2: phase coh:-1", ["phase", "--state", "coh:-1"]),
+    ("exit 2: pb empty --s", ["pb", "--state", "coh:1", "--s", ","]),
 ]
 
 # cases whose outputs must match each other's in one tree, byte for byte
@@ -104,6 +110,9 @@ def write_inputs(inputs: Path) -> None:
         rows = [[ns, na, re * scale, im * scale] for ns, na, re, im in doc["amps"]]
         (inputs / f"{name}.json").write_text(json.dumps({**doc, "amps": rows}))
     (inputs / "zero.json").write_text('{"kind": "two", "n_max": 1, "amps": [[0, 0, 0.0, 0.0]]}')
+    huge = "1" + "0" * 400
+    (inputs / "huge1.json").write_text(f'{{"kind": "single", "n_max": 1, "amps": [[0, 0, {huge}, 0]]}}')
+    (inputs / "huge2.json").write_text(f'{{"kind": "two", "n_max": 1, "amps": [[1, 0, 0, -{huge}]]}}')
 
 
 def run_case(src: Path, argv: list[str], work: Path) -> tuple:

@@ -385,6 +385,11 @@ def test_json_missing_kind_is_exit_2(capsys, tmp_path):
         ("phase", "single", "[[0, 0, 1e400, 0], [1, 0, 1, 0]]"),  # beyond the largest float
         ("ellipse", "two", "[[0, 0, NaN, 0]]"),
         ("ellipse", "two", "[[0, 0, 1, 0], [1, 0, 0, -1e400]]"),
+        # integer literals beyond the largest float (an OverflowError traceback before)
+        pytest.param("phase", "single", f"[[0, 0, 1{'0' * 400}, 0], [1, 0, 1, 0]]",
+                     id="phase-single-400-digit-integer"),
+        pytest.param("ellipse", "two", f"[[0, 0, 1, 0], [1, 0, 0, -1{'0' * 400}]]",
+                     id="ellipse-two-400-digit-integer"),
     ],
 )
 def test_json_non_finite_or_huge_amplitude_is_exit_2(capsys, tmp_path, command, kind, rows):
@@ -393,6 +398,27 @@ def test_json_non_finite_or_huge_amplitude_is_exit_2(capsys, tmp_path, command, 
     flag = "--state" if command == "phase" else "--pol"
     code, out, err = run(capsys, command, flag, f"file:{path}", "--k", "16")
     assert one_line_error(code, err) and out == ""
+    assert err.endswith(" is not a finite number\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["phase", "--state", "coh:-1"], "negative mean photon number '-1'"),
+        (["phase", "--state", "file:{two}"], "'{two}' holds a two-mode state; this command needs a single mode"),
+        (["phase", "--state", "file:{n_a}"], "single-mode rows must have n_a = 0"),
+        (["ellipse", "--pol", "wat:1"], "unknown polarization spec 'wat:1'"),
+        (["pb", "--state", "coh:1", "--s", ","], "need at least one truncation in --s"),
+    ],
+)
+def test_each_spec_refusal_is_its_own_line_and_exit_2(capsys, tmp_path, argv, line):
+    files = {"two": '[[1, 0, 1, 0]]', "n_a": '[[0, 1, 1, 0]]'}
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, rows in files.items():
+        kind = "two" if name == "two" else "single"
+        paths[name].write_text(f'{{"kind": "{kind}", "n_max": 1, "amps": {rows}}}')
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == "" and err == f"error: {line.format(**paths)}\n"
 
 
 @pytest.mark.parametrize("command, flag", [("phase", "--state"), ("ellipse", "--pol")])

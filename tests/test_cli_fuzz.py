@@ -44,7 +44,8 @@ documents = mostly(
         "n_max": mostly(st.integers(0, 6), st.sampled_from([-1, 2.0, "3", None])),
         "amps": st.lists(json_rows, max_size=6),
     }).map(json.dumps),
-    st.sampled_from(["[]", "null", "{", '"x"', '{"kind": "two", "n_max": 2}', "[" * 100_000]),
+    st.sampled_from(["[]", "null", "{", '"x"', '{"kind": "two", "n_max": 2}', "[" * 100_000,
+                     '{"kind": "two", "n_max": 1, "amps": [[0, 0, 1%s, 0]]}' % ("0" * 400)]),
 )
 
 single_specs = st.one_of(counts.map("num:{}".format), documents)

@@ -472,3 +472,14 @@ def test_truncation_search_refuses_tail_tol_outside_unit_interval(tail_tol):
     with pytest.raises(ValueError, match="tail_tol must lie in"):
         fock.coherent_n_max(9.0, tail_tol)
 
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_angular_grid_refuses_a_size_below_one(k):
+    with pytest.raises(ValueError, match="^grid size must be positive$"):
+        fock.angular_grid(k)
+
+
+def test_number_state_refuses_a_negative_n_max():
+    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+        make_number_state(0, -1)

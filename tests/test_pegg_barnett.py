@@ -135,3 +135,18 @@ def test_pmf_refuses_a_truncation_without_support(s):
 def test_discrete_pmf_refuses_non_finite_masses(bad):
     with pytest.raises(ValueError, match="finite"):
         DiscretePhasePmf([bad] * 4)
+
+
+def test_discrete_pmf_refuses_masses_that_do_not_sum_to_one():
+    DiscretePhasePmf([0.5, 0.5])
+    with pytest.raises(ValueError, match="^masses must sum to 1$"):
+        DiscretePhasePmf([0.5, 0.25])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_cdf_refuses_a_point_that_is_not_finite(bad):
+    # a nan point once gave a nan CDF value, and inf a numpy warning
+    state = make_coherent_state(1.0)
+    with pytest.raises(ValueError) as err:
+        phase_cdf(state, np.array([0.0, bad]))
+    assert str(err.value) == f"phase {bad} is not finite"

@@ -22,14 +22,14 @@ TWO_TERM = SingleModeState(np.array([1.0, 1.0]) / math.sqrt(2))
 
 def test_vacuum_wavefunction_is_flat():
     wf = phase_wavefunction(make_number_state(0, 0), 64)
-    assert np.allclose(wf.values, 1.0)
+    assert np.allclose(wf, 1.0)
     pdf = phase_pdf(make_number_state(0, 0), 64)
     assert np.allclose(pdf.density, 1 / (2 * np.pi))
 
 
 def test_number_state_phase_is_uniform():
     wf = phase_wavefunction(make_number_state(3, 5), 64)
-    assert np.allclose(np.abs(wf.values), 1.0)
+    assert np.allclose(np.abs(wf), 1.0)
 
 
 def test_two_term_density_closed_form():
@@ -44,8 +44,8 @@ def test_fft_matches_direct_sum():
     for _ in range(10):
         psi = oracles.random_single(rng, 17)
         wf = phase_wavefunction(SingleModeState(psi), 128)
-        direct = oracles.direct_series({n: psi[n] for n in range(18)}, wf.phi)
-        assert np.abs(wf.values - direct).max() < 1e-12
+        direct = oracles.direct_series({n: psi[n] for n in range(18)}, angular_grid(128))
+        assert np.abs(wf - direct).max() < 1e-12
 
 
 def test_batched_series_with_offset_matches_direct_sum():
@@ -77,7 +77,7 @@ def test_parseval_on_random_states():
         n_max = rng.integers(0, 40)
         psi = oracles.random_single(rng, n_max)
         wf = phase_wavefunction(SingleModeState(psi), 256)
-        assert abs(wf.norm_squared() - 1.0) < 1e-10
+        assert abs(np.mean(np.abs(wf) ** 2) - 1.0) < 1e-10
 
 
 def test_real_amplitudes_give_even_density():
@@ -105,8 +105,8 @@ def test_shift_property_rotates_density():
 def number_moments_from_samples(wf, order):
     """sum_n n^order |psi_n|^2, with psi_n recovered from the K samples by inverting
     psi(phi) = sum_n psi_n e^{-i n phi} over n = 0 .. K-1."""
-    n = np.arange(wf.phi.size)
-    coeffs = np.exp(1j * np.outer(n, wf.phi)) @ wf.values / wf.phi.size
+    n = np.arange(wf.size)
+    coeffs = np.exp(1j * np.outer(n, angular_grid(wf.size))) @ wf / wf.size
     return float(np.sum(n.astype(float) ** order * np.abs(coeffs) ** 2))
 
 
@@ -177,3 +177,9 @@ def test_value_at_accepts_grid_angles_and_refuses_off_grid_ones_at_k_2_24():
         for off in (1e-6 * step, -1e-6 * step):
             with pytest.raises(ValueError, match="is not on the 16777216-point grid"):
                 pdf.value_at(float(pdf.phi[i]) + off)
+
+
+def test_angular_pdf_refuses_a_finite_density_that_does_not_integrate_to_one():
+    AngularPdf(np.full(4, 1 / (2 * np.pi)))
+    with pytest.raises(ValueError, match=r"^density integrates to 6\.28\d*, not 1$"):
+        AngularPdf(np.ones(4))

@@ -190,3 +190,14 @@ def test_large_x_number_ellipse_cli(tmp_path, capsys):
 def test_circular_state_over_budget_is_refused(spec, n_max):
     with pytest.raises(TruncationError, match="amplitudes"):
         to_circular(spec, n_max)
+
+
+def test_empty_superposition_is_refused():
+    with pytest.raises(ValueError, match="^superposition needs at least one term$"):
+        to_circular(XSuperposition(()))
+
+
+@pytest.mark.parametrize("spec", ["xcoh:1", 1.0, None])
+def test_a_value_that_is_not_a_spec_is_refused(spec):
+    with pytest.raises(TypeError, match="^unknown polarization spec "):
+        to_circular(spec)

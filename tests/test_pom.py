@@ -7,7 +7,6 @@ import oracles
 from oracles import time_grid_size
 from relphase import (
     AliasingError,
-    BranchSet,
     ConditioningError,
     PrimitiveConvention,
     SupportError,
@@ -49,21 +48,20 @@ SHARED_M = {(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}
 
 
 def test_branch_wavefunctions_one_plus_two_photons():
-    bs = branch_wavefunctions(eq67_state(), 512)
-    phi = bs.phi
+    branches, phi = branch_wavefunctions(eq67_state(), 512), angular_grid(512)
     # normalized state: the branch pair is cos(phi) and (cos 2 phi + 1/sqrt 2)/sqrt 2
-    assert np.abs(bs.branches[1] - np.cos(phi)).max() < 1e-12
-    assert np.abs(bs.branches[2] - (np.cos(2 * phi) + 2**-0.5) / math.sqrt(2)).max() < 1e-12
+    assert np.abs(branches[1] - np.cos(phi)).max() < 1e-12
+    assert np.abs(branches[2] - (np.cos(2 * phi) + 2**-0.5) / math.sqrt(2)).max() < 1e-12
 
 
 def test_single_branch_is_plain_exponential():
-    bs = branch_wavefunctions(two_mode({(1, 0): 1.0}, 1), 64)
-    assert np.abs(bs.branches[1] - np.exp(-1j * bs.phi)).max() < 1e-13
+    branches = branch_wavefunctions(two_mode({(1, 0): 1.0}, 1), 64)
+    assert np.abs(branches[1] - np.exp(-1j * angular_grid(64))).max() < 1e-13
 
 
 def test_vacuum_branch_is_constant():
-    bs = branch_wavefunctions(two_mode({(0, 0): 1.0}, 0), 32)
-    assert np.allclose(bs.branches[0], 1.0)
+    branches = branch_wavefunctions(two_mode({(0, 0): 1.0}, 0), 32)
+    assert np.allclose(branches[0], 1.0)
 
 
 def test_marginal_matches_direct_oracle():
@@ -249,9 +247,6 @@ def test_unnormalized_state_is_refused(kernel):
     kernel(state, 64)  # unit norm: accepted
     with pytest.raises(ValueError, match=r"^amplitudes have squared norm (3\.9|4\.0)\d*, not 1$"):
         kernel(TwoModeState(2 * state.amplitudes), 64)  # refused at construction
-    branches = branch_wavefunctions(state, 64).branches  # a BranchSet keeps its own norm check
-    with pytest.raises(ValueError, match=r"^branch norms sum to (3\.9|4\.0)\d*, not 1$"):
-        BranchSet(state.convention, {j: 2 * v for j, v in branches.items()})
 
 
 # |5,0>: |m| up to 5 photonic and 2.5 fermionic, so K must exceed 5 resp. 2.5 twice over
@@ -286,3 +281,21 @@ def test_grid_check_runs_before_the_m_lattice_check():
         snapshot_sweep(state, [0.0], 5)
     with pytest.raises(SupportError):
         snapshot_sweep(state, [0.0], 6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda state, t: snapshot_sweep(state, [0.0, t], 8),
+        lambda state, t: snapshot_pdf(state, t, 8),
+        lambda state, t: conditioning_probability(state, t),
+    ],
+    ids=["snapshot_sweep", "snapshot_pdf", "conditioning_probability"],
+)
+def test_a_time_that_is_not_finite_is_refused(kernel, bad):
+    # a nan time once read as a gap, a false ConditioningError or a nan C
+    state = two_mode({(1, 0): 0.6, (0, 1): 0.8}, 1)
+    with pytest.raises(ValueError) as err:
+        kernel(state, bad)
+    assert str(err.value) == f"time {bad} is not finite"

@@ -91,12 +91,12 @@ def test_branch_wavefunctions_and_marginal_match_oracle(state, convention):
     # fermionic states carry half-integer branches, with and without integer ones
     k = 16
     state = TwoModeState(state.amplitudes, convention)
-    bs = branch_wavefunctions(state, k)
+    branches = branch_wavefunctions(state, k)
     jm = oracles.jm_map(oracles.to_dict(state.amplitudes), photonic=convention is PHOTONIC)
-    want = oracles.branch_values(jm, bs.phi)
-    assert set(bs.branches) == set(want)
+    want = oracles.branch_values(jm, angular_grid(k))
+    assert set(branches) == set(want)
     for j, values in want.items():
-        assert np.abs(bs.branches[j] - values).max() < 1e-12
+        assert np.abs(branches[j] - values).max() < 1e-12
     marginal = marginal_pdf(state, k)
     assert np.abs(marginal.density - oracles.direct_marginal(jm, marginal.phi)).max() < 1e-12
 
@@ -222,3 +222,54 @@ def test_blocked_sweep_is_bytewise_one_whole_array_evaluation_around_a_mid_grid_
     state = TwoModeState(oracles.to_array({(0, 0): r, (1, 1): r}, 2))
     assert whole_array_sweep(state, np.linspace(0.0, math.pi, 11), 32)[0].tolist().index(False) == 5
     assert_blocked_sweep_is_the_whole_array_sweep(state, np.linspace(0.0, math.pi, 11), 32, rows)
+
+
+# --- photonic parity: j = m (mod 2) in every photonic cell, so shifting t or phi by pi flips
+# the sign of the same cells. Each gap below is a largest deviation over the output's peak.
+
+
+def time_shift_gap(state):
+    """C(t + pi) against C(t) on the default time grid, which is even, so t + pi is on it."""
+    c = absolute_time_pdf(state).density
+    return np.abs(np.roll(c, c.size // 2) - c).max() / c.max()
+
+
+def snapshot_shift_gap(state, t, k):
+    """P_C(phi; t + pi) against P_C(phi + pi; t), phi + pi on the even K-point grid."""
+    now, later = snapshot_sweep(state, [t, t + math.pi], k)
+    if now is None and later is None:  # C(t) = C(t + pi) below C_MIN: both are gaps
+        return 0.0
+    return np.abs(later.density - np.roll(now.density, -k // 2)).max() / now.density.max()
+
+
+def marginal_shift_gap(state, k):
+    """P_M(phi + pi) against P_M(phi) on the even K-point grid."""
+    p = marginal_pdf(state, k).density
+    return np.abs(np.roll(p, k // 2) - p).max() / p.max()
+
+
+even_grids = st.sampled_from([12, 16, 32])  # above 2 max|m| = 10 of two_mode_states()
+
+
+@given(two_mode_states())
+def test_photonic_conditioning_probability_is_pi_periodic(state):
+    assert time_shift_gap(state) < 1e-12
+
+
+@given(two_mode_states(), st.floats(-math.pi, math.pi), even_grids)
+def test_photonic_snapshot_a_half_period_later_is_the_snapshot_turned_by_pi(state, t, k):
+    assert snapshot_shift_gap(state, t, k) < 1e-12
+
+
+@given(two_mode_states(), even_grids)
+def test_photonic_marginal_is_pi_periodic(state, k):
+    assert marginal_shift_gap(state, k) < 1e-12
+
+
+def test_a_fermionic_witness_breaks_each_parity_symmetry():
+    """Cells (0,0), (1,1) and (2,0) read fermionically as (j, m) = (0, 0), (1, 0) and (1, 1):
+    the column m = 0 holds j = 0 and 1, and the branch j = 1 holds m = 0 and 1."""
+    state = TwoModeState(oracles.to_array({(0, 0): 0.6, (1, 1): 0.64, (2, 0): 0.48}, 2), FERMIONIC)
+    assert time_shift_gap(state) > 0.1
+    assert snapshot_shift_gap(state, 0.4, 16) > 0.1
+    assert marginal_shift_gap(state, 16) > 0.1

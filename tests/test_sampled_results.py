@@ -1,6 +1,7 @@
 """The sampled result types hold only their samples: each grid is fock's angular_grid
 of the sample count, read-only and built once per result. Every value type holds a
-read-only copy of its input, so the caller's array stays writable and theirs."""
+read-only copy of its input, so the caller's array stays writable and theirs. Amplitude
+samples are no value type: they are read-only arrays on angular_grid(K)."""
 import dataclasses
 import math
 
@@ -9,10 +10,7 @@ import pytest
 
 from relphase import (
     AngularPdf,
-    BranchSet,
     DiscretePhasePmf,
-    PhaseWavefunction,
-    PrimitiveConvention,
     SingleModeState,
     TwoModeState,
     XSuperposition,
@@ -34,9 +32,7 @@ from relphase.pegg_barnett import kolmogorov_distance
 # each type with a valid 4-sample input (the 2-d and empty cases reshape it)
 BUILDERS = {
     "AngularPdf": (AngularPdf, np.full(4, 1 / (2 * np.pi))),
-    "PhaseWavefunction": (PhaseWavefunction, np.ones(4, complex)),
     "DiscretePhasePmf": (DiscretePhasePmf, np.full(4, 0.25)),
-    "BranchSet": (lambda x: BranchSet(PrimitiveConvention.PHOTONIC, {0.0: x}), np.ones(4, complex)),
 }
 
 
@@ -63,7 +59,7 @@ def test_each_value_type_holds_a_copy_and_leaves_the_callers_array_writable(name
     build, unit = OWNERS[name]
     given = unit.copy()
     result = build(given)
-    held = result.branches[0.0] if name == "BranchSet" else getattr(result, dataclasses.fields(result)[0].name)
+    held = getattr(result, dataclasses.fields(result)[0].name)
     assert given.flags.writeable and not held.flags.writeable
     kept = held.tobytes()
     given *= 2  # the caller's array is theirs to change
@@ -72,9 +68,7 @@ def test_each_value_type_holds_a_copy_and_leaves_the_callers_array_writable(name
 
 @pytest.mark.parametrize("cls, fields", [
     (AngularPdf, ["density"]),
-    (PhaseWavefunction, ["values"]),
     (DiscretePhasePmf, ["masses"]),
-    (BranchSet, ["convention", "branches"]),
 ])
 def test_no_result_type_stores_a_grid(cls, fields):
     assert [f.name for f in dataclasses.fields(cls)] == fields
@@ -86,22 +80,31 @@ K = 16
 
 
 @pytest.mark.parametrize("produce, grid, samples", [
-    (lambda: phase_wavefunction(STATE, K), "phi", "values"),
     (lambda: phase_pdf(STATE, K), "phi", "density"),
     (lambda: generalized_phase_pdf(single_to_two_mode(STATE), K), "phi", "density"),
     (lambda: marginal_pdf(TWO_MODE, K), "phi", "density"),
     (lambda: snapshot_pdf(TWO_MODE, 0.3, K), "phi", "density"),
-    (lambda: branch_wavefunctions(TWO_MODE, K), "phi", "branches"),
     (lambda: absolute_time_pdf(TWO_MODE, 40), "phi", "density"),
     (lambda: pb_pmf(STATE, 6), "theta", "masses"),
 ])
 def test_each_producers_grid_is_angular_grid_of_its_sample_count(produce, grid, samples):
     result = produce()
-    values = getattr(result, samples)
-    count = {v.size for v in values.values()}.pop() if samples == "branches" else values.size
+    count = getattr(result, samples).size
     got = getattr(result, grid)
     assert got.dtype == float and got.tobytes() == angular_grid(count).tobytes()
     assert getattr(result, grid) is got and not got.flags.writeable
+
+
+def test_amplitude_samples_are_read_only_complex_arrays_of_k_samples():
+    psi = phase_wavefunction(STATE, K)
+    assert type(psi) is np.ndarray and psi.dtype == complex and psi.shape == (K,)
+    assert not psi.flags.writeable
+    branches = branch_wavefunctions(TWO_MODE, K)  # j = 1 and 2, each a row of one array
+    assert list(branches) == [1.0, 2.0]
+    rows = list(branches.values())
+    assert all(type(row) is np.ndarray and row.dtype == complex and row.shape == (K,) for row in rows)
+    assert not any(row.flags.writeable for row in rows)
+    assert rows[0].base is not None and all(row.base is rows[0].base for row in rows)
 
 
 def test_pb_pmf_s_is_its_truncation():
@@ -123,12 +126,10 @@ def test_angular_grid_is_read_only_with_the_bits_of_the_written_formula(k):
     assert grid.tobytes() == (-np.pi + 2.0 * np.pi * np.arange(k) / k).tobytes()
 
 
-# each type's refusal of a sample that is nan, inf or -inf; a branch's shows in the norms' sum
+# each type's refusal of a sample that is nan, inf or -inf
 NON_FINITE = {
     "AngularPdf": "densities must be finite and non-negative",
-    "PhaseWavefunction": "values must be finite",
     "DiscretePhasePmf": "masses must be finite and non-negative",
-    "BranchSet": "branch norms sum to {}, not 1",
 }
 
 
@@ -140,4 +141,4 @@ def test_each_sampled_type_refuses_a_non_finite_sample(name, bad):
     samples[0] = bad
     with pytest.raises(ValueError) as err:
         build(samples)
-    assert str(err.value) == NON_FINITE[name].format(abs(bad))
+    assert str(err.value) == NON_FINITE[name]

@@ -179,3 +179,12 @@ def test_z_ladder_raises_m_by_two_photonic():
     comm = apply_to(apply_jz, jp) - apply_to(apply_jplus, apply_jz(balanced))
     assert jp.any()
     assert np.abs(comm - 2.0 * jp).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rotation_by_an_angle_that_is_not_finite_is_refused(bad):
+    # a nan angle once made the image's amplitudes nan, refused with a false reason
+    state = two_mode({(1, 0): 1.0}, 2)
+    with pytest.raises(ValueError) as err:
+        rotate_z(state, bad)
+    assert str(err.value) == f"rotation angle {bad} is not finite"
