@@ -30,8 +30,6 @@ _EXPORTS = {
         "state_to_json",
     ),
     "naimark": (
-        "YMoments",
-        "QuadratureMoments",
         "generalized_phase_pdf",
         "heterodyne_moments",
         "y_moments",

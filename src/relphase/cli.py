@@ -197,7 +197,7 @@ def cmd_pb(args) -> int:
 def cmd_moments(args) -> int:
     from .naimark import heterodyne_moments, y_moments
     state = parse_single_spec(args.state, args.n_max, args.tail_tol)
-    report = {**heterodyne_moments(state).as_dict(), **y_moments(state).as_dict()}
+    report = {**heterodyne_moments(state), **y_moments(state)}
     _write(args.out, [json.dumps(report, sort_keys=True) + "\n"])
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -81,6 +82,14 @@ def _frozen(samples, what: str, dtype=None) -> np.ndarray:
     return samples
 
 
+def _index(value, what: str) -> int:
+    """value as an int by operator.index, so np.integer and bool read as integers; else refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} {value!r} is not an integer") from None
+
+
 def _support(coeffs: np.ndarray) -> slice:
     """Slice of a state's 1-d coefficient array from its first to its last nonzero entry."""
     nonzero = np.flatnonzero(coeffs)
@@ -146,7 +155,7 @@ def check_cells(shape: tuple[int, ...], what: str) -> None:
 
 def angular_grid(k: int) -> np.ndarray:
     """K uniformly spaced angles -pi + 2 pi j / K on [-pi, pi), built in place and read-only."""
-    if k < 1:
+    if (k := _index(k, "grid size")) < 1:
         raise ValueError("grid size must be positive")
     grid = np.arange(k, dtype=float)
     np.add(np.divide(np.multiply(grid, 2.0 * np.pi, out=grid), k, out=grid), -np.pi, out=grid)
@@ -155,8 +164,8 @@ def angular_grid(k: int) -> np.ndarray:
 
 
 def check_grid(k: int, freqs: np.ndarray) -> None:
-    """Refuse a K-point grid that aliases the non-empty frequencies freqs: K <= 2 max|f|."""
-    if k <= (bound := 2 * np.abs(freqs).max()):
+    """Refuse a K that is not an integer or that aliases the non-empty freqs: K <= 2 max|f|."""
+    if _index(k, "grid size") <= (bound := 2 * np.abs(freqs).max()):
         raise AliasingError(f"grid size {k} admits aliasing: need K > {bound:g}")
 
 
@@ -213,6 +222,7 @@ class TwoModeState:
 
 def make_number_state(n: int, n_max: int) -> SingleModeState:
     """|n> on the truncated basis 0..n_max."""
+    n, n_max = _index(n, "photon number"), _index(n_max, "n_max")
     if n < 0:
         raise ValueError("photon numbers must be >= 0")
     if n_max < 0:
@@ -305,7 +315,7 @@ def coherent_truncation(mean: float, n_max: int | None, tail_tol: float, modes: 
     budget that an explicit n_max and the search must fit."""
     if n_max is None:
         return coherent_n_max(mean, tail_tol, modes)
-    check_budget(n_max, modes)  # before a tail sum over n_max terms
+    check_budget(n_max := _index(n_max, "n_max"), modes)  # before a tail sum over n_max terms
     _check_tail_tol(tail_tol)  # the search checks both again only on a refusal
     _check_mean(mean)
     if poisson_tail(mean, n_max) < tail_tol:

@@ -14,52 +14,11 @@ Fourier series gives the generalized phase density.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, asdict
-
 import numpy as np
 
 from .errors import SupportError
 from .fock import DEFAULT_GRID_SIZE, SingleModeState, TwoModeState, check_grid, scatter_series
 from .phase import AngularPdf
-
-
-@dataclass(frozen=True)
-class QuadratureMoments:
-    """Joint X/P statistics with the auxiliary mode in vacuum (X=(a+a†)/2 scale)."""
-
-    mean_X: float
-    mean_P: float
-    second_X: float
-    second_P: float
-
-    @property
-    def var_X(self) -> float:
-        return self.second_X - self.mean_X**2
-
-    @property
-    def var_P(self) -> float:
-        return self.second_P - self.mean_P**2
-
-    def as_dict(self) -> dict[str, float]:
-        d = asdict(self)
-        d["var_X"] = self.var_X
-        d["var_P"] = self.var_P
-        return d
-
-
-@dataclass(frozen=True)
-class YMoments:
-    """Joint cosine/sine statistics with the auxiliary mode in vacuum."""
-
-    mean_Y1: float
-    mean_Y2: float
-    second_Y1: float
-    second_Y2: float
-    vac_prob: float
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def _ladder_expectations(state: SingleModeState) -> tuple[complex, complex, float]:
@@ -72,17 +31,16 @@ def _ladder_expectations(state: SingleModeState) -> tuple[complex, complex, floa
     return a1, a2, nbar
 
 
-def heterodyne_moments(state: SingleModeState) -> QuadratureMoments:
-    """Joint quadrature moments; second moments carry the +1/4 inflation."""
+def heterodyne_moments(state: SingleModeState) -> dict[str, float]:
+    """Joint X/P statistics with the auxiliary mode in vacuum (X = (a+a†)/2 scale): the
+    means, second moments carrying the +1/4 inflation, and variances, keyed as `moments`
+    writes them (mean_X, mean_P, second_X, second_P, var_X, var_P)."""
     a1, a2, nbar = _ladder_expectations(state)
-    chi2 = (2.0 * a2.real + 2.0 * nbar + 1.0) / 4.0
-    rho2 = (-2.0 * a2.real + 2.0 * nbar + 1.0) / 4.0
-    return QuadratureMoments(
-        mean_X=a1.real,
-        mean_P=a1.imag,
-        second_X=chi2 + 0.25,
-        second_P=rho2 + 0.25,
-    )
+    # the single-mode <chi^2>, <rho^2> plus the auxiliary vacuum's 1/4
+    second_X = (2.0 * a2.real + 2.0 * nbar + 1.0) / 4.0 + 0.25
+    second_P = (-2.0 * a2.real + 2.0 * nbar + 1.0) / 4.0 + 0.25
+    return {"mean_X": a1.real, "mean_P": a1.imag, "second_X": second_X, "second_P": second_P,
+            "var_X": second_X - a1.real**2, "var_P": second_P - a1.imag**2}
 
 
 def _shift_expectations(state: SingleModeState) -> tuple[complex, complex, float]:
@@ -93,18 +51,16 @@ def _shift_expectations(state: SingleModeState) -> tuple[complex, complex, float
     return s1, s2, float(abs(psi[0]) ** 2)
 
 
-def y_moments(state: SingleModeState) -> YMoments:
-    """Joint cosine/sine moments; the vacuum amplitude sets the inflation."""
+def y_moments(state: SingleModeState) -> dict[str, float]:
+    """Joint cosine/sine statistics with the auxiliary mode in vacuum, the vacuum amplitude
+    setting the inflation, keyed as `moments` writes them (mean_Y1, mean_Y2, second_Y1,
+    second_Y2, vac_prob)."""
     s1, s2, vac = _shift_expectations(state)
-    c2 = (2.0 * s2.real + 2.0 - vac) / 4.0
-    s2_mom = (-2.0 * s2.real + 2.0 - vac) / 4.0
-    return YMoments(
-        mean_Y1=s1.real,
-        mean_Y2=s1.imag,
-        second_Y1=c2 + vac / 4.0,
-        second_Y2=s2_mom + vac / 4.0,
-        vac_prob=vac,
-    )
+    # the intrinsic <C^2>, <S^2> plus the inflation |psi_0|^2/4
+    second_Y1 = (2.0 * s2.real + 2.0 - vac) / 4.0 + vac / 4.0
+    second_Y2 = (-2.0 * s2.real + 2.0 - vac) / 4.0 + vac / 4.0
+    return {"mean_Y1": s1.real, "mean_Y2": s1.imag, "second_Y1": second_Y1,
+            "second_Y2": second_Y2, "vac_prob": vac}
 
 
 def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
@@ -121,5 +77,5 @@ def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> An
     m, coeffs = occupied - state.n_max, coeffs[occupied]
     check_grid(k, m)
     values = scatter_series((), k, (), m, coeffs)
-    norm = math.fsum(abs(c) ** 2 for c in coeffs)
-    return AngularPdf(np.abs(values) ** 2 / (2.0 * np.pi * norm))
+    # off the both-excited cells, the coefficients are all of a unit state's amplitudes
+    return AngularPdf(np.abs(values) ** 2 / (2.0 * np.pi))

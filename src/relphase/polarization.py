@@ -15,8 +15,8 @@ from typing import Union
 import numpy as np
 
 from .errors import TruncationError
-from .fock import (DEFAULT_GRID_SIZE, DEFAULT_TAIL_TOL, TwoModeState, _coherent_state, check_budget,
-                   coherent_truncation, simplex)
+from .fock import (DEFAULT_GRID_SIZE, DEFAULT_TAIL_TOL, TwoModeState, _coherent_state, _index,
+                   check_budget, coherent_truncation, simplex)
 from .phase import AngularPdf
 from .pom import marginal_pdf
 
@@ -64,17 +64,17 @@ def to_circular(
     if isinstance(spec, XSuperposition):
         if not spec.terms:
             raise ValueError("superposition needs at least one term")
-        if min(n for n, _ in spec.terms) < 0:
+        terms = [(_index(n, "photon number"), w) for n, w in spec.terms]
+        if min(n for n, _ in terms) < 0:
             raise ValueError("photon numbers must be >= 0")
-        top = max(n for n, _ in spec.terms)
-        if n_max is None:
-            n_max = top
+        top = max(n for n, _ in terms)
+        n_max = top if n_max is None else _index(n_max, "n_max")
         if top > n_max:
             raise TruncationError(f"{top} photons exceed n_max={n_max}", required_n_max=top)
         check_budget(n_max, 2)
         amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is refused below
-            for n, w in spec.terms:
+            for n, w in terms:
                 # (a_R† + a_L†)^n / sqrt(2^n n!) |0,0>; the exact ratio stays finite for n >= 1024
                 k = np.arange(n + 1)
                 amps[k, n - k] += complex(w) * np.sqrt([math.comb(n, i) / 2**n for i in range(n + 1)])

@@ -86,6 +86,10 @@ CASES = [
     # spec refusals: a negative coherent mean and an empty truncation list
     ("exit 2: phase coh:-1", ["phase", "--state", "coh:-1"]),
     ("exit 2: pb empty --s", ["pb", "--state", "coh:1", "--s", ","]),
+    # the moments document is the library's two dicts merged, on a single-mode file off unit norm too
+    ("moments coh:9", ["moments", "--state", "coh:9"]),
+    ("moments num:0", ["moments", "--state", "num:0"]),
+    ("moments off-unit file", ["moments", "--state", "file:{inputs}/single345.json"]),
 ]
 
 # cases whose outputs must match each other's in one tree, byte for byte
@@ -109,6 +113,8 @@ def write_inputs(inputs: Path) -> None:
     for name, scale in (("xcoh9x4", 4.0), ("xcoh9tiny", 2.0**-540)):  # exact scalings
         rows = [[ns, na, re * scale, im * scale] for ns, na, re, im in doc["amps"]]
         (inputs / f"{name}.json").write_text(json.dumps({**doc, "amps": rows}))
+    (inputs / "single345.json").write_text(
+        '{"kind": "single", "n_max": 2, "amps": [[0, 0, 3, 0], [1, 0, 0, 4], [2, 0, -1, 2]]}')
     (inputs / "zero.json").write_text('{"kind": "two", "n_max": 1, "amps": [[0, 0, 0.0, 0.0]]}')
     huge = "1" + "0" * 400
     (inputs / "huge1.json").write_text(f'{{"kind": "single", "n_max": 1, "amps": [[0, 0, {huge}, 0]]}}')

@@ -139,17 +139,17 @@ def test_criterion_07_moment_identities():
         psi = oracles.random_single(rng, 20)
         state = SingleModeState(psi)
         ym = y_moments(state)
-        worst_unit = max(worst_unit, abs(ym.second_Y1 + ym.second_Y2 - 1.0))
+        worst_unit = max(worst_unit, abs(ym["second_Y1"] + ym["second_Y2"] - 1.0))
         # sum rule: <C^2> + <S^2> + vac/2 = 1 with the intrinsic moments
-        c2 = ym.second_Y1 - ym.vac_prob / 4
-        s2 = ym.second_Y2 - ym.vac_prob / 4
-        worst_sum = max(worst_sum, abs(c2 + s2 + ym.vac_prob / 2 - 1.0))
+        c2 = ym["second_Y1"] - ym["vac_prob"] / 4
+        s2 = ym["second_Y2"] - ym["vac_prob"] / 4
+        worst_sum = max(worst_sum, abs(c2 + s2 + ym["vac_prob"] / 2 - 1.0))
         hm = heterodyne_moments(state)
         var_chi, var_rho = oracles.single_mode_quadrature_var(psi)
         worst_inflation = max(
             worst_inflation,
-            abs((hm.var_X - var_chi) - 0.25),
-            abs((hm.var_P - var_rho) - 0.25),
+            abs((hm["var_X"] - var_chi) - 0.25),
+            abs((hm["var_P"] - var_rho) - 0.25),
         )
     assert worst_unit < 1e-12
     assert worst_sum < 1e-12

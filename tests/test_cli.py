@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 import oracles
 from relphase import (
     TwoModeState,
+    heterodyne_moments,
+    make_coherent_state,
     make_number_state,
     snapshot_sweep,
     state_from_json,
     state_to_json,
+    y_moments,
 )
 from relphase import cli, fock, pegg_barnett, pom
 from relphase.cli import main
@@ -874,6 +877,28 @@ def test_moments_of_one_to_three_levels_are_exact(capsys, tmp_path, spec, want):
         path.write_text(spec)
         spec = f"file:{path}"
     assert run(capsys, "moments", "--state", spec) == (0, json.dumps(want, sort_keys=True) + "\n", "")
+
+
+MOMENT_KEYS = ["mean_P", "mean_X", "mean_Y1", "mean_Y2", "second_P", "second_X", "second_Y1",
+               "second_Y2", "vac_prob", "var_P", "var_X"]
+OFF_UNIT_SINGLE = '{"kind": "single", "n_max": 2, "amps": [[0, 0, 3, 0], [1, 0, 0, 4], [2, 0, -1, 2]]}'
+
+
+@pytest.mark.parametrize("spec, build", [
+    ("num:0", lambda: make_number_state(0, 0)),
+    ("num:3", lambda: make_number_state(3, 3)),
+    ("coh:9", lambda: make_coherent_state(3.0)),
+    ("file", lambda: state_from_json(OFF_UNIT_SINGLE)),
+])
+def test_moments_writes_the_librarys_report(capsys, tmp_path, spec, build):
+    """The document is the two library dicts merged, with no conversion between them."""
+    if spec == "file":
+        (path := tmp_path / "state.json").write_text(OFF_UNIT_SINGLE)
+        spec = f"file:{path}"
+    state = build()
+    report = {**heterodyne_moments(state), **y_moments(state)}
+    assert sorted(report) == MOMENT_KEYS
+    assert run(capsys, "moments", "--state", spec) == (0, json.dumps(report, sort_keys=True) + "\n", "")
 
 
 def test_pb_report_computes_each_truncation_once(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,16 +14,19 @@ from relphase import (
     SingleModeState,
     TwoModeState,
     TruncationError,
+    absolute_time_pdf,
     generalized_phase_pdf,
     jm_labels,
     make_coherent_state,
     make_number_state,
+    marginal_pdf,
+    phase_pdf,
     single_to_two_mode,
     state_from_json,
     state_to_json,
 )
 from relphase import fock
-from relphase.polarization import XCoherent, to_circular
+from relphase.polarization import XCoherent, XNumber, XSuperposition, to_circular
 from relphase.schwinger import rotate_z
 
 PHOTONIC = PrimitiveConvention.PHOTONIC
@@ -483,3 +487,40 @@ def test_angular_grid_refuses_a_size_below_one(k):
 def test_number_state_refuses_a_negative_n_max():
     with pytest.raises(ValueError, match="^n_max must be >= 0$"):
         make_number_state(0, -1)
+
+
+@pytest.mark.parametrize("call", [
+    # 8.5 built 9 points spaced 2 pi / 8.5, and the time density sat on angular_grid(9)
+    lambda: fock.angular_grid(8.5),
+    lambda: absolute_time_pdf(to_circular(XSuperposition(((1, 1.0), (2, 1.0)))), 8.5),
+    # every series reads K through check_grid
+    lambda: phase_pdf(make_number_state(1, 1), 8.5),
+    lambda: marginal_pdf(to_circular(XNumber(1)), 8.5),
+], ids=["angular_grid", "absolute_time_pdf", "phase_pdf", "marginal_pdf"])
+def test_a_grid_size_that_is_not_an_integer_is_refused(call):
+    with pytest.raises(TypeError, match="^grid size 8.5 is not an integer$"):
+        call()
+
+
+def test_integer_like_grid_sizes_read_as_integers():
+    assert np.array_equal(fock.angular_grid(np.int64(8)), fock.angular_grid(8))
+    assert np.array_equal(fock.angular_grid(True), [-np.pi])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_number_state(1.5, 3), "photon number 1.5"),
+    (lambda: make_number_state(np.float64(1.0), 3), "photon number np.float64(1.0)"),
+    (lambda: make_number_state(1, 3.0), "n_max 3.0"),
+    (lambda: make_coherent_state(2.0, n_max=1.5), "n_max 1.5"),
+    (lambda: to_circular(XCoherent(1.0), n_max=8.0), "n_max 8.0"),
+])
+def test_a_photon_number_or_n_max_that_is_not_an_integer_is_refused(build, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)} is not an integer$"):
+        build()
+
+
+def test_integer_like_photon_numbers_read_as_integers():
+    assert np.array_equal(make_number_state(True, 3).amplitudes, [0, 1, 0, 0])
+    assert np.array_equal(make_number_state(np.int64(2), np.uint8(3)).amplitudes, [0, 0, 1, 0])
+    assert np.array_equal(make_coherent_state(2.0, n_max=np.int32(40)).amplitudes,
+                          make_coherent_state(2.0, n_max=40).amplitudes)

@@ -197,6 +197,23 @@ def test_empty_superposition_is_refused():
         to_circular(XSuperposition(()))
 
 
+@pytest.mark.parametrize("spec, n_max, message", [
+    (XNumber(1.5), None, "photon number 1.5"),
+    (XSuperposition(((1.5, 1.0),)), None, "photon number 1.5"),
+    (XSuperposition(((1, 1.0), (2.0, 1.0))), None, "photon number 2.0"),
+    (XNumber(1), 2.0, "n_max 2.0"),
+])
+def test_a_photon_number_or_n_max_that_is_not_an_integer_is_refused(spec, n_max, message):
+    with pytest.raises(TypeError, match=f"^{message} is not an integer$"):
+        to_circular(spec, n_max)
+
+
+def test_integer_like_photon_numbers_read_as_integers():
+    one = to_circular(XNumber(1)).amplitudes
+    assert np.array_equal(to_circular(XNumber(True)).amplitudes, one)
+    assert np.array_equal(to_circular(XSuperposition(((np.int64(1), 1.0),)), np.int64(1)).amplitudes, one)
+
+
 @pytest.mark.parametrize("spec", ["xcoh:1", 1.0, None])
 def test_a_value_that_is_not_a_spec_is_refused(spec):
     with pytest.raises(TypeError, match="^unknown polarization spec "):

@@ -51,8 +51,8 @@ def test_moments_match_the_tensor_oracles(state):
     """Means and second moments of both extensions, so the +1/4 (heterodyne) and
     +|psi_0|^2/4 (shift) inflations of the second moments are pinned."""
     het, y = heterodyne_moments(state), y_moments(state)
-    got = [het.mean_X, het.mean_P, het.second_X, het.second_P,
-           y.mean_Y1, y.mean_Y2, y.second_Y1, y.second_Y2]
+    got = [het["mean_X"], het["mean_P"], het["second_X"], het["second_P"],
+           y["mean_Y1"], y["mean_Y2"], y["second_Y1"], y["second_Y2"]]
     want = [*oracles.heterodyne_product_moments(state.amplitudes),
             *oracles.y_product_moments(state.amplitudes)]
     for value, oracle in zip(got, want):
