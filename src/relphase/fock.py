@@ -11,7 +11,6 @@ import json
 import math
 import operator
 import sys
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -241,27 +240,19 @@ def _pmf_terms(mean: float) -> Iterator[float]:
     return (math.exp(-mean + n * log_mean - math.lgamma(n + 1)) for n in itertools.count())
 
 
-def poisson_tail(mean: float, n_max: int, pmf: Sequence[float] | None = None) -> float:
-    """P(X > n_max) for X ~ Poisson(mean), as 1 - fsum(p_0..p_n_max). pmf, if
-    given, holds at least those n_max + 1 masses."""
-    if mean == 0.0:
-        return 0.0
-    terms = _pmf_terms(mean) if pmf is None else pmf
-    return max(0.0, 1.0 - math.fsum(itertools.islice(terms, n_max + 1)))
-
-
 def budget_n_max(modes: int) -> int:
     """Largest n_max whose state array fits MAX_AMPLITUDES: 4095 for two modes."""
     return (math.isqrt(MAX_AMPLITUDES) if modes == 2 else MAX_AMPLITUDES) - 1
 
 
 def coherent_n_max(mean: float, tail_tol: float, modes: int = 1) -> int:
-    """Smallest n_max with Poisson tail mass below tail_tol.
+    """Smallest n_max with Poisson tail mass 1 - fsum(p_0..p_n_max) below tail_tol.
 
-    The tail falls monotonically in n_max (fsum rounds correctly), so a search
-    that gallops out from a plain running sum's estimate and then bisects finds
-    the same n_max as a scan upward from 0. It looks no further than the
-    largest n_max a `modes`-mode state can hold within the size budget.
+    One pass upward from 0 holds the running sum exactly, as an integer count of
+    2**-1074 (every float is a whole number of those), and rounds it once per step:
+    int / int rounds correctly, as fsum does, so each step reads the tail 1 - fsum
+    would. It looks no further than the largest n_max a `modes`-mode state can hold
+    within the size budget.
     """
     _check_tail_tol(tail_tol)
     _check_mean(mean)
@@ -272,23 +263,13 @@ def coherent_n_max(mean: float, tail_tol: float, modes: int = 1) -> int:
         return 0
     # Chernoff: P(X <= limit) <= e^(limit - mean + limit ln(mean/limit)); below e^-800 every tail reads 1
     hopeless = mean > limit and limit - mean + limit * math.log(mean / limit) < -800
-    terms, pmf, total = _pmf_terms(mean), array("d"), 0.0  # the masses, built as read
-    while not hopeless and len(pmf) <= cap and 1.0 - total >= tail_tol:
-        pmf.append(next(terms))
-        total += pmf[-1]
-    lo, hi = -1, cap + 1  # tail(lo) >= tail_tol > tail(hi), the ends taken on trust
-    n, step = len(pmf) - 1, 1
-    while not hopeless and hi - lo > 1:  # steps double away from the estimate, then the bracket halves
-        pmf.extend(itertools.islice(terms, max(0, n + 1 - len(pmf))))
-        if poisson_tail(mean, n, pmf) < tail_tol:
-            hi, n = n, n - step
-        else:
-            lo, n = n, n + step
-        step *= 2
-        if not lo < n < hi:
-            n = (lo + hi) // 2
-    if hi <= cap:
-        return hi
+    if not hopeless:
+        total, unit = 0, 2**1074  # p_0 + ... + p_n, exactly, in units of 1 / unit
+        for n, p in zip(range(cap + 1), _pmf_terms(mean)):
+            num, den = p.as_integer_ratio()
+            total += num << 1075 - den.bit_length()
+            if 1.0 - total / unit < tail_tol:
+                return n
     if cap == limit:
         raise TruncationError(
             f"mean {mean:g} needs n_max > {limit} for tail mass below {tail_tol:g}, so a "
@@ -310,17 +291,14 @@ def _check_mean(mean: float) -> None:
 
 def coherent_truncation(mean: float, n_max: int | None, tail_tol: float, modes: int = 1) -> int:
     """Truncation for a coherent excitation: the smallest adequate one when n_max
-    is None; an explicit n_max keeps it if its tail mass is below tail_tol and
-    otherwise raises with the smallest adequate one. `modes` sets the size
-    budget that an explicit n_max and the search must fit."""
+    is None; an explicit n_max is kept if it is at least that one (the tail falls in
+    n_max, and every mass past the search's cap is 0.0) and otherwise refused with
+    it. `modes` sets the size budget that an explicit n_max and the search must fit."""
     if n_max is None:
         return coherent_n_max(mean, tail_tol, modes)
-    check_budget(n_max := _index(n_max, "n_max"), modes)  # before a tail sum over n_max terms
-    _check_tail_tol(tail_tol)  # the search checks both again only on a refusal
-    _check_mean(mean)
-    if poisson_tail(mean, n_max) < tail_tol:
+    check_budget(n_max := _index(n_max, "n_max"), modes)  # before the search's own checks
+    if n_max >= (needed := coherent_n_max(mean, tail_tol, modes)):
         return n_max
-    needed = coherent_n_max(mean, tail_tol, modes)
     raise TruncationError(
         f"coherent tail mass at n_max={n_max} is not below {tail_tol:g}; "
         f"need n_max >= {needed}",

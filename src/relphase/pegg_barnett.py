@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import SingleModeState, _frozen, _support, angular_grid, scatter_series
+from .fock import SingleModeState, _frozen, _index, _support, angular_grid, scatter_series
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +41,7 @@ class DiscretePhasePmf:
 
 def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:
     """Discrete-phase masses of the state truncated to n <= s, renormalized by fock's rule."""
-    if _support(state.amplitudes).start > s:
+    if _support(state.amplitudes).start > (s := _index(s, "truncation")):
         raise ValueError(f"state has no support at or below n={s}")
     psi = SingleModeState.from_amplitudes(state.amplitudes[: s + 1]).amplitudes
     values = scatter_series((), s + 1, (), np.arange(psi.size), psi)  # a DFT of length s + 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PrimitiveConvention, TwoModeState, jm_labels, simplex
+from .fock import PrimitiveConvention, TwoModeState, _index, jm_labels, simplex
 
 
 def _scale(convention: PrimitiveConvention) -> float:
@@ -89,7 +89,7 @@ def _dense_operators(convention: PrimitiveConvention, n_max: int):
 def commutator_residuals(convention: PrimitiveConvention, n_max: int) -> CommutatorReport:
     """Explicit-matrix residuals of the commutation relations and of the Casimir,
     J^2 = (J_+ J_- + J_- J_+)/2 + J_z^2 = j(j + c): j(j+2) photonic, j(j+1) fermionic."""
-    jp, jm, jz, j = _dense_operators(convention, n_max)
+    jp, jm, jz, j = _dense_operators(convention, _index(n_max, "n_max"))
     jx = (jp + jm) / 2.0
     jy = (jp - jm) / 2.0j
     c = _scale(convention)

@@ -90,6 +90,13 @@ CASES = [
     ("moments coh:9", ["moments", "--state", "coh:9"]),
     ("moments num:0", ["moments", "--state", "num:0"]),
     ("moments off-unit file", ["moments", "--state", "file:{inputs}/single345.json"]),
+    # an explicit --n-max on a coherent spec: kept when adequate, refused with the smallest one not
+    ("phase coh:9 n-max 40", ["phase", "--state", "coh:9", "--n-max", "40", "--k", "128"]),
+    ("exit 3: phase coh:9 n-max 9", ["phase", "--state", "coh:9", "--n-max", "9"]),
+    ("ellipse xcoh:9 n-max 60", ["ellipse", "--pol", "xcoh:9", "--n-max", "60", "--k", "256"]),
+    ("exit 3: ellipse xcoh:9 n-max 20", ["ellipse", "--pol", "xcoh:9", "--n-max", "20"]),
+    ("phase coh:9 n-max 4000", ["phase", "--state", "coh:9", "--n-max", "4000", "--k", "2048"]),
+    ("moments coh:9 tail-tol 1e-15", ["moments", "--state", "coh:9", "--tail-tol", "1e-15"]),
 ]
 
 # cases whose outputs must match each other's in one tree, byte for byte

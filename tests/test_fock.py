@@ -370,13 +370,12 @@ def test_working_set_edge_is_2_to_the_26_cells():
 
 
 def test_truncation_search_stays_within_the_budget(monkeypatch):
-    calls = []
-    tail = fock.poisson_tail
-    monkeypatch.setattr(fock, "poisson_tail",
-                        lambda mean, n, *pmf: calls.append(n) or tail(mean, n, *pmf))
+    drawn = []
+    terms = fock._pmf_terms
+    monkeypatch.setattr(fock, "_pmf_terms", lambda mean: (drawn.append(p) or p for p in terms(mean)))
     with pytest.raises(TruncationError, match=r"n_max > 4095 .* budget is 16777216"):
         to_circular(XCoherent(4100.0))  # just past the budget, where the Chernoff bound lets it probe
-    assert calls and max(calls) <= fock.budget_n_max(2) == 4095
+    assert drawn and len(drawn) <= fock.budget_n_max(2) + 1 == 4096  # the masses p_0..p_4095
     # a mean that fits gets the n_max of the unbounded search, in either budget
     for mean, n_max in ((0.0, 0), (9.0, 37), (100.0, 178), (1000.0, 1232)):
         assert fock.coherent_n_max(mean, 1e-12) == fock.coherent_n_max(mean, 1e-12, 2) == n_max
@@ -391,7 +390,7 @@ NOT_A_MEAN = "mean photon number must be finite and >= 0, got "
 
 @pytest.mark.parametrize("build, args, got", [
     (make_coherent_state, (math.nan,), "nan"),
-    (make_coherent_state, (math.nan, 5), "nan"),  # poisson_tail(nan, 5) reads as 0.0
+    (make_coherent_state, (math.nan, 5), "nan"),  # the explicit path runs the search and its check
     (make_coherent_state, (math.inf,), "inf"),
     (make_coherent_state, (1e200,), "inf"),  # |alpha| ** 2 overflows
     (make_coherent_state, (complex(2.0**512, 0.0),), "inf"),
@@ -442,6 +441,27 @@ def test_truncation_search_matches_the_bisection_at_any_mean(mean, tail_tol, mod
     assert truncation_outcome(fock.coherent_n_max, mean, tail_tol, modes) == expected
 
 
+@given(st.floats(0.0, 4000.0, exclude_min=True, exclude_max=True),
+       st.sampled_from(TAIL_TOLS), st.sampled_from([1, 2]), st.data())
+def test_an_explicit_n_max_is_kept_exactly_when_its_tail_is_below_tail_tol(
+        mean, tail_tol, modes, data):
+    expected = truncation_outcome(oracles.bisection_n_max, mean, tail_tol, modes)
+    top = min(5000, fock.budget_n_max(modes))
+    near = (st.integers(max(0, expected - 2), min(top, expected + 2)) if isinstance(expected, int)
+            else st.nothing())  # both sides of the smallest adequate n_max
+    n_max = data.draw(st.integers(0, top) | near)
+    kept = oracles.poisson_tail(mean, n_max) < tail_tol
+    try:
+        assert fock.coherent_truncation(mean, n_max, tail_tol, modes) == n_max and kept
+    except TruncationError as exc:
+        assert not kept
+        if exc.required_n_max is None:  # the search's own refusal
+            assert f"refused: {exc}" == expected
+        else:
+            assert exc.required_n_max == expected
+            assert str(exc).endswith(f"is not below {tail_tol:g}; need n_max >= {expected}")
+
+
 def test_xcoherent_modes_take_the_two_mode_truncation():
     # Poisson(mean/2) lies below Poisson(mean), so each mode's tail at the two-mode
     # n_max is below tail_tol; 1 - fsum of the mean/2 masses rounds to 1.3e-15 here,
@@ -456,17 +476,18 @@ def test_single_to_two_mode_over_budget_is_refused():
         single_to_two_mode(make_number_state(0, 4096))
 
 
-def test_coherent_truncation_searches_only_when_explicit_n_max_fails(monkeypatch):
+def test_coherent_truncation_runs_one_search_per_call(monkeypatch):
     calls = []
     search = fock.coherent_n_max
     monkeypatch.setattr(fock, "coherent_n_max", lambda *a: calls.append(a) or search(*a))
     state = to_circular(XCoherent(100.0))
     assert state.n_max == 178 and len(calls) == 1
+    assert to_circular(XCoherent(9.0), n_max=40).n_max == 40 and len(calls) == 2
     message = r"n_max=9 is not below 1e-12; need n_max >= 37"
     with pytest.raises(TruncationError, match=message) as err:
         to_circular(XCoherent(9.0), n_max=9)
     assert err.value.required_n_max == 37
-    assert len(calls) == 2
+    assert len(calls) == 3
     with pytest.raises(ValueError, match="tail_tol"):
         to_circular(XCoherent(9.0), n_max=40, tail_tol=0.0)  # checked on the explicit path too
 

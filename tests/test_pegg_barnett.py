@@ -150,3 +150,21 @@ def test_phase_cdf_refuses_a_point_that_is_not_finite(bad):
     with pytest.raises(ValueError) as err:
         phase_cdf(state, np.array([0.0, bad]))
     assert str(err.value) == f"phase {bad} is not finite"
+
+
+@pytest.mark.parametrize("call, value", [
+    # each once met numpy's "slice indices must be integers or None or have an __index__ method"
+    (lambda state: pb_pmf(state, 20.5), "20.5"),
+    (lambda state: pb_pmf(state, 20.0), "20.0"),
+    (lambda state: pb_convergence(state, [20.5]), "20.5"),
+], ids=["pb_pmf", "pb_pmf-float", "pb_convergence"])
+def test_a_truncation_that_is_not_an_integer_is_refused(call, value):
+    with pytest.raises(TypeError) as err:
+        call(make_coherent_state(1.0))
+    assert str(err.value) == f"truncation {value} is not an integer"
+
+
+def test_integer_like_truncations_read_as_integers():
+    state = make_coherent_state(1.0)
+    assert np.array_equal(pb_pmf(state, np.int64(20)).masses, pb_pmf(state, 20).masses)
+    assert np.array_equal(pb_pmf(make_number_state(0, 3), True).masses, [0.5, 0.5])

@@ -173,6 +173,15 @@ def test_commutator_residuals(convention, constant):
     assert report.max_residual() < 1e-12
 
 
+def test_an_n_max_that_is_not_an_integer_is_refused():
+    # 2.5 once met numpy's "'float' object cannot be interpreted as an integer"
+    with pytest.raises(TypeError) as err:
+        commutator_residuals(PHOTONIC, 2.5)
+    assert str(err.value) == "n_max 2.5 is not an integer"
+    assert commutator_residuals(PHOTONIC, np.int64(2)) == commutator_residuals(PHOTONIC, 2)
+    assert commutator_residuals(PHOTONIC, True) == commutator_residuals(PHOTONIC, 1)
+
+
 def test_z_ladder_raises_m_by_two_photonic():
     balanced = two_mode({(1, 1): 1.0}, 2)
     jp = apply_jplus(balanced)
