@@ -126,12 +126,10 @@ def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> li
 
 def time_grid(state: TwoModeState, k_t: int | None = None) -> int:
     """k_t, by default the display default max(DEFAULT_KT, 4 (ceil(j_max) + 1)), j_max from
-    each n_s row's last amplitude (no read of the cells); refuses a k_t over the working-set
-    budget. Sweep times need nothing more: each snapshot is normalized at its own time."""
+    the largest occupied n_s + n_a; refuses a k_t over the working-set budget. Sweep times
+    need nothing more: each snapshot is normalized at its own time."""
     if k_t is None:
-        occupied = state.amplitudes[:, ::-1] != 0  # a row's last amplitude: n_a = n_max - argmax
-        rows = occupied.any(axis=1)
-        n_sum = (np.arange(state.n_max + 1) - occupied.argmax(axis=1))[rows].max() + state.n_max
+        n_sum = np.add(*np.nonzero(state.amplitudes)).max()
         k_t = max(DEFAULT_KT, 4 * (math.ceil(jm_labels(n_sum, 0, state.convention)[0]) + 1))
     check_cells((k_t,), "a time grid")
     return k_t

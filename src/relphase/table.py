@@ -48,8 +48,7 @@ def _class_row(x: int, sign: int) -> list[int]:
 
 @functools.cache
 def _tables() -> SimpleNamespace:
-    """_format_15g's lookup tables, built on its first call; the powers of ten
-    (hi, lo and hi's split hi1 + hi2) are filled in by _powers as blocks use them."""
+    """_format_15g's lookup tables, built on its first call."""
     d = np.arange(10, dtype=np.uint32)
     pairs = (0x3030 + d[:, None] + (d << 8)).ravel()
     groups = (pairs[:, None] + (pairs << 16)).ravel()  # groups[g]: g's four digits, the first lowest
@@ -63,8 +62,14 @@ def _tables() -> SimpleNamespace:
     classes = np.array([_class_row(c, s) for c in range(-5, 16) for s in (0, 1)], np.uint64)
     rows = np.column_stack([classes[np.clip(k.repeat(2) + 5, 0, 20) * 2 + np.arange(2 * k.size) % 2],
                             exp.repeat(2) << np.tile(np.uint64([0, 8]), k.size)])  # after a '-', one up
+    powers = []  # 10**k as hi + lo (int / int of exact integers rounds correctly), hi as hi1 + hi2
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        top, bottom = (10**k, 1) if k >= 0 else (1, 10**-k)
+        num, den = (hi := top / bottom).as_integer_ratio()
+        hi1 = _SPLIT * hi - (_SPLIT * hi - hi)
+        powers.append((hi, (top * den - num * bottom) / (bottom * den), hi1, hi - hi1))
     return SimpleNamespace(
-        powers=np.zeros((_POW_MAX - _POW_MIN + 1, 4)).view("V32").ravel(),
+        powers=np.array(powers).view("V32").ravel(),
         groups=np.concatenate([groups, stripped]),
         body=np.ascontiguousarray(rows[:, :4]).view("V32").ravel(),
         ends=np.ascontiguousarray(rows[:, 4:]).view("V32").ravel(),
@@ -76,22 +81,6 @@ def _columns(table: np.ndarray, index: np.ndarray, dtype=np.uint64) -> np.ndarra
     return table.take(index).view(dtype).reshape(-1, 4).T
 
 
-def _powers(t: SimpleNamespace, index: np.ndarray) -> np.ndarray:
-    """hi, lo, hi1, hi2 of 10**k at the table positions k - _POW_MIN in index; rows
-    that t lacks (hi 0) are first rounded from exact integers (int / int rounds correctly)."""
-    rows = _columns(t.powers, index, float)
-    missing = set(index[rows[0] == 0].tolist())
-    for i in missing:
-        k = i + _POW_MIN
-        top, bottom = (10**k, 1) if k >= 0 else (1, 10**-k)
-        num, den = (hi := top / bottom).as_integer_ratio()
-        lo = (top * den - num * bottom) / (bottom * den)
-        c = _SPLIT * hi
-        hi1 = c - (c - hi)
-        t.powers.view(float).reshape(-1, 4)[i] = hi, lo, hi1, hi - hi1
-    return _columns(t.powers, index, float) if missing else rows
-
-
 def _format_15g(values: np.ndarray, ends) -> np.ndarray:
     """(n,) fields of _FIELD bytes: field i is the bytes of '%.15g' % values[i], then
     NULs, with ends (_COMMA or _NEWLINE, or an array of them) in the last byte."""
@@ -100,7 +89,7 @@ def _format_15g(values: np.ndarray, ends) -> np.ndarray:
     size = np.abs(v)
     a = np.fmax(np.fmin(size, _FAST_MAX), _FAST_MIN)  # NaN goes to _FAST_MAX
     x = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo, h1, h2 = _powers(t, 14 - _POW_MIN - x)
+    hi, lo, h1, h2 = _columns(t.powers, 14 - _POW_MIN - x, float)
     # a * 10**(14 - X) = p + e: Dekker's two-product of a and hi, plus a * lo
     p = a * hi
     c = _SPLIT * a

@@ -39,6 +39,9 @@ CASES = [
     # default time grids, to stdout
     ("sweep xcoh:9 default kt", ["sweep", "--pol", "xcoh:9", "--k", "128"]),
     ("timepdf xcoh:100 default kt", ["timepdf", "--pol", "xcoh:100"]),
+    # ... of a state declared above its support: kt 284 from j_max 70, not 324 from n_max 80
+    ("timepdf xnum:70 n-max 80 default kt", ["timepdf", "--pol", "xnum:70", "--n-max", "80"]),
+    ("sweep xnum:70 n-max 80 default kt", ["sweep", "--pol", "xnum:70", "--n-max", "80", "--k", "160"]),
     # the help texts and the version
     ("--help", ["--help"]),
     ("--version", ["--version"]),

@@ -3,6 +3,7 @@ import math
 import os
 import stat
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -676,6 +677,22 @@ HARD_VALUES = [
 
 def test_csv_numbers_of_hard_cases_match_per_value_writer():
     assert_csv_matches_per_value_writer(HARD_VALUES)
+
+
+def test_power_table_holds_every_power_of_ten_as_a_double_double():
+    """All 591 rows of the writer's power table against exact rationals: hi is 10**k
+    rounded, lo the rest rounded, and hi1 + hi2 is Dekker's split of hi, whose hi1 has
+    at most 26 significant bits. Every row is read, not only those a value needs."""
+    from relphase import table
+
+    rows = table._tables().powers.view(float).reshape(-1, 4).tolist()
+    assert len(rows) == table._POW_MAX - table._POW_MIN + 1 == 591
+    for k, (hi, lo, hi1, hi2) in zip(range(table._POW_MIN, table._POW_MAX + 1), rows):
+        exact = Fraction(10) ** k
+        assert hi == float(exact) and lo == float(exact - Fraction(hi)), k
+        assert Fraction(hi1) + Fraction(hi2) == Fraction(hi), k
+        odd = hi1.as_integer_ratio()[0]
+        assert (odd // (odd & -odd)).bit_length() <= 26, k
 
 
 # 15-digit mantissas plus about one half: near-ties the fast path must not round

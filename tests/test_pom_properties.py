@@ -51,12 +51,12 @@ def two_mode_states(draw, max_total=5, gap=False):
     return TwoModeState.from_amplitudes(oracles.to_array(amps, max_total + 2 * gap))
 
 
-def occupation_state(jm_amps, convention):
+def occupation_state(jm_amps, convention, above=0):
     """The two-mode state of (j, m) amplitudes: n_s, n_a = (j +- m)/c, with
-    c = 2 photonic and 1 fermionic."""
+    c = 2 photonic and 1 fermionic, declared at n_max `above` its largest n_s + n_a."""
     c = 2 if convention is PHOTONIC else 1
     amps = {(round((j + m) / c), round((j - m) / c)): v for (j, m), v in jm_amps.items()}
-    return TwoModeState(oracles.to_array(amps, max(ns + na for ns, na in amps)), convention)
+    return TwoModeState(oracles.to_array(amps, max(ns + na for ns, na in amps) + above), convention)
 
 
 @st.composite
@@ -164,6 +164,25 @@ def test_mixture_identity_holds_on_the_exact_time_grid(sweep):
                 if pdf is not None]
     average = sum(weighted) / times.phi.size
     assert np.abs(average - marginal_pdf(state, k).density).max() < 1e-12
+
+
+# occupations (n_s, n_a) with n_s + n_a up to 200: j_max reaches past 63, where the default
+# time grid leaves 256 for 4 (ceil(j_max) + 1), in both conventions
+large_occupations = st.integers(0, 200).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+
+
+@given(st.lists(large_occupations, min_size=1, max_size=6, unique=True), conventions,
+       st.integers(0, 3), st.integers(1, 1 << 16))
+def test_default_time_grid_reads_the_occupied_support(occupations, convention, above, k_t):
+    """The default is max(256, 4 (ceil(j_max) + 1)) with j_max over the nonzero cells, also
+    for a state declared up to 3 above its support, whose top rows are empty; a k_t is kept."""
+    photonic = convention is PHOTONIC
+    ones = {(ns, n - ns): 1 / math.sqrt(len(occupations)) for ns, n in occupations}
+    state = occupation_state(oracles.jm_map(ones, photonic), convention, above)
+    assert state.n_max == max(n for _, n in occupations) + above
+    j_max = max(j for j, _ in oracles.jm_map(oracles.to_dict(state.amplitudes), photonic))
+    assert pom.time_grid(state) == max(256, 4 * (math.ceil(j_max) + 1))
+    assert pom.time_grid(state, k_t) == k_t
 
 
 def test_one_time_below_time_grid_size_misses_the_integral():
