@@ -42,8 +42,6 @@ _EXPORTS = {
         "XNumber",
         "XSuperposition",
         "db_view",
-        "local_maxima",
-        "polarization_ellipse",
         "to_circular",
     ),
     "pom": (

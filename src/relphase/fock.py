@@ -1,8 +1,8 @@
 """One- and two-mode truncated Fock states.
 
 States are immutable finite unit vectors: the class constructors refuse any other
-amplitudes, and `from_amplitudes` renormalizes before them. Every operation returns a new
-state; constructors report inadequate truncation instead of silently losing norm.
+amplitudes, and `from_amplitudes` and `from_cells` renormalize before them. Every operation
+returns a new state; constructors report inadequate truncation instead of silently losing norm.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .errors import AliasingError, RelphaseError, TruncationError
 DEFAULT_TAIL_TOL = 1e-12  # largest Poisson tail mass a coherent truncation may discard
 DEFAULT_GRID_SIZE = 1024  # angular grid size K of every density on [-pi, pi)
 DEFAULT_KT = 256  # smallest default time grid
-# dense state budget: 2**24 complex128 amplitudes (256 MiB), a two-mode n_max <= 4095
+# state budget: a basis of 2**24 cells (256 MiB of complex128), a two-mode n_max <= 5791
 MAX_AMPLITUDES = 2**24
 # working-set budget: the largest array a kernel builds, 2**26 complex128 cells (1 GiB)
 MAX_CELLS = 2**26
@@ -124,15 +124,9 @@ def jm_labels(ns, na, convention: PrimitiveConvention = PrimitiveConvention.PHOT
     return c * np.add(ns, na), c * np.subtract(ns, na)
 
 
-def simplex(n_max: int) -> np.ndarray:
-    """Mask of the cells n_s + n_a <= n_max of an (n_max+1)^2 amplitude array."""
-    n = np.arange(n_max + 1)
-    return np.less_equal.outer(n, n_max - n)  # no (n_max+1)^2 integer temporary
-
-
 def check_budget(n_max: int, modes: int) -> None:
-    """Refuse, before allocating it, a state array of more than MAX_AMPLITUDES."""
-    size = (n_max + 1) ** modes
+    """Refuse, before it is built, a state whose basis has over MAX_AMPLITUDES cells."""
+    size = n_max + 1 if modes == 1 else (n_max + 1) * (n_max + 2) // 2
     if size > MAX_AMPLITUDES:
         raise TruncationError(
             f"a {modes}-mode state at n_max={n_max} needs {size} amplitudes "
@@ -180,43 +174,46 @@ def scatter_series(shape: tuple, k: int, index: tuple, freqs: np.ndarray, coeffs
 
 @dataclass(frozen=True, eq=False)
 class TwoModeState:
-    """Unit-norm amplitudes a[n_s, n_a] on the simplex n_s + n_a <= n_max, held dense, and
-    the convention that reads the occupations as (j, m).
+    """Unit-norm amplitudes of the nonzero cells (n_s, n_a) of the simplex n_s + n_a <= n_max, held
+    as read-only integer labels ns, na and complex values in strictly increasing row-major order,
+    and the convention that reads the occupations as (j, m)."""
 
-    The array is (n_max+1) x (n_max+1) and zero wherever n_s + n_a > n_max.
-    """
-
-    amplitudes: np.ndarray
+    ns: np.ndarray
+    na: np.ndarray
+    values: np.ndarray
+    n_max: int
     convention: PrimitiveConvention = PrimitiveConvention.PHOTONIC
 
     def __post_init__(self):
         if not isinstance(self.convention, PrimitiveConvention):
             raise TypeError(f"convention must be a PrimitiveConvention, not {self.convention!r}")
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 2 or amps.shape[0] != amps.shape[1] or amps.size == 0:
-            raise ValueError("amplitudes must be a non-empty square 2-d array")
-        outside = np.argwhere((amps != 0) & ~simplex(amps.shape[0] - 1))
-        if outside.size:
-            ns, na = outside[0].tolist()
-            raise ValueError(f"amplitude at ({ns}, {na}) exceeds n_max={amps.shape[0] - 1}")
-        _check_unit(amps)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        check_budget(n_max := _index(self.n_max, "n_max"), 2)
+        values = _frozen(self.values, "values", complex)
+        labels = [np.asarray(x) for x in (self.ns, self.na)]
+        if any(x.dtype.kind not in "iu" or np.any(x < 0) for x in labels):
+            raise ValueError("cell labels ns and na must be non-negative integers")
+        ns, na = (_frozen(x, "cell labels", np.int64) for x in labels)
+        if not ns.size == na.size == values.size:
+            raise ValueError(f"{ns.size} ns, {na.size} na and {values.size} values differ in length")
+        if (off := ns > n_max - na).any():
+            raise ValueError(f"amplitude at ({ns[off][0]}, {na[off][0]}) exceeds n_max={n_max}")
+        if not np.all((ns[1:] > ns[:-1]) | (ns[1:] == ns[:-1]) & (na[1:] > na[:-1])):
+            raise ValueError("cells must strictly increase in row-major (n_s, n_a) order")
+        if not values.all():
+            raise ValueError(f"amplitude at ({ns[values == 0][0]}, {na[values == 0][0]}) is zero")
+        _check_unit(values)
+        for name, value in (("ns", ns), ("na", na), ("values", values), ("n_max", n_max)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def from_amplitudes(
-        cls, amplitudes: np.ndarray, convention: PrimitiveConvention = PrimitiveConvention.PHOTONIC
-    ) -> "TwoModeState":
-        """Build and renormalize; rejects the zero array."""
-        amps = np.ascontiguousarray(amplitudes, dtype=complex)
-        # the norm of the support alone, in row-major order, then real division of
-        # each part (numpy's complex / real multiplies by a rounded reciprocal)
-        e, norm = _norm(amps[amps != 0])
-        return cls((_ldexp(amps, e).view(float) / norm).view(complex), convention)
-
-    @property
-    def n_max(self) -> int:
-        return self.amplitudes.shape[0] - 1
+    def from_cells(cls, ns, na, values, n_max: int, convention=PrimitiveConvention.PHOTONIC):
+        """Build from cells in row-major order and renormalize: drop zero values, and divide each real
+        part of the rest by their norm, taken in that order; rejects the zero state."""
+        values = np.asarray(values, dtype=complex)
+        e, norm = _norm(values[values != 0])
+        values = (_ldexp(values, e).view(float) / norm).view(complex)
+        cells = values != 0  # the zeros, and any part the division underflows to 0
+        return cls(*(np.asarray(x)[cells] for x in (ns, na, values)), n_max, convention)
 
 
 def make_number_state(n: int, n_max: int) -> SingleModeState:
@@ -241,8 +238,8 @@ def _pmf_terms(mean: float) -> Iterator[float]:
 
 
 def budget_n_max(modes: int) -> int:
-    """Largest n_max whose state array fits MAX_AMPLITUDES: 4095 for two modes."""
-    return (math.isqrt(MAX_AMPLITUDES) if modes == 2 else MAX_AMPLITUDES) - 1
+    """Largest n_max whose basis fits MAX_AMPLITUDES cells: 5791 for two modes."""
+    return (math.isqrt(8 * MAX_AMPLITUDES + 1) - 1) // 2 - 1 if modes == 2 else MAX_AMPLITUDES - 1
 
 
 def coherent_n_max(mean: float, tail_tol: float, modes: int = 1) -> int:
@@ -332,10 +329,15 @@ def _coherent_state(alpha: complex, n_max: int) -> SingleModeState:
 
 def single_to_two_mode(state: SingleModeState) -> TwoModeState:
     """Embed |psi>_s |0>_a as a two-mode state (auxiliary mode off)."""
-    check_budget(state.n_max, 2)
-    amps = np.zeros((state.n_max + 1,) * 2, dtype=complex)
-    amps[:, 0] = state.amplitudes
-    return TwoModeState(amps)
+    ns = np.flatnonzero(state.amplitudes)
+    return TwoModeState(ns, np.zeros_like(ns), state.amplitudes[ns], state.n_max)
+
+
+def _from_mapping(amps: dict[tuple[int, int], complex], n_max: int) -> TwoModeState:
+    """TwoModeState.from_cells of {(n_s, n_a): amplitude}, its cells sorted into row-major order."""
+    cells = sorted(amps.items())
+    ns, na = np.array([key for key, _ in cells], dtype=int).reshape(-1, 2).T
+    return TwoModeState.from_cells(ns, na, [v for _, v in cells], n_max)
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -346,12 +348,11 @@ def single_to_two_mode(state: SingleModeState) -> TwoModeState:
 
 def state_to_json(state: SingleModeState | TwoModeState) -> str:
     """One [n_s, n_a, re, im] row per nonzero amplitude, in (n_s, n_a) order."""
-    kind = "single" if isinstance(state, SingleModeState) else "two"
-    amps = state.amplitudes if kind == "two" else state.amplitudes[:, None]
-    ns, na = np.nonzero(amps)
-    values = amps[ns, na].tolist()
-    rows = [[s, a, v.real, v.imag] for s, a, v in zip(ns.tolist(), na.tolist(), values)]
-    return json.dumps({"kind": kind, "n_max": state.n_max, "amps": rows})
+    two = isinstance(state, TwoModeState)
+    ns = state.ns if two else np.flatnonzero(state.amplitudes)
+    na, values = (state.na, state.values) if two else (np.zeros_like(ns), state.amplitudes[ns])
+    rows = [[s, a, v.real, v.imag] for s, a, v in zip(ns.tolist(), na.tolist(), values.tolist())]
+    return json.dumps({"kind": "two" if two else "single", "n_max": state.n_max, "amps": rows})
 
 
 def _json_int(value, hi: float, what: str) -> int:
@@ -388,8 +389,8 @@ def state_from_json(text: str) -> SingleModeState | TwoModeState:
         if key in amps:
             raise ValueError(f"duplicate state row for {key}")
         amps[key] = complex(_json_real(row[2]), _json_real(row[3]))
-    array = np.zeros((n_max + 1, 1 if kind == "single" else n_max + 1), dtype=complex)
-    array[tuple(np.array(list(amps), dtype=int).reshape(-1, 2).T)] = list(amps.values())
-    if kind == "single":
-        return SingleModeState.from_amplitudes(array[:, 0])
-    return TwoModeState.from_amplitudes(array)
+    if kind == "two":
+        return _from_mapping(amps, n_max)
+    array = np.zeros(n_max + 1, dtype=complex)
+    array[[n_s for n_s, _ in amps]] = list(amps.values())
+    return SingleModeState.from_amplitudes(array)

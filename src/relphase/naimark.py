@@ -67,15 +67,11 @@ def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> An
     """Two-sided phase density |sum_m psi_m e^{-i m phi}|^2 / 2pi of a shift-subspace state,
     with m = n_s - n_a whatever the state's convention: m >= 0 reads psi_{m,0}, m < 0
     reads psi_{0,-m}. Raises SupportError for amplitudes with both modes excited."""
-    a = state.amplitudes
-    both = np.argwhere(a[1:, 1:])
-    if both.size:
-        ns, na = (both[0] + 1).tolist()
-        raise SupportError(f"state has support at (n_s, n_a) = ({ns}, {na}); need n_s * n_a = 0")
-    coeffs = np.concatenate([a[0, :0:-1], a[:, 0]])  # psi_m for m = -n_max..n_max
-    occupied = np.flatnonzero(coeffs)
-    m, coeffs = occupied - state.n_max, coeffs[occupied]
+    if (both := state.ns * state.na != 0).any():
+        raise SupportError(f"state has support at (n_s, n_a) = ({state.ns[both][0]}, "
+                           f"{state.na[both][0]}); need n_s * n_a = 0")
+    m = state.ns - state.na
     check_grid(k, m)
-    values = scatter_series((), k, (), m, coeffs)
+    values = scatter_series((), k, (), m, state.values)
     # off the both-excited cells, the coefficients are all of a unit state's amplitudes
     return AngularPdf(np.abs(values) ** 2 / (2.0 * np.pi))

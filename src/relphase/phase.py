@@ -38,18 +38,6 @@ class AngularPdf:
     def integral(self) -> float:
         return float(self.density.sum() / self.density.size) * 2.0 * np.pi  # np.mean's bits, less overhead
 
-    def value_at(self, phi: float) -> float:
-        """Density at a grid-aligned angle in [-pi, pi] (exact index lookup; pi is -pi)."""
-        if not -np.pi <= phi <= np.pi:  # nan included
-            raise ValueError(f"phi={phi} is not an angle in [-pi, pi]")
-        k = self.density.size
-        idx = (phi + np.pi) * k / (2.0 * np.pi)
-        j = int(round(idx))
-        # a grid angle's rounding grows like K ulp(pi) / 2pi in index units (K 2**-53 at most to K 2**26)
-        if abs(idx - j) > 1e-9 + k * 2.0**-50:
-            raise ValueError(f"phi={phi} is not on the {k}-point grid")
-        return float(self.density[j % k])
-
 
 def phase_wavefunction(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """psi(phi_k) = sum_n psi_n e^{-i n phi_k} over the occupied n on angular_grid(k), evaluated

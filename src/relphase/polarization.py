@@ -8,6 +8,7 @@ polarization ellipse.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -15,10 +16,9 @@ from typing import Union
 import numpy as np
 
 from .errors import TruncationError
-from .fock import (DEFAULT_GRID_SIZE, DEFAULT_TAIL_TOL, TwoModeState, _coherent_state, _index,
-                   check_budget, coherent_truncation, simplex)
+from .fock import (DEFAULT_TAIL_TOL, TwoModeState, _coherent_state, _from_mapping, _index,
+                   check_budget, coherent_truncation)
 from .phase import AngularPdf
-from .pom import marginal_pdf
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,11 @@ def to_circular(
     if isinstance(spec, XCoherent):
         mean = float(spec.mean_n)
         n_max = coherent_truncation(mean, n_max, tail_tol, modes=2)
-        # R and L coherent states of mean mean/2 (tails below mean's), cut to the simplex
+        # R and L coherent states of mean mean/2 (tails below mean's) on the simplex, row by row
         psi = _coherent_state(math.sqrt(mean / 2.0), n_max).amplitudes
-        return TwoModeState.from_amplitudes(np.outer(psi, psi) * simplex(n_max))
+        ns = np.repeat(np.arange(n_max + 1), np.arange(n_max + 1, 0, -1))
+        na = np.arange(ns.size) - ns * (2 * n_max + 3 - ns) // 2  # less row n_s's first index
+        return TwoModeState.from_cells(ns, na, psi[ns] * psi[na], n_max)
 
     if isinstance(spec, XSuperposition):
         if not spec.terms:
@@ -72,20 +74,15 @@ def to_circular(
         if top > n_max:
             raise TruncationError(f"{top} photons exceed n_max={n_max}", required_n_max=top)
         check_budget(n_max, 2)
-        amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is refused below
-            for n, w in terms:
-                # (a_R† + a_L†)^n / sqrt(2^n n!) |0,0>; the exact ratio stays finite for n >= 1024
-                k = np.arange(n + 1)
-                amps[k, n - k] += complex(w) * np.sqrt([math.comb(n, i) / 2**n for i in range(n + 1)])
-        return TwoModeState.from_amplitudes(amps)
+        amps = {}  # (n_s, n_a) -> amplitude; a repeated photon number adds in term order
+        for n, w in terms:
+            # (a_R† + a_L†)^n / sqrt(2^n n!) |0,0>, C(n, i + 1) = C(n, i) (n - i) / (i + 1) exactly
+            binomials = itertools.accumulate(range(n), lambda c, i: c * (n - i) // (i + 1), initial=1)
+            for k, v in enumerate((complex(w) * np.sqrt([c / 2**n for c in binomials])).tolist()):
+                amps[k, n - k] = amps.get((k, n - k), 0) + v
+        return _from_mapping(amps, n_max)  # an overflowing norm is refused here
 
     raise TypeError(f"unknown polarization spec {spec!r}")
-
-
-def polarization_ellipse(spec: LinearPolSpec, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
-    """Quantum polarization ellipse: the marginal angular distribution."""
-    return marginal_pdf(to_circular(spec), k)
 
 
 def db_view(pdf: AngularPdf) -> np.ndarray:
@@ -94,11 +91,3 @@ def db_view(pdf: AngularPdf) -> np.ndarray:
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(pdf.density / peak) + 60.0
     return np.maximum(db, 0.0)
-
-
-def local_maxima(density: np.ndarray, floor: float = 0.0) -> list[int]:
-    """Indices of grid points at or above floor that exceed both periodic neighbors by 1e-9."""
-    d = np.asarray(density)
-    up = d > np.roll(d, 1) + 1e-9
-    down = d > np.roll(d, -1) + 1e-9
-    return [int(i) for i in np.nonzero(up & down & (d >= floor))[0]]

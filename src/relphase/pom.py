@@ -31,10 +31,9 @@ _BLOCK_CELLS = 1 << 16  # cells of one block of snapshot_sweep's angular transie
 
 
 def _cells(state: TwoModeState):
-    """(j, m, v): the labels and amplitudes of the nonzero cells, in (n_s, n_a) order."""
-    ns, na = np.nonzero(state.amplitudes)
-    j, m = jm_labels(ns, na, state.convention)
-    return j, m, state.amplitudes[ns, na]
+    """(j, m, v): the labels and amplitudes of the state's cells, in (n_s, n_a) order."""
+    j, m = jm_labels(state.ns, state.na, state.convention)
+    return j, m, state.values
 
 
 def _branches(state: TwoModeState, k: int):
@@ -129,7 +128,7 @@ def time_grid(state: TwoModeState, k_t: int | None = None) -> int:
     the largest occupied n_s + n_a; refuses a k_t over the working-set budget. Sweep times
     need nothing more: each snapshot is normalized at its own time."""
     if k_t is None:
-        n_sum = np.add(*np.nonzero(state.amplitudes)).max()
+        n_sum = (state.ns + state.na).max()
         k_t = max(DEFAULT_KT, 4 * (math.ceil(jm_labels(n_sum, 0, state.convention)[0]) + 1))
     check_cells((k_t,), "a time grid")
     return k_t

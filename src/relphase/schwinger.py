@@ -12,39 +12,39 @@ closed under the algebra and the commutation relations hold on it exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fock import PrimitiveConvention, TwoModeState, _index, jm_labels, simplex
+from .fock import PrimitiveConvention, TwoModeState, _index, jm_labels
 
 
 def _scale(convention: PrimitiveConvention) -> float:
     return 2.0 if convention is PrimitiveConvention.PHOTONIC else 1.0
 
 
+def _image(state: TwoModeState, shift: int, weights: np.ndarray) -> np.ndarray:
+    """The (n_max+1) x (n_max+1) amplitude array of an image: each cell's weight times its amplitude
+    at (n_s + shift, n_a - shift); a cell of weight 0 (no quantum to move) adds nothing."""
+    out = np.zeros((state.n_max + 1,) * 2, dtype=complex)
+    moved = weights != 0
+    out[state.ns[moved] + shift, state.na[moved] - shift] = weights[moved] * state.values[moved]
+    return out
+
+
 def apply_jz(state: TwoModeState) -> np.ndarray:
     """J_z image's amplitudes (unnormalized): each amplitude times its m."""
-    n = np.arange(state.n_max + 1)
-    return state.amplitudes * jm_labels(n[:, None], n, state.convention)[1]
+    return _image(state, 0, jm_labels(state.ns, state.na, state.convention)[1])
 
 
 def apply_jplus(state: TwoModeState) -> np.ndarray:
-    """J_+ image's amplitudes (unnormalized): one quantum moves from the second mode to the first."""
-    n = np.arange(1, state.n_max + 1)
-    out = np.zeros_like(state.amplitudes)
-    # (n_s, n_a) -> (n_s + 1, n_a - 1) with weight sqrt((n_s + 1) n_a)
-    out[1:, :-1] = _scale(state.convention) * np.sqrt(np.outer(n, n)) * state.amplitudes[:-1, 1:]
-    return out
+    """J_+ image's amplitudes (unnormalized): one quantum moves from the second mode to the first,
+    (n_s, n_a) -> (n_s + 1, n_a - 1) with weight sqrt((n_s + 1) n_a)."""
+    return _image(state, 1, _scale(state.convention) * np.sqrt((state.ns + 1) * state.na))
 
 
 def apply_jminus(state: TwoModeState) -> np.ndarray:
-    """J_- image's amplitudes (unnormalized): one quantum moves from the first mode to the second."""
-    n = np.arange(1, state.n_max + 1)
-    out = np.zeros_like(state.amplitudes)
-    # (n_s, n_a) -> (n_s - 1, n_a + 1) with weight sqrt(n_s (n_a + 1))
-    out[:-1, 1:] = _scale(state.convention) * np.sqrt(np.outer(n, n)) * state.amplitudes[1:, :-1]
-    return out
+    """J_- image's amplitudes (unnormalized): one quantum moves from the first mode to the second,
+    (n_s, n_a) -> (n_s - 1, n_a + 1) with weight sqrt(n_s (n_a + 1))."""
+    return _image(state, -1, _scale(state.convention) * np.sqrt(state.ns * (state.na + 1)))
 
 
 def rotate_z(state: TwoModeState, phi: float) -> TwoModeState:
@@ -52,42 +52,28 @@ def rotate_z(state: TwoModeState, phi: float) -> TwoModeState:
     whatever the state's convention, which the image keeps."""
     if not np.isfinite(phi):
         raise ValueError(f"rotation angle {phi} is not finite")
-    n = np.arange(state.n_max + 1)
-    _, m = jm_labels(n[:, None], n, PrimitiveConvention.PHOTONIC)
-    return TwoModeState(state.amplitudes * np.exp(-1j * m * phi), state.convention)
-
-
-@dataclass(frozen=True)
-class CommutatorReport:
-    """Max-abs residuals of the algebra on the truncated two-mode space."""
-
-    structure_constant: float
-    cyclic_xyz: float      # [J_i, J_j] - i c eps_ijk J_k over the three pairs
-    z_ladder: float        # [J_z, J_pm] -+ c J_pm
-    ladder_pair: float     # [J_+, J_-] - 2 c J_z
-    casimir: float         # J^2 - j(j + c) over the basis
-
-    def max_residual(self) -> float:
-        return max(self.cyclic_xyz, self.z_ladder, self.ladder_pair, self.casimir)
+    _, m = jm_labels(state.ns, state.na, PrimitiveConvention.PHOTONIC)
+    values = state.values * np.exp(-1j * m * phi)
+    return TwoModeState(state.ns, state.na, values, state.n_max, state.convention)
 
 
 def _dense_operators(convention: PrimitiveConvention, n_max: int):
     """(J_+, J_-, J_z, j) on the simplex basis: the dense matrices and each basis state's j."""
-    basis = np.nonzero(simplex(n_max))
+    basis = tuple(np.array([(s, a) for s in range(n_max + 1) for a in range(n_max + 1 - s)]).T)
 
     def build(apply_fn):
         mat = np.zeros((basis[0].size,) * 2, dtype=complex)
-        for col, key in enumerate(zip(*basis)):
-            unit = np.zeros((n_max + 1,) * 2, dtype=complex)
-            unit[key] = 1.0
-            mat[:, col] = apply_fn(TwoModeState(unit, convention))[basis]
+        for col, (ns, na) in enumerate(zip(*basis)):
+            mat[:, col] = apply_fn(TwoModeState([ns], [na], [1.0], n_max, convention))[basis]
         return mat
 
     return build(apply_jplus), build(apply_jminus), build(apply_jz), jm_labels(*basis, convention)[0]
 
 
-def commutator_residuals(convention: PrimitiveConvention, n_max: int) -> CommutatorReport:
-    """Explicit-matrix residuals of the commutation relations and of the Casimir,
+def commutator_residuals(convention: PrimitiveConvention, n_max: int) -> dict[str, float]:
+    """Explicit-matrix max-abs residuals on the truncated two-mode space: the structure constant
+    c and, keyed cyclic_xyz, z_ladder, ladder_pair and casimir, those of [J_i, J_j] = i c eps_ijk
+    J_k over the three pairs, [J_z, J_pm] = +-c J_pm, [J_+, J_-] = 2 c J_z and the Casimir
     J^2 = (J_+ J_- + J_- J_+)/2 + J_z^2 = j(j + c): j(j+2) photonic, j(j+1) fermionic."""
     jp, jm, jz, j = _dense_operators(convention, _index(n_max, "n_max"))
     jx = (jp + jm) / 2.0
@@ -108,10 +94,5 @@ def commutator_residuals(convention: PrimitiveConvention, n_max: int) -> Commuta
     )
     ladder_pair = np.abs(comm(jp, jm) - 2.0 * c * jz).max()
     casimir = np.abs((jp @ jm + jm @ jp) / 2.0 + jz @ jz - np.diag(j * (j + c))).max()
-    return CommutatorReport(
-        structure_constant=c,
-        cyclic_xyz=float(cyclic),
-        z_ladder=float(z_ladder),
-        ladder_pair=float(ladder_pair),
-        casimir=float(casimir),
-    )
+    return {"structure_constant": c, "cyclic_xyz": float(cyclic), "z_ladder": float(z_ladder),
+            "ladder_pair": float(ladder_pair), "casimir": float(casimir)}

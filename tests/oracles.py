@@ -37,7 +37,9 @@ def poisson_tail(mean, n_max):
     return max(0.0, 1.0 - math.fsum(poisson_pmf(mean, n) for n in range(n_max + 1)))
 
 
-MAX_AMPLITUDES = 2**24  # the library's dense state budget
+MAX_AMPLITUDES = 2**24  # the library's state budget, in cells of a state's basis
+# the largest two-mode n_max whose simplex of (n_max+1)(n_max+2)/2 cells fits the budget
+TWO_MODE_N_MAX = max(n for n in range(6000) if (n + 1) * (n + 2) // 2 <= MAX_AMPLITUDES)
 
 
 class Refusal(Exception):
@@ -51,7 +53,7 @@ def bisection_n_max(mean, tail_tol, modes=1):
     if not 0.0 < tail_tol < 1.0:  # nan included
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     # generous cap; the tail decays superexponentially past the mean
-    limit = (math.isqrt(MAX_AMPLITUDES) if modes == 2 else MAX_AMPLITUDES) - 1
+    limit = TWO_MODE_N_MAX if modes == 2 else MAX_AMPLITUDES - 1
     cap = min(int(mean + 200 * math.sqrt(mean + 1) + 200), limit)
     lo, hi = -1, cap + 1  # tail(lo) >= tail_tol > tail(hi), the ends taken on trust
     while hi - lo > 1:
@@ -196,6 +198,28 @@ def series_cdf(psi, xs):
     return out
 
 
+def value_at(pdf, phi):
+    """Density of a sampled pdf (its .density on the K-point grid -pi + 2 pi j / K) at a
+    grid-aligned angle in [-pi, pi], by exact index lookup; pi reads the -pi cell."""
+    if not -np.pi <= phi <= np.pi:  # nan included
+        raise ValueError(f"phi={phi} is not an angle in [-pi, pi]")
+    k = pdf.density.size
+    idx = (phi + np.pi) * k / (2.0 * np.pi)
+    j = int(round(idx))
+    # a grid angle's rounding grows like K ulp(pi) / 2pi in index units (K 2**-53 at most to K 2**26)
+    if abs(idx - j) > 1e-9 + k * 2.0**-50:
+        raise ValueError(f"phi={phi} is not on the {k}-point grid")
+    return float(pdf.density[j % k])
+
+
+def local_maxima(density, floor=0.0):
+    """Indices of grid points at or above floor that exceed both periodic neighbors by 1e-9."""
+    d = np.asarray(density)
+    up = d > np.roll(d, 1) + 1e-9
+    down = d > np.roll(d, -1) + 1e-9
+    return [int(i) for i in np.nonzero(up & down & (d >= floor))[0]]
+
+
 # --- output tables -------------------------------------------------------------
 
 
@@ -212,12 +236,39 @@ def reference_table(header, rows, fmt):
 # --- two-mode / (j, m) helpers ----------------------------------------------
 
 
+def simplex_cells(n_max):
+    """(ns, na) of every cell n_s + n_a <= n_max, in row-major order."""
+    pairs = [(s, a) for s in range(n_max + 1) for a in range(n_max + 1 - s)]
+    return tuple(np.array(pairs, dtype=int).T)
+
+
+def cells(amp):
+    """(ns, na, values) of the nonzero cells of a {(ns, na): v} literal, in row-major order."""
+    rows = sorted((key, v) for key, v in amp.items() if v != 0)
+    ns, na = np.array([key for key, _ in rows], dtype=int).reshape(-1, 2).T
+    return ns, na, np.array([v for _, v in rows], dtype=complex)
+
+
+def renormalized_cells(array):
+    """{(ns, na): v} of a dense amplitude array renormalized by the two-mode rule, on the square:
+    the norm of the nonzero entries taken in row-major order, then each real part divided by it,
+    and the entries that are then nonzero (no rescaling: for squared norms that are normal)."""
+    support = array[array != 0]
+    norm = math.sqrt(float(np.vdot(support, support).real))
+    return to_dict((np.ascontiguousarray(array, dtype=complex).view(float) / norm).view(complex))
+
+
 def to_array(amp, n_max):
     """(n_max+1)^2 amplitude array of a {(ns, na): v} literal (no simplex check)."""
     out = np.zeros((n_max + 1, n_max + 1), complex)
     for (ns, na), v in amp.items():
         out[ns, na] = v
     return out
+
+
+def state_dict(state):
+    """{(ns, na): v} of a two-mode state's cells (its .ns, .na and .values)."""
+    return {(int(s), int(a)): complex(v) for s, a, v in zip(state.ns, state.na, state.values)}
 
 
 def evolve(array, t):
@@ -248,11 +299,11 @@ def jm_map(amp, photonic=True):
 
 
 def time_grid_size(state):
-    """int(j_max - j_min) + 1 over the nonzero cells of a two-mode state (its .amplitudes
-    a[n_s, n_a], its .convention photonic, j = n_s + n_a, or fermionic, j = (n_s + n_a) / 2):
-    C(t)'s t-frequencies are integers j - j', so from this many periodic times a grid
+    """int(j_max - j_min) + 1 over the cells of a two-mode state (its .ns and .na, its
+    .convention photonic, j = n_s + n_a, or fermionic, j = (n_s + n_a) / 2): C(t)'s
+    t-frequencies are integers j - j', so from this many periodic times a grid
     integrates it exactly."""
-    n_sums = np.add(*np.nonzero(state.amplitudes))
+    n_sums = np.asarray(state.ns) + np.asarray(state.na)
     c = 1 if state.convention.value == "photonic" else 0.5
     return int(c * (n_sums.max() - n_sums.min())) + 1
 

@@ -100,6 +100,13 @@ CASES = [
     ("exit 3: ellipse xcoh:9 n-max 20", ["ellipse", "--pol", "xcoh:9", "--n-max", "20"]),
     ("phase coh:9 n-max 4000", ["phase", "--state", "coh:9", "--n-max", "4000", "--k", "2048"]),
     ("moments coh:9 tail-tol 1e-15", ["moments", "--state", "coh:9", "--tail-tol", "1e-15"]),
+    # a two-mode state is its occupied cells: a sparse state at a large n_max, cells that cancel
+    # to exactly 0, document rows out of order with explicit zero rows, and a single-mode embedding
+    ("ellipse xnum:4095 k 8192", ["ellipse", "--pol", "xnum:4095", "--k", "8192", "--out", "ellipse.csv"]),
+    ("ellipse xsup 3,1;3,-1;5,1", ["ellipse", "--pol", "xsup:3,1;3,-1;5,1", "--k", "16"]),
+    ("timepdf shuffled file", ["timepdf", "--pol", "file:{inputs}/shuffled.json"]),
+    ("sweep single-mode file", ["sweep", "--pol", "file:{inputs}/single345.json", "--kt", "9",
+                                "--k", "16"]),
 ]
 
 # cases whose outputs must match each other's in one tree, byte for byte
@@ -125,6 +132,9 @@ def write_inputs(inputs: Path) -> None:
         (inputs / f"{name}.json").write_text(json.dumps({**doc, "amps": rows}))
     (inputs / "single345.json").write_text(
         '{"kind": "single", "n_max": 2, "amps": [[0, 0, 3, 0], [1, 0, 0, 4], [2, 0, -1, 2]]}')
+    (inputs / "shuffled.json").write_text(
+        '{"kind": "two", "n_max": 3, "amps": [[2, 0, 0.5, 0], [0, 0, 0.0, 0.0], [0, 1, 0.3, -0.2], '
+        '[1, 1, 0, -0.0], [0, 3, 0.1, 0.4], [1, 0, -0.6, 0.1]]}')
     (inputs / "zero.json").write_text('{"kind": "two", "n_max": 1, "amps": [[0, 0, 0.0, 0.0]]}')
     huge = "1" + "0" * 400
     (inputs / "huge1.json").write_text(f'{{"kind": "single", "n_max": 1, "amps": [[0, 0, {huge}, 0]]}}')

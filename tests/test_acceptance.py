@@ -24,13 +24,11 @@ from relphase import (
     conditioning_probability,
     generalized_phase_pdf,
     heterodyne_moments,
-    local_maxima,
     make_coherent_state,
     make_number_state,
     marginal_pdf,
     pb_convergence,
     phase_wavefunction,
-    polarization_ellipse,
     snapshot_pdf,
     to_circular,
     y_moments,
@@ -67,11 +65,11 @@ def test_criterion_01_branch_wavefunction_golden():
 def test_criterion_02_snapshot_suppression():
     state = eq67_state()
     snap0 = snapshot_pdf(state, 0.0, 1024)
-    ratio = snap0.value_at(-np.pi) / snap0.value_at(0.0)
+    ratio = oracles.value_at(snap0, -np.pi) / oracles.value_at(snap0, 0.0)
     analytic = ((1 - math.sqrt(2) + 2**-0.5) / (1 + math.sqrt(2) + 2**-0.5)) ** 2
     assert abs(ratio - analytic) < 1e-10
     # single visible maximum at phi=0 (0.1 density floor, the plotted contour base)
-    visible = local_maxima(snap0.density, floor=0.1)
+    visible = oracles.local_maxima(snap0.density, floor=0.1)
     assert len(visible) == 1 and snap0.phi[visible[0]] == 0.0
     snap_pi = snapshot_pdf(state, math.pi, 1024)
     assert snap_pi.phi[np.argmax(snap_pi.density)] == -np.pi
@@ -83,8 +81,8 @@ def test_criterion_03_weak_coherent_y_axis_probability():
     # at phi = pi/2; the peak-normalized candidate gives 0.196 for mean 1 and
     # is inconsistent with "slightly over 6%"
     start = time.perf_counter()
-    p1 = polarization_ellipse(XCoherent(1.0), 1024).value_at(np.pi / 2)
-    p9 = polarization_ellipse(XCoherent(9.0), 1024).value_at(np.pi / 2)
+    p1 = oracles.value_at(marginal_pdf(to_circular(XCoherent(1.0)), 1024), np.pi / 2)
+    p9 = oracles.value_at(marginal_pdf(to_circular(XCoherent(9.0)), 1024), np.pi / 2)
     elapsed = time.perf_counter() - start
     assert 0.055 <= p1 <= 0.075
     assert p9 < 2e-4
@@ -94,8 +92,8 @@ def test_criterion_03_weak_coherent_y_axis_probability():
 
 def test_criterion_04_db_contrasts():
     def contrast(mean):
-        pdf = polarization_ellipse(XCoherent(mean), 1024)
-        return 10 * math.log10(pdf.density.max() / pdf.value_at(np.pi / 2))
+        pdf = marginal_pdf(to_circular(XCoherent(mean)), 1024)
+        return 10 * math.log10(pdf.density.max() / oracles.value_at(pdf, np.pi / 2))
 
     c9 = contrast(9.0)
     c4 = contrast(4.0)
@@ -119,16 +117,16 @@ def test_criterion_06_odd_even_rule():
     for n in (1, 3, 5):
         state = to_circular(XNumber(n))
         pm = marginal_pdf(state, 1024)
-        assert pm.value_at(np.pi / 2) < 1e-14
-        assert pm.value_at(-np.pi / 2) < 1e-14
+        assert oracles.value_at(pm, np.pi / 2) < 1e-14
+        assert oracles.value_at(pm, -np.pi / 2) < 1e-14
         for t in (0.0, 0.8, 2.3):
             snap = snapshot_pdf(state, t, 1024)
-            assert snap.value_at(np.pi / 2) < 1e-14
-            assert snap.value_at(-np.pi / 2) < 1e-14
+            assert oracles.value_at(snap, np.pi / 2) < 1e-14
+            assert oracles.value_at(snap, -np.pi / 2) < 1e-14
     for n in (2, 4):
         pm = marginal_pdf(to_circular(XNumber(n)), 1024)
-        assert pm.value_at(np.pi / 2) > 1e-6
-        assert pm.value_at(-np.pi / 2) > 1e-6
+        assert oracles.value_at(pm, np.pi / 2) > 1e-6
+        assert oracles.value_at(pm, -np.pi / 2) > 1e-6
     report(6, "odd x-photon numbers vanish at +-pi/2 (<1e-14); even exceed 1e-6")
 
 
@@ -167,7 +165,7 @@ def test_criterion_08_mixture_identity():
     worst = 0.0
     for _ in range(20):
         amp = oracles.random_two_amp(rng, 8)
-        state = TwoModeState(oracles.to_array(amp, 8))
+        state = TwoModeState(*oracles.cells(amp), 8)
         ts = angular_grid(time_grid_size(state))
         acc = np.zeros(k)
         for t in ts:
@@ -198,13 +196,16 @@ def test_criterion_09_pb_convergence():
 def test_criterion_10_algebra_residuals():
     rp = commutator_residuals(PHOTONIC, 6)
     rf = commutator_residuals(FERMIONIC, 6)
-    assert rp.structure_constant == 2.0 and rp.max_residual() < 1e-12
-    assert rf.structure_constant == 1.0 and rf.max_residual() < 1e-12
-    assert rp.casimir < 1e-12 and rf.casimir < 1e-12
+    # the largest of the four residuals: the three commutators and the Casimir
+    worst_p, worst_f = (max(r["cyclic_xyz"], r["z_ladder"], r["ladder_pair"], r["casimir"])
+                        for r in (rp, rf))
+    assert rp["structure_constant"] == 2.0 and worst_p < 1e-12
+    assert rf["structure_constant"] == 1.0 and worst_f < 1e-12
+    assert rp["casimir"] < 1e-12 and rf["casimir"] < 1e-12
     report(
         10,
-        f"photonic (c=2) residual {rp.max_residual():.1e}, Casimir j(j+2) {rp.casimir:.1e}; "
-        f"fermionic (c=1) residual {rf.max_residual():.1e}, Casimir j(j+1) {rf.casimir:.1e}",
+        f"photonic (c=2) residual {worst_p:.1e}, Casimir j(j+2) {rp['casimir']:.1e}; "
+        f"fermionic (c=1) residual {worst_f:.1e}, Casimir j(j+1) {rf['casimir']:.1e}",
     )
 
 
@@ -213,7 +214,7 @@ def test_criterion_11_subspace_equivalence_and_normalization():
     worst_equiv = worst_parseval = worst_norm = 0.0
     for _ in range(20):
         amp = oracles.random_hprime_amp(rng, 9)
-        state = TwoModeState(oracles.to_array(amp, 9))
+        state = TwoModeState(*oracles.cells(amp), 9)
         snap = snapshot_pdf(state, 0.0, 256)
         gen = generalized_phase_pdf(state, 256)
         worst_equiv = max(worst_equiv, np.abs(snap.density - gen.density).max())
@@ -222,7 +223,7 @@ def test_criterion_11_subspace_equivalence_and_normalization():
         wf = phase_wavefunction(SingleModeState(psi), 256)
         worst_parseval = max(worst_parseval, abs(np.mean(np.abs(wf) ** 2) - 1.0))
         amp = oracles.random_two_amp(rng, 7)
-        state = TwoModeState(oracles.to_array(amp, 7))
+        state = TwoModeState(*oracles.cells(amp), 7)
         worst_norm = max(worst_norm, abs(marginal_pdf(state, 64).integral() - 1.0))
         worst_norm = max(worst_norm, abs(snapshot_pdf(state, 0.4, 64).integral() - 1.0))
     assert worst_equiv < 1e-10

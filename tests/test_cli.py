@@ -95,7 +95,7 @@ def no_masses(mean):
 
 
 @pytest.mark.parametrize("argv, mean, n_max, modes", [
-    (["ellipse", "--pol", "xcoh:1e6", "--k", "16"], "1e+06", 4095, 2),
+    (["ellipse", "--pol", "xcoh:1e6", "--k", "16"], "1e+06", 5791, 2),
     (["phase", "--state", "coh:1e9", "--k", "16"], "1e+09", 16777215, 1),
 ])
 def test_a_mean_far_past_the_budget_is_exit_3_before_any_mass_is_built(
@@ -150,7 +150,7 @@ def test_sweep_slices_normalized(capsys):
 
 
 # (|0,0> + |1,1>)/sqrt(2) loses all conditioning probability at t = pi/2
-GAP_STATE = TwoModeState(oracles.to_array({(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}, 2))
+GAP_STATE = TwoModeState(*oracles.cells({(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)}), 2)
 
 
 def test_sweep_reports_gaps(capsys, tmp_path):
@@ -442,11 +442,11 @@ def test_deeply_nested_json_state_is_exit_2(capsys, tmp_path, command, flag):
          'file:{"kind": "single", "n_max": 100000000000, "amps": [[0, 0, 1, 0]]}'],
         # a huge declared n_max with a tiny support: exit 0 before, with a dict state
         ["ellipse", "--pol", 'file:{"kind": "two", "n_max": 100000, "amps": [[1, 0, 1, 0]]}'],
-        ["ellipse", "--pol", "xcoh:9", "--n-max", "5000"],
-        ["ellipse", "--pol", "xnum:5000"],
+        ["ellipse", "--pol", "xcoh:9", "--n-max", "5792"],
+        ["ellipse", "--pol", "xnum:5792"],
         ["phase", "--state", "num:0", "--n-max", "100000000000"],
         ["phase", "--state", "coh:1", "--n-max", "100000000000"],
-        # the truncation search stops at the budget's n_max of 4095
+        # the truncation search stops at the budget's n_max of 5791
         ["ellipse", "--pol", "xcoh:1e6"],
     ],
 )
@@ -459,6 +459,33 @@ def test_state_over_size_budget_is_exit_3(capsys, tmp_path, argv):
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "amplitudes" in err and "budget is 16777216" in err
+
+
+def test_the_two_mode_budget_counts_the_simplex_not_the_square(capsys, tmp_path):
+    # (n_max + 1)(n_max + 2)/2 cells: n_max 5791 fits 2**24, 5792 does not, whatever the support
+    for n_max, code, err in ((5791, 0, ""), (5792, 3, "error: a 2-mode state at n_max=5792 needs "
+                             "16782321 amplitudes (256.1 MiB); the budget is 16777216 (256 MiB)\n")):
+        path = tmp_path / f"state{n_max}.json"
+        path.write_text(json.dumps({"kind": "two", "n_max": n_max, "amps": [[1, 0, 1.0, 0.0]]}))
+        got = run(capsys, "ellipse", "--pol", f"file:{path}", "--k", "8")
+        assert got[0] == code and got[2] == err
+
+
+def test_an_x_number_state_of_5000_photons_is_measured(capsys):
+    # 2,653 nonzero cells (the other binomial amplitudes underflow); a dense square of 25 million
+    # cells was over the budget
+    code, out, err = run(capsys, "ellipse", "--pol", "xnum:5000", "--k", "16384")
+    assert (code, err) == (0, "")
+    _, data = rows_of(out)
+    assert data.shape == (16384, 2)
+    # the oracle's binomial amplitudes through lgamma, not the library's exact integer ratios
+    n, k = 5000, np.arange(5001)
+    log_amp = 0.5 * (math.lgamma(n + 1) - np.array([math.lgamma(i + 1) + math.lgamma(n - i + 1) for i in k])
+                     - n * math.log(2.0))
+    jm = {(n, 2 * int(i) - n): math.exp(a) for i, a in zip(k, log_amp)}
+    rows = [0, 1, 7, 4096, 8191, 8192, 8200, 12288]
+    want = oracles.direct_marginal(jm, data[rows, 0])
+    assert np.abs(data[rows, 1] - want).max() < 1e-9 * data[:, 1].max()
 
 
 HUGE = "1000000000000"

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
@@ -100,7 +100,13 @@ def test_jm_labels_match_oracle_map(convention):
 
 
 def two_mode(amp, n_max):
-    return TwoModeState(oracles.to_array(amp, n_max))
+    return TwoModeState(*oracles.cells(amp), n_max)
+
+
+def evolved(state, t):
+    """The state freely evolved by t, through the dense oracle."""
+    array = oracles.evolve(oracles.to_array(oracles.state_dict(state), state.n_max), t)
+    return TwoModeState(*oracles.cells(oracles.to_dict(array)), state.n_max)
 
 
 def test_evolve_identity_at_t0():
@@ -130,11 +136,11 @@ def test_evolve_multiplies_each_branch_by_exp_minus_ijt():
 def test_evolve_preserves_norm_exactly_and_composes():
     rng = np.random.default_rng(3)
     state = two_mode(oracles.random_two_amp(rng, 5), 5)
-    evolved = TwoModeState(oracles.evolve(state.amplitudes, 2.31))
-    norms = [np.vdot(s.amplitudes, s.amplitudes).real for s in (evolved, state)]
+    norms = [np.vdot(s.values, s.values).real for s in (evolved(state, 2.31), state)]
     assert abs(norms[0] - norms[1]) < 1e-15
-    once = oracles.evolve(state.amplitudes, 0.7 + 1.1)
-    twice = oracles.evolve(oracles.evolve(state.amplitudes, 0.7), 1.1)
+    array = oracles.to_array(oracles.state_dict(state), 5)
+    once = oracles.evolve(array, 0.7 + 1.1)
+    twice = oracles.evolve(oracles.evolve(array, 0.7), 1.1)
     assert np.abs(once - twice).max() < 1e-12
 
 
@@ -153,7 +159,7 @@ def test_evolution_shifts_generalized_phase_wavefunction(side):
         amp = {(0, n): vec[n] for n in range(6)}
     state = two_mode(amp, 6)
     before = generalized_phase_pdf(state, k).density
-    after = generalized_phase_pdf(TwoModeState(oracles.evolve(state.amplitudes, tau)), k).density
+    after = generalized_phase_pdf(evolved(state, tau), k).density
     shift = -steps if side == "s" else steps
     assert np.abs(after - np.roll(before, shift)).max() < 1e-10
 
@@ -171,7 +177,8 @@ def test_json_round_trip_two():
     back = state_from_json(state_to_json(s))
     assert isinstance(back, TwoModeState)
     assert back.n_max == 4
-    assert np.abs(back.amplitudes - s.amplitudes).max() < 1e-15
+    assert np.array_equal(back.ns, s.ns) and np.array_equal(back.na, s.na)
+    assert np.abs(back.values - s.values).max() < 1e-15
 
 
 def test_json_field_names_fixed():
@@ -215,51 +222,77 @@ def test_two_mode_rejects_keys_beyond_truncation():
         two_mode({(2, 1): 1.0}, 2)
 
 
-@pytest.mark.parametrize("shape", [(3, 2), (4,), (0, 0), (2, 2, 2)])
-def test_two_mode_needs_a_square_array(shape):
-    with pytest.raises(ValueError):
-        TwoModeState(np.ones(shape))
+R = 1 / math.sqrt(2)
 
 
-def test_two_mode_array_is_read_only():
-    state = two_mode({(0, 0): 1.0}, 1)
-    assert isinstance(state.amplitudes, np.ndarray) and state.n_max == 1
-    with pytest.raises(ValueError):
-        state.amplitudes[0, 0] = 0.5
+@pytest.mark.parametrize("cells, n_max, error, message", [
+    (([-1], [0], [1.0]), 2, ValueError, "cell labels ns and na must be non-negative integers"),
+    (([0], [-1], [1.0]), 2, ValueError, "cell labels ns and na must be non-negative integers"),
+    (([1, 0], [0, 0], [R, R]), 1, ValueError, "cells must strictly increase in row-major (n_s, n_a) order"),
+    (([0, 0], [1, 0], [R, R]), 1, ValueError, "cells must strictly increase in row-major (n_s, n_a) order"),
+    (([0, 0], [1, 1], [R, R]), 1, ValueError, "cells must strictly increase in row-major (n_s, n_a) order"),
+    (([0, 1], [0, 0], [1.0, 0.0]), 1, ValueError, "amplitude at (1, 0) is zero"),
+    (([0, 1], [0], [R, R]), 1, ValueError, "2 ns, 1 na and 2 values differ in length"),
+    (([0], [0], [R, R]), 1, ValueError, "1 ns, 1 na and 2 values differ in length"),
+    (([0.0], [0], [1.0]), 1, ValueError, "cell labels ns and na must be non-negative integers"),
+    (([0], [True], [1.0]), 1, ValueError, "cell labels ns and na must be non-negative integers"),
+    (([[0]], [[0]], [1.0]), 1, ValueError, "cell labels must be a non-empty 1-d sequence"),
+    (([0], [0], [2.0]), 1, ValueError, "amplitudes have squared norm 4.0, not 1"),
+    (([], [], []), 1, ValueError, "values must be a non-empty 1-d sequence"),
+    (([0], [0], [1.0]), 1.0, TypeError, "n_max 1.0 is not an integer"),
+    (([0], [0], [1.0]), 5792, TruncationError,
+     "a 2-mode state at n_max=5792 needs 16782321 amplitudes (256.1 MiB); the budget is 16777216 (256 MiB)"),
+], ids=["negative n_s", "negative n_a", "out of order", "out of order in a row", "duplicate",
+        "zero value", "short na", "long values", "float labels", "bool labels", "2-d labels",
+        "off unit", "no cells", "float n_max", "over budget"])
+def test_two_mode_constructor_refuses_with_one_line(cells, n_max, error, message):
+    with pytest.raises(error) as err:
+        TwoModeState(*cells, n_max)
+    assert str(err.value) == message
+
+
+def test_two_mode_cells_are_read_only_copies():
+    ns, na, values = np.array([0, 1]), np.array([1, 0]), np.array([R, R * 1j])
+    state = TwoModeState(ns, na, values, 1)
+    assert state.n_max == 1 and state.ns.dtype == state.na.dtype == np.int64
+    for held, given in ((state.ns, ns), (state.na, na), (state.values, values)):
+        assert np.array_equal(held, given) and held is not given and given.flags.writeable
+        with pytest.raises(ValueError):
+            held[0] = 0
 
 
 @pytest.mark.parametrize("convention", ["photonic", None, 1])
 def test_two_mode_convention_must_be_a_primitive_convention(convention):
     with pytest.raises(TypeError, match="convention must be a PrimitiveConvention"):
-        TwoModeState(np.ones((1, 1)), convention)
+        TwoModeState([0], [0], [1.0], 0, convention)
 
 
-def test_from_amplitudes_keeps_its_convention():
-    amps = oracles.to_array(oracles.random_two_amp(np.random.default_rng(8), 3), 3)
-    assert TwoModeState.from_amplitudes(amps).convention is PHOTONIC
+def test_from_cells_keeps_its_convention():
+    cells = oracles.cells(oracles.random_two_amp(np.random.default_rng(8), 3))
+    assert TwoModeState.from_cells(*cells, 3).convention is PHOTONIC
     for convention in PrimitiveConvention:
-        state = TwoModeState.from_amplitudes(amps, convention)
+        state = TwoModeState.from_cells(*cells, 3, convention)
         assert state.convention is convention
-        assert state.amplitudes.tobytes() == TwoModeState.from_amplitudes(amps).amplitudes.tobytes()
+        assert state.values.tobytes() == TwoModeState.from_cells(*cells, 3).values.tobytes()
 
 
 def test_constructors_without_a_convention_make_photonic_states():
-    fermionic = TwoModeState(oracles.to_array({(1, 0): 1.0}, 1), FERMIONIC)
+    fermionic = TwoModeState([1], [0], [1.0], 1, FERMIONIC)
     made = [to_circular(XCoherent(2.0)), single_to_two_mode(make_number_state(1, 2)),
             state_from_json(state_to_json(fermionic))]
     assert [state.convention for state in made] == [PHOTONIC] * 3
 
 
 def test_json_holds_amplitudes_only():
-    amps = oracles.to_array(oracles.random_two_amp(np.random.default_rng(6), 4), 4)
-    assert state_to_json(TwoModeState(amps, FERMIONIC)) == state_to_json(TwoModeState(amps))
+    cells = oracles.cells(oracles.random_two_amp(np.random.default_rng(6), 4))
+    assert state_to_json(TwoModeState(*cells, 4, FERMIONIC)) == state_to_json(TwoModeState(*cells, 4))
 
 
 def test_constructors_normalize():
     rng = np.random.default_rng(9)
     amp = {k: 3.7 * v for k, v in oracles.random_two_amp(rng, 5).items()}
-    state = TwoModeState.from_amplitudes(oracles.to_array(amp, 5))
-    assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-10
+    state = TwoModeState.from_cells(*oracles.cells(amp), 5)
+    assert abs(np.vdot(state.values, state.values).real - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("tiny", [1e-160, 1e-170, 1e-300, 1e-320])
@@ -267,10 +300,8 @@ def test_constructors_normalize_amplitudes_whose_squares_underflow(tiny):
     # (1, 1, 1j)/sqrt(3) at a scale where the squared norm is subnormal or zero
     single = SingleModeState.from_amplitudes(np.array([1, 1, 1j]) * tiny)
     assert np.allclose(single.amplitudes, np.array([1, 1, 1j]) / math.sqrt(3), rtol=1e-15)
-    unit = np.zeros((3, 3), dtype=complex)
-    unit[0, 1], unit[1, 1], unit[2, 0] = 1, 1, 1j
-    two = TwoModeState.from_amplitudes(unit * tiny)
-    assert np.allclose(two.amplitudes, unit / math.sqrt(3), rtol=1e-15)
+    two = TwoModeState.from_cells([0, 1, 2], [1, 1, 0], np.array([1, 1, 1j]) * tiny, 2)
+    assert np.allclose(two.values, np.array([1, 1, 1j]) / math.sqrt(3), rtol=1e-15)
 
 
 @pytest.mark.parametrize("huge", [1e155, 1e200, 1e300, 1e308])
@@ -278,18 +309,16 @@ def test_constructors_normalize_amplitudes_whose_squares_overflow(huge):
     # (1, 1, 1j)/sqrt(3) at a scale where the squared norm is not a finite float
     single = SingleModeState.from_amplitudes(np.array([1, 1, 1j]) * huge)
     assert np.allclose(single.amplitudes, np.array([1, 1, 1j]) / math.sqrt(3), rtol=1e-15)
-    unit = np.zeros((3, 3), dtype=complex)
-    unit[0, 1], unit[1, 1], unit[2, 0] = 1, 1, 1j
-    two = TwoModeState.from_amplitudes(unit * huge)
-    assert np.allclose(two.amplitudes, unit / math.sqrt(3), rtol=1e-15)
+    two = TwoModeState.from_cells([0, 1, 2], [1, 1, 0], np.array([1, 1, 1j]) * huge, 2)
+    assert np.allclose(two.values, np.array([1, 1, 1j]) / math.sqrt(3), rtol=1e-15)
 
 
 def test_constructors_normalize_amplitudes_whose_moduli_overflow():
     # |1.5e308 (1 + 1j)| is beyond the largest float, though each part is finite
     unit = np.array([1 + 1j, 1 - 1j])
     assert np.allclose(SingleModeState.from_amplitudes(1.5e308 * unit).amplitudes, unit / 2, rtol=1e-15)
-    two = TwoModeState.from_amplitudes(1.5e308 * np.array([unit, [0, 0]]))
-    assert np.allclose(two.amplitudes, np.array([unit, [0, 0]]) / 2, rtol=1e-15)
+    two = TwoModeState.from_cells([0, 0], [0, 1], 1.5e308 * unit, 1)
+    assert np.allclose(two.values, unit / 2, rtol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["single", "two"])
@@ -297,7 +326,8 @@ def test_json_reader_reads_amplitudes_whose_squared_norm_overflows(kind):
     doc = {"kind": kind, "n_max": 1, "amps": [[0, 0, 1e200, 0.0], [1, 0, 1e200, 0.0]]}
     unit = {**doc, "amps": [[0, 0, 1.0, 0.0], [1, 0, 1.0, 0.0]]}
     got, want = (state_from_json(json.dumps(d)) for d in (doc, unit))
-    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    stored = "values" if kind == "two" else "amplitudes"
+    assert getattr(got, stored).tobytes() == getattr(want, stored).tobytes()
 
 
 @pytest.mark.parametrize("amps", [[float("inf"), 1.0], [float("nan"), 1.0], [1e308, -float("inf")]])
@@ -305,7 +335,7 @@ def test_constructors_refuse_non_finite_amplitudes(amps):
     with pytest.raises(ValueError, match="cannot normalize a vector of norm (inf|nan)"):
         SingleModeState.from_amplitudes(amps)
     with pytest.raises(ValueError, match="cannot normalize a vector of norm (inf|nan)"):
-        TwoModeState.from_amplitudes(np.array([amps, [0.0, 0.0]]))
+        TwoModeState.from_cells([0, 0], [0, 1], amps, 1)
 
 
 def test_constructors_divide_by_the_plain_norm_when_its_square_is_normal():
@@ -314,11 +344,59 @@ def test_constructors_divide_by_the_plain_norm_when_its_square_is_normal():
         amps = scale * (rng.normal(size=6) + 1j * rng.normal(size=6))
         norm = math.sqrt(float(np.vdot(amps, amps).real))
         assert SingleModeState.from_amplitudes(amps).amplitudes.tobytes() == (amps / norm).tobytes()
-        array = np.zeros((3, 3), dtype=complex)
-        array[fock.simplex(2)] = amps
-        norm = math.sqrt(float(np.vdot(amps, amps).real))
-        expected = (array.view(float) / norm).view(complex)
-        assert TwoModeState.from_amplitudes(array).amplitudes.tobytes() == expected.tobytes()
+        expected = (amps.view(float) / norm).view(complex)
+        two = TwoModeState.from_cells([0, 0, 0, 1, 1, 2], [0, 1, 2, 0, 1, 0], amps, 2)
+        assert two.values.tobytes() == expected.tobytes()
+
+
+PARTS = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6), st.sampled_from([5e-324, -1e-310]))
+
+
+@st.composite
+def dense_arrays(draw):
+    """A square amplitude array on a simplex of n_max <= 6, zero outside it and in some cells."""
+    n_max = draw(st.integers(0, 6))
+    ns, na = oracles.simplex_cells(n_max)
+    parts = draw(st.lists(PARTS, min_size=2 * ns.size, max_size=2 * ns.size))
+    array = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    array[ns, na] = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+    return array
+
+
+@given(dense_arrays())
+def test_from_cells_stores_what_the_dense_rule_stored(array):
+    """The row-major cells of a dense array, zeros included, renormalize bit for bit as the
+    dense array did: the support's norm in row-major order, then each real part divided."""
+    support = array[array != 0]
+    assume(1e-300 < float(np.vdot(support, support).real) < 1e300)  # no rescaling
+    n_max = len(array) - 1
+    ns, na = oracles.simplex_cells(n_max)
+    state = TwoModeState.from_cells(ns, na, array[ns, na], n_max)
+    want = oracles.renormalized_cells(array)
+    assert list(zip(state.ns.tolist(), state.na.tolist())) == list(want)
+    assert state.values.tobytes() == np.array(list(want.values()), dtype=complex).tobytes()
+
+
+@given(dense_arrays(), st.randoms(use_true_random=False), st.integers(0, 3))
+def test_json_rows_in_any_order_with_zero_rows_read_as_their_sorted_support(array, rnd, zeros):
+    support = array[array != 0]
+    assume(1e-300 < float(np.vdot(support, support).real) < 1e300)
+    n_max = len(array) - 1
+    ns, na = oracles.simplex_cells(n_max)
+    cells = [[s, a, v.real, v.imag] for s, a, v in zip(ns.tolist(), na.tolist(), array[ns, na].tolist())]
+    rows = [row for row in cells if complex(*row[2:]) != 0]
+    rows += [[s, a, 0.0, -0.0] for s, a, re, im in cells if complex(re, im) == 0][:zeros]
+    rnd.shuffle(rows)
+    state = state_from_json(json.dumps({"kind": "two", "n_max": n_max, "amps": rows}))
+    want = TwoModeState.from_cells(ns, na, array[ns, na], n_max)
+    for name in ("ns", "na", "values"):
+        assert getattr(state, name).tobytes() == getattr(want, name).tobytes()
+    doc = json.loads(state_to_json(state))
+    assert doc["amps"] == [[s, a, v.real, v.imag] for s, a, v in
+                           zip(state.ns.tolist(), state.na.tolist(), state.values.tolist())]
+    back = state_from_json(state_to_json(state))
+    assert np.array_equal(back.ns, state.ns) and np.array_equal(back.na, state.na)
+    assert np.abs(back.values - state.values).max() < 1e-15
 
 
 def test_state_to_json_matches_reference_writer():
@@ -333,10 +411,10 @@ def test_state_to_json_matches_reference_writer():
         amp = {(n, 0): complex(v) for n, v in enumerate(psi)}
         assert state_to_json(single) == oracles.state_json_reference("single", n_max, amp)
         two = two_mode(oracles.random_two_amp(rng, n_max, density=0.6), n_max)
-        want = oracles.state_json_reference("two", n_max, oracles.to_dict(two.amplitudes))
+        want = oracles.state_json_reference("two", n_max, oracles.state_dict(two))
         assert state_to_json(two) == want
     rotated = rotate_z(to_circular(XCoherent(9.0)), 0.83)
-    want = oracles.state_json_reference("two", rotated.n_max, oracles.to_dict(rotated.amplitudes))
+    want = oracles.state_json_reference("two", rotated.n_max, oracles.state_dict(rotated))
     assert state_to_json(rotated) == want
 
 
@@ -350,17 +428,19 @@ def test_single_mode_document_over_budget_is_refused():
 
 
 def test_two_mode_document_over_budget_is_refused():
-    # a tiny support does not shrink the dense array the document declares
-    doc = {"kind": "two", "n_max": 4096, "amps": [[1, 0, 1.0, 0.0]]}
-    with pytest.raises(TruncationError, match="16785409 amplitudes"):
+    # a tiny support does not shrink the simplex of cells the document declares
+    doc = {"kind": "two", "n_max": 5792, "amps": [[1, 0, 1.0, 0.0]]}
+    with pytest.raises(TruncationError, match="16782321 amplitudes"):
         state_from_json(json.dumps(doc))
 
 
-def test_budget_edge_is_n_max_4095():
-    assert (4095 + 1) ** 2 == fock.MAX_AMPLITUDES
-    fock.check_budget(4095, 2)
+def test_budget_edge_is_n_max_5791():
+    # the two-mode basis is the simplex of (n_max + 1)(n_max + 2)/2 cells
+    assert 5792 * 5793 // 2 <= fock.MAX_AMPLITUDES < 5793 * 5794 // 2
+    assert fock.budget_n_max(2) == oracles.TWO_MODE_N_MAX == 5791
+    fock.check_budget(5791, 2)
     with pytest.raises(TruncationError):
-        fock.check_budget(4096, 2)
+        fock.check_budget(5792, 2)
 
 
 def test_working_set_edge_is_2_to_the_26_cells():
@@ -373,9 +453,9 @@ def test_truncation_search_stays_within_the_budget(monkeypatch):
     drawn = []
     terms = fock._pmf_terms
     monkeypatch.setattr(fock, "_pmf_terms", lambda mean: (drawn.append(p) or p for p in terms(mean)))
-    with pytest.raises(TruncationError, match=r"n_max > 4095 .* budget is 16777216"):
-        to_circular(XCoherent(4100.0))  # just past the budget, where the Chernoff bound lets it probe
-    assert drawn and len(drawn) <= fock.budget_n_max(2) + 1 == 4096  # the masses p_0..p_4095
+    with pytest.raises(TruncationError, match=r"n_max > 5791 .* budget is 16777216"):
+        to_circular(XCoherent(5800.0))  # just past the budget, where the Chernoff bound lets it probe
+    assert drawn and len(drawn) <= fock.budget_n_max(2) + 1 == 5792  # the masses p_0..p_5791
     # a mean that fits gets the n_max of the unbounded search, in either budget
     for mean, n_max in ((0.0, 0), (9.0, 37), (100.0, 178), (1000.0, 1232)):
         assert fock.coherent_n_max(mean, 1e-12) == fock.coherent_n_max(mean, 1e-12, 2) == n_max
@@ -468,12 +548,12 @@ def test_xcoherent_modes_take_the_two_mode_truncation():
     # which a second tail check refused as "no adequate truncation below n=795"
     state = to_circular(XCoherent(15.3), tail_tol=1e-15)
     assert state.n_max == fock.coherent_n_max(15.3, 1e-15, 2) == 55
-    assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-12
+    assert abs(np.vdot(state.values, state.values).real - 1.0) < 1e-12
 
 
 def test_single_to_two_mode_over_budget_is_refused():
     with pytest.raises(TruncationError):
-        single_to_two_mode(make_number_state(0, 4096))
+        single_to_two_mode(make_number_state(0, 5792))
 
 
 def test_coherent_truncation_runs_one_search_per_call(monkeypatch):

@@ -127,7 +127,7 @@ def test_commutator_check_edge_state():
 def test_generalized_pdf_reduces_to_single_mode():
     rng = np.random.default_rng(5)
     psi = oracles.random_single(rng, 9)
-    two = TwoModeState(oracles.to_array({(n, 0): psi[n] for n in range(10)}, 9))
+    two = TwoModeState(*oracles.cells({(n, 0): psi[n] for n in range(10)}), 9)
     got = generalized_phase_pdf(two, 128)
     want = phase_pdf(SingleModeState(psi), 128)
     assert np.array_equal(got.density, want.density)  # no renormalization of a unit state
@@ -138,8 +138,8 @@ def test_generalized_pdf_flat_two_sided_is_dirichlet():
         count = 2 * m_range + 1
         amp = {(m, 0): 1 / math.sqrt(count) for m in range(m_range + 1)}
         amp.update({(0, m): 1 / math.sqrt(count) for m in range(1, m_range + 1)})
-        pdf = generalized_phase_pdf(TwoModeState(oracles.to_array(amp, m_range)), 256)
-        assert abs(pdf.value_at(0.0) - count / (2 * np.pi)) < 1e-10
+        pdf = generalized_phase_pdf(TwoModeState(*oracles.cells(amp), m_range), 256)
+        assert abs(oracles.value_at(pdf, 0.0) - count / (2 * np.pi)) < 1e-10
 
 
 def test_two_sided_peak_grows_without_single_mode_bound():
@@ -148,26 +148,26 @@ def test_two_sided_peak_grows_without_single_mode_bound():
         count = 2 * m_range + 1
         amp = {(m, 0): 1 / math.sqrt(count) for m in range(m_range + 1)}
         amp.update({(0, m): 1 / math.sqrt(count) for m in range(1, m_range + 1)})
-        pdf = generalized_phase_pdf(TwoModeState(oracles.to_array(amp, m_range)), 256)
+        pdf = generalized_phase_pdf(TwoModeState(*oracles.cells(amp), m_range), 256)
         peaks.append(pdf.density.max())
     assert all(a < b for a, b in zip(peaks, peaks[1:]))
 
 
 def test_one_auxiliary_photon_is_uniform():
-    pdf = generalized_phase_pdf(TwoModeState(oracles.to_array({(0, 1): 1.0}, 1)), 64)
+    pdf = generalized_phase_pdf(TwoModeState(*oracles.cells({(0, 1): 1.0}), 1), 64)
     assert np.allclose(pdf.density, 1 / (2 * np.pi))
 
 
 def test_two_sided_density_refuses_a_grid_that_aliases_its_largest_m():
     # |0,3> + |2,0> spans m = -3..2: K = 6 fits the span but aliases m = -3 onto m = 3
-    state = TwoModeState(oracles.to_array({(0, 3): 1.0, (2, 0): 1.0}, 3) / math.sqrt(2))
+    state = TwoModeState([0, 2], [3, 0], np.array([1.0, 1.0]) / math.sqrt(2), 3)
     with pytest.raises(AliasingError, match="need K > 6"):
         generalized_phase_pdf(state, 6)
     assert generalized_phase_pdf(state, 7).density.size == 7
 
 
 def test_off_subspace_support_is_rejected():
-    state = TwoModeState(oracles.to_array({(1, 1): 0.6, (1, 2): 0.48, (2, 1): 0.64}, 3))
+    state = TwoModeState(*oracles.cells({(1, 1): 0.6, (1, 2): 0.48, (2, 1): 0.64}), 3)
     with pytest.raises(SupportError) as err:
         generalized_phase_pdf(state, 64)
     assert "(1, 1)" in str(err.value)  # the first such cell in (n_s, n_a) order

@@ -21,8 +21,7 @@ make_number_state single_to_two_mode state_from_json state_to_json
 generalized_phase_pdf heterodyne_moments y_moments
 DiscretePhasePmf pb_convergence pb_pmf phase_cdf
 AngularPdf angular_grid phase_pdf phase_wavefunction
-LinearPolSpec XCoherent XNumber XSuperposition db_view local_maxima
-polarization_ellipse to_circular
+LinearPolSpec XCoherent XNumber XSuperposition db_view to_circular
 absolute_time_pdf branch_wavefunctions conditioning_probability marginal_pdf
 snapshot_pdf snapshot_sweep
 apply_jminus apply_jplus apply_jz commutator_residuals rotate_z

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from relphase.cli import main
 
 
@@ -187,3 +188,44 @@ def test_c_weighted_snapshots_average_to_the_ellipse_within_criterion_08s_tolera
         assert snapshot.size == k
         mixture += c[i] * (snapshot + np.roll(snapshot, -k // 2))
     assert np.abs(mixture / (2 * n) - ellipse).max() < 1e-8
+
+
+# "the snapshot angular distributions are seen to evolve into two counter-rotating peaks
+# resulting in considerable correspondence with the y-axis at the time for which a classical
+# linear polarization vector would shrink to zero length": at mean 30 each snapshot from
+# t = pi/4 to 3pi/4 has exactly two peaks, within one grid step of phi = -t and t (side lobes
+# stay below 4e-4 of the slice's maximum), and at t = pi/2, where the classical vector
+# cos(t) x is zero, the slice is largest on the y-axis
+def test_snapshots_split_into_two_counter_rotating_peaks_that_meet_the_y_axis_at_a_quarter_period(capsys):
+    k = 720
+    sweep = table(capsys, "sweep", "--pol", "xcoh:30", "--kt", "9", "--k", str(k))
+    assert np.unique(sweep["t"]).size == 9
+
+    def snapshot(t):
+        rows = rows_at(sweep, "t", t)
+        return sweep["phi"][rows], sweep["density"][rows]
+
+    for i in range(2, 7):
+        t = math.pi * i / 8
+        phi, density = snapshot(t)
+        peaks = phi[oracles.local_maxima(density, floor=0.01 * density.max())]
+        assert peaks.size == 2 and np.abs(peaks - [-t, t]).max() <= 2 * math.pi / k
+    phi, density = snapshot(math.pi / 2)
+    assert abs(abs(phi[np.argmax(density)]) - math.pi / 2) < 1e-9
+    phi, density = snapshot(0.0)  # at t = 0 one peak on the x axis, and the y-axis all but empty
+    assert phi[oracles.local_maxima(density)].tolist() == [0.0]
+    assert density[np.abs(np.abs(phi) - math.pi / 2) < 1e-9].max() < 1e-12 * density.max()
+
+
+# "the phenomena of super-resolution are readily apparent in the quantum phase representation
+# which also reveals that entanglement is not required": one mode's (|0> + |5>)/sqrt2 has
+# fringes of period 2pi/5, (1 + cos 5 phi)/2pi, with no second mode to entangle; the two-mode
+# (|5,0> + |0,5>)/sqrt2, photonic m = 5 and -5 in one branch, doubles them: (1 + cos 10 phi)/2pi
+def test_super_resolution_fringes_need_no_entanglement(capsys, tmp_path):
+    phase = table(capsys, "phase", "--state", single_mode_file(tmp_path, [1.0, 0, 0, 0, 0, 1.0]),
+                  "--k", "64")
+    assert np.abs(phase["density"] - (1 + np.cos(5 * phase["phi"])) / (2 * math.pi)).max() < 1e-12
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"kind": "two", "n_max": 5, "amps": [[0, 5, 1.0, 0.0], [5, 0, 1.0, 0.0]]}))
+    ellipse = table(capsys, "ellipse", "--pol", f"file:{path}", "--k", "64")
+    assert np.abs(ellipse["density"] - (1 + np.cos(10 * ellipse["phi"])) / (2 * math.pi)).max() < 1e-12

@@ -29,7 +29,7 @@ FERMIONIC = PrimitiveConvention.FERMIONIC
 
 
 def two_mode(amp, n_max, convention=PHOTONIC):
-    return TwoModeState(oracles.to_array(amp, n_max), convention)
+    return TwoModeState(*oracles.cells(amp), n_max, convention)
 
 
 def eq67_state():
@@ -80,8 +80,8 @@ def test_marginal_vacuum_uniform():
 
 def test_marginal_of_superposition_peaks_both_ends():
     pdf = marginal_pdf(eq67_state(), 512)
-    mid = pdf.value_at(0.0)
-    edge = pdf.value_at(-np.pi)
+    mid = oracles.value_at(pdf, 0.0)
+    edge = oracles.value_at(pdf, -np.pi)
     interior_min = pdf.density.min()
     assert mid > 10 * interior_min
     assert edge > 10 * interior_min
@@ -192,8 +192,8 @@ def test_one_time_has_the_bits_of_the_same_time_on_a_grid(convention):
     and absolute_time_pdf's density at that time bit for bit (a one-row product
     would go to gemv, not to a grid's gemm)."""
     coh = to_circular(XCoherent(9.0))  # its even totals: one m lattice in either convention
-    n = np.arange(coh.n_max + 1)
-    state = TwoModeState.from_amplitudes(coh.amplitudes * ((n[:, None] + n) % 2 == 0), convention)
+    even = (coh.ns + coh.na) % 2 == 0
+    state = TwoModeState.from_cells(coh.ns[even], coh.na[even], coh.values[even], coh.n_max, convention)
     times = np.linspace(0.0, math.pi, 17)
     for t, pdf in zip(times.tolist(), snapshot_sweep(state, times, 128)):
         assert np.array_equal(snapshot_pdf(state, t, 128).density, pdf.density)
@@ -246,7 +246,7 @@ def test_unnormalized_state_is_refused(kernel):
     state = random_state(np.random.default_rng(3), 4)
     kernel(state, 64)  # unit norm: accepted
     with pytest.raises(ValueError, match=r"^amplitudes have squared norm (3\.9|4\.0)\d*, not 1$"):
-        kernel(TwoModeState(2 * state.amplitudes), 64)  # refused at construction
+        kernel(TwoModeState(state.ns, state.na, 2 * state.values, state.n_max), 64)  # refused at construction
 
 
 # |5,0>: |m| up to 5 photonic and 2.5 fermionic, so K must exceed 5 resp. 2.5 twice over
@@ -268,10 +268,12 @@ def test_grid_of_twice_the_largest_m_is_refused(kernel, convention, refused):
 
 def test_all_zero_state_is_refused_at_construction():
     # a state has cells, so no kernel meets an empty label array or a zero norm
-    with pytest.raises(ValueError, match="^amplitudes have squared norm 0.0, not 1$"):
-        TwoModeState(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="^values must be a non-empty 1-d sequence$"):
+        TwoModeState([], [], [], 2)
+    with pytest.raises(ValueError, match=r"^amplitude at \(0, 0\) is zero$"):
+        TwoModeState([0], [0], [0.0], 2)
     with pytest.raises(ValueError, match="^cannot normalize the zero vector$"):
-        TwoModeState.from_amplitudes(np.zeros((3, 3)))
+        TwoModeState.from_cells([0, 1], [0, 0], [0.0, -0.0], 2)
 
 
 def test_grid_check_runs_before_the_m_lattice_check():

@@ -48,7 +48,7 @@ def two_mode_states(draw, max_total=5, gap=False):
             cells = [(ns, na) for ns, na in keys if ns - na == m]
             ns, na = max(cells)
             amps[(ns + 1, na + 1)] = -sum(amps[key] for key in cells)
-    return TwoModeState.from_amplitudes(oracles.to_array(amps, max_total + 2 * gap))
+    return TwoModeState.from_cells(*oracles.cells(amps), max_total + 2 * gap)
 
 
 def occupation_state(jm_amps, convention, above=0):
@@ -56,7 +56,7 @@ def occupation_state(jm_amps, convention, above=0):
     c = 2 photonic and 1 fermionic, declared at n_max `above` its largest n_s + n_a."""
     c = 2 if convention is PHOTONIC else 1
     amps = {(round((j + m) / c), round((j - m) / c)): v for (j, m), v in jm_amps.items()}
-    return TwoModeState(oracles.to_array(amps, max(ns + na for ns, na in amps) + above), convention)
+    return TwoModeState(*oracles.cells(amps), max(ns + na for ns, na in amps) + above, convention)
 
 
 @st.composite
@@ -90,9 +90,9 @@ def one_lattice_sweeps(draw):
 def test_branch_wavefunctions_and_marginal_match_oracle(state, convention):
     # fermionic states carry half-integer branches, with and without integer ones
     k = 16
-    state = TwoModeState(state.amplitudes, convention)
+    state = TwoModeState(state.ns, state.na, state.values, state.n_max, convention)
     branches = branch_wavefunctions(state, k)
-    jm = oracles.jm_map(oracles.to_dict(state.amplitudes), photonic=convention is PHOTONIC)
+    jm = oracles.jm_map(oracles.state_dict(state), photonic=convention is PHOTONIC)
     want = oracles.branch_values(jm, angular_grid(k))
     assert set(branches) == set(want)
     for j, values in want.items():
@@ -118,10 +118,10 @@ def test_snapshot_sweep_matches_oracle_with_gaps(sweep, k):
 
 @given(two_mode_states(), conventions, st.integers(0, 5))
 def test_absolute_time_pdf_matches_oracle(state, convention, extra):
-    state = TwoModeState(state.amplitudes, convention)
+    state = TwoModeState(state.ns, state.na, state.values, state.n_max, convention)
     k_t = time_grid_size(state) + extra
     pdf = absolute_time_pdf(state, k_t)
-    amps = oracles.jm_map(oracles.to_dict(state.amplitudes), photonic=convention is PHOTONIC)
+    amps = oracles.jm_map(oracles.state_dict(state), photonic=convention is PHOTONIC)
     want = [oracles.direct_C(amps, t) / (2 * np.pi) for t in pdf.phi]
     assert np.abs(pdf.density - want).max() < 1e-12
 
@@ -147,7 +147,7 @@ def test_time_average_of_weighted_snapshots_is_the_marginal(data, gap, extra):
 def test_time_density_integrates_to_one_on_the_exact_time_grid(state, convention):
     """On time_grid_size times the mean of C(t) is exact, mixed m included: C adds
     |.|^2 over m columns, and within one column j - j' is an integer."""
-    state = TwoModeState(state.amplitudes, convention)
+    state = TwoModeState(state.ns, state.na, state.values, state.n_max, convention)
     assert abs(absolute_time_pdf(state, time_grid_size(state)).integral() - 1.0) < 1e-12
 
 
@@ -180,7 +180,7 @@ def test_default_time_grid_reads_the_occupied_support(occupations, convention, a
     ones = {(ns, n - ns): 1 / math.sqrt(len(occupations)) for ns, n in occupations}
     state = occupation_state(oracles.jm_map(ones, photonic), convention, above)
     assert state.n_max == max(n for _, n in occupations) + above
-    j_max = max(j for j, _ in oracles.jm_map(oracles.to_dict(state.amplitudes), photonic))
+    j_max = max(j for j, _ in oracles.jm_map(oracles.state_dict(state), photonic))
     assert pom.time_grid(state) == max(256, 4 * (math.ceil(j_max) + 1))
     assert pom.time_grid(state, k_t) == k_t
 
@@ -189,7 +189,7 @@ def test_one_time_below_time_grid_size_misses_the_integral():
     """(|0,0> + |1,1>)/sqrt(2), photonic: j = 0 and 2 share the column m = 0, so
     C(t) = 1 + cos 2t, whose mean over 3 times is 1 and over 2 times is 2."""
     r = 1 / math.sqrt(2)
-    state = TwoModeState(oracles.to_array({(0, 0): r, (1, 1): r}, 2))
+    state = TwoModeState(*oracles.cells({(0, 0): r, (1, 1): r}), 2)
     assert time_grid_size(state) == 3
     assert abs(absolute_time_pdf(state, 3).integral() - 1.0) < 1e-12
     assert abs(np.mean([conditioning_probability(state, t) for t in angular_grid(2)]) - 2.0) < 1e-12
@@ -238,7 +238,7 @@ def test_blocked_sweep_is_bytewise_one_whole_array_evaluation_around_a_mid_grid_
     sixth, so blocks of 1 to 11 live times put it on either side of a block
     edge, and the 10 live times in blocks of 3 leave a 1-row tail block."""
     r = 1 / math.sqrt(2)
-    state = TwoModeState(oracles.to_array({(0, 0): r, (1, 1): r}, 2))
+    state = TwoModeState(*oracles.cells({(0, 0): r, (1, 1): r}), 2)
     assert whole_array_sweep(state, np.linspace(0.0, math.pi, 11), 32)[0].tolist().index(False) == 5
     assert_blocked_sweep_is_the_whole_array_sweep(state, np.linspace(0.0, math.pi, 11), 32, rows)
 
@@ -288,7 +288,7 @@ def test_photonic_marginal_is_pi_periodic(state, k):
 def test_a_fermionic_witness_breaks_each_parity_symmetry():
     """Cells (0,0), (1,1) and (2,0) read fermionically as (j, m) = (0, 0), (1, 0) and (1, 1):
     the column m = 0 holds j = 0 and 1, and the branch j = 1 holds m = 0 and 1."""
-    state = TwoModeState(oracles.to_array({(0, 0): 0.6, (1, 1): 0.64, (2, 0): 0.48}, 2), FERMIONIC)
+    state = TwoModeState(*oracles.cells({(0, 0): 0.6, (1, 1): 0.64, (2, 0): 0.48}), 2, FERMIONIC)
     assert time_shift_gap(state) > 0.1
     assert snapshot_shift_gap(state, 0.4, 16) > 0.1
     assert marginal_shift_gap(state, 16) > 0.1

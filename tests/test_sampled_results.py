@@ -50,7 +50,7 @@ def test_samples_must_be_a_non_empty_1d_array(name, shape):
 OWNERS = {
     **BUILDERS,
     "SingleModeState": (SingleModeState, np.array([0.6, 0.8j])),
-    "TwoModeState": (TwoModeState, np.array([[0.6, 0.0], [0.8j, 0.0]])),
+    "TwoModeState": (lambda values: TwoModeState([0, 1], [0, 0], values, 1), np.array([0.6, 0.8j])),
 }
 
 
@@ -59,7 +59,8 @@ def test_each_value_type_holds_a_copy_and_leaves_the_callers_array_writable(name
     build, unit = OWNERS[name]
     given = unit.copy()
     result = build(given)
-    held = getattr(result, dataclasses.fields(result)[0].name)
+    fields = [f.name for f in dataclasses.fields(result)]
+    held = getattr(result, "values" if "values" in fields else fields[0])  # a two-mode state's values
     assert given.flags.writeable and not held.flags.writeable
     kept = held.tobytes()
     given *= 2  # the caller's array is theirs to change

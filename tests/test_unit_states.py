@@ -21,7 +21,6 @@ from relphase import (AngularPdf, DiscretePhasePmf, PrimitiveConvention, Relphas
                       heterodyne_moments, marginal_pdf, pb_convergence, pb_pmf, phase_cdf, phase_pdf,
                       phase_wavefunction, rotate_z, single_to_two_mode, snapshot_pdf, snapshot_sweep,
                       state_from_json, state_to_json, y_moments)
-from relphase.fock import simplex
 from relphase.pegg_barnett import kolmogorov_distance
 from relphase.pom import time_grid
 
@@ -36,28 +35,30 @@ def refusal(build):
     return str(err.value)
 
 
-# arrays a kernel read without a refusal while a state could hold them:
-# (class, amplitudes, the squared norm the refusal names; a non-finite one reads nan or inf)
+# arrays a kernel read without a refusal while a state could hold them: (class, constructor
+# arguments, the squared norm the refusal names; a non-finite one reads nan or inf), a two-mode
+# state built from its cells (ns, na, values, n_max)
 NAMED = {
-    "nan, 1 (phase_cdf gave [nan])": (SingleModeState, [np.nan, 1.0], "nan"),
-    "zeros(3) (heterodyne_moments gave the vacuum's)": (SingleModeState, np.zeros(3), "0.0"),
-    "3, 0 (vac_prob 9, a phase_cdf ending at 9)": (SingleModeState, [3.0, 0.0], "9.0"),
-    "1e300, 1e300": (SingleModeState, [1e300, 1e300], "inf"),
-    "inf": (SingleModeState, [np.inf, 0.0], "nan|inf"),
-    "-inf": (SingleModeState, [-np.inf, 0.0], "nan|inf"),
-    "imaginary nan": (SingleModeState, [complex(1.0, np.nan)], "nan"),
-    "1e-300, 1e-300": (SingleModeState, [1e-300, 1e-300], "0.0"),
-    "3|0,0> (conditioning_probability gave 9)": (TwoModeState, [[3.0, 0.0], [0.0, 0.0]], "9.0"),
-    "two-mode nan (conditioning_probability gave nan)": (TwoModeState, [[np.nan, 0.0], [0.5, 0.0]], "nan"),
+    "nan, 1 (phase_cdf gave [nan])": (SingleModeState, ([np.nan, 1.0],), "nan"),
+    "zeros(3) (heterodyne_moments gave the vacuum's)": (SingleModeState, (np.zeros(3),), "0.0"),
+    "3, 0 (vac_prob 9, a phase_cdf ending at 9)": (SingleModeState, ([3.0, 0.0],), "9.0"),
+    "1e300, 1e300": (SingleModeState, ([1e300, 1e300],), "inf"),
+    "inf": (SingleModeState, ([np.inf, 0.0],), "nan|inf"),
+    "-inf": (SingleModeState, ([-np.inf, 0.0],), "nan|inf"),
+    "imaginary nan": (SingleModeState, ([complex(1.0, np.nan)],), "nan"),
+    "1e-300, 1e-300": (SingleModeState, ([1e-300, 1e-300],), "0.0"),
+    "3|0,0> (conditioning_probability gave 9)": (TwoModeState, ([0], [0], [3.0], 1), "9.0"),
+    "two-mode nan (conditioning_probability gave nan)":
+        (TwoModeState, ([0, 1], [0, 0], [np.nan, 0.5], 1), "nan"),
     "two-mode 1e300, 1e300 (conditioning_probability gave inf)":
-        (TwoModeState, [[1e300, 1e300], [0.0, 0.0]], "inf"),
+        (TwoModeState, ([0, 0], [0, 1], [1e300, 1e300], 1), "inf"),
 }
 
 
 @pytest.mark.parametrize("name", NAMED)
 def test_named_arrays_are_refused_at_construction_with_one_line(name):
-    cls, amps, squared = NAMED[name]
-    message = refusal(lambda: cls(np.array(amps, dtype=complex)))
+    cls, args, squared = NAMED[name]
+    message = refusal(lambda: cls(*args))
     assert re.fullmatch(f"amplitudes have squared norm ({squared}), not 1", message)
 
 
@@ -84,7 +85,8 @@ def drawn_arrays(draw, modes):
     amps = np.zeros(shape, dtype=complex)
     for part in (amps.real, amps.imag):  # re + 1j * im would turn an infinite part into nan
         part[...] = np.reshape(draw(st.lists(parts, min_size=size, max_size=size)), shape)
-    mask = simplex(n_max) if modes == 2 else True
+    n = np.arange(n_max + 1)
+    mask = np.add.outer(n, n) <= n_max if modes == 2 else True
     amps = np.where(mask, amps, 0.0)
     if draw(st.booleans()):
         with np.errstate(all="ignore"):  # the largest part first to 1, so 1e300 parts do not overflow
@@ -102,10 +104,10 @@ def finite(*values):
     return all(np.isfinite(np.asarray(v)).all() for v in values)
 
 
-def constructed(cls, amps, *args):
-    """cls(amps, *args), or None after checking the constructor's one-line refusal."""
+def constructed(cls, *args):
+    """cls(*args), or None after checking the constructor's one-line refusal."""
     try:
-        return cls(amps, *args)
+        return cls(*args)
     except ValueError as err:
         assert "\n" not in str(err) and str(err).startswith("amplitudes have squared norm ")
         return None
@@ -133,7 +135,8 @@ def test_every_single_mode_kernel_gives_finite_checked_output(amps):
 
 @given(drawn_arrays(2), st.sampled_from(list(PrimitiveConvention)))
 def test_every_two_mode_kernel_gives_finite_checked_output(amps, convention):
-    state = constructed(TwoModeState, amps, convention)
+    ns, na = np.nonzero(amps)  # the array's cells; an all-zero array has none, so no state
+    state = constructed(TwoModeState, ns, na, amps[ns, na], len(amps) - 1, convention) if ns.size else None
     if state is None:
         assert not unit(amps)
         return
@@ -161,7 +164,7 @@ def test_every_two_mode_kernel_gives_finite_checked_output(amps, convention):
 
 HOLDERS = {
     "SingleModeState": lambda: SingleModeState([1.0]),
-    "TwoModeState": lambda: TwoModeState([[1.0]]),
+    "TwoModeState": lambda: TwoModeState([0], [0], [1.0], 0),
     "AngularPdf": lambda: AngularPdf(np.full(4, 1.0 / (2.0 * np.pi))),
     "DiscretePhasePmf": lambda: DiscretePhasePmf(np.full(4, 0.25)),
 }
