@@ -13,6 +13,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -89,15 +90,9 @@ def _index(value, what: str) -> int:
         raise TypeError(f"{what} {value!r} is not an integer") from None
 
 
-def _support(coeffs: np.ndarray) -> slice:
-    """Slice of a state's 1-d coefficient array from its first to its last nonzero entry."""
-    nonzero = np.flatnonzero(coeffs)
-    return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class SingleModeState:
-    """Amplitudes over the number basis n = 0..n_max."""
+    """Amplitudes over n = 0..n_max; ns, the occupied n in ascending order, is found on first read."""
 
     amplitudes: np.ndarray
 
@@ -115,6 +110,10 @@ class SingleModeState:
     @property
     def n_max(self) -> int:
         return self.amplitudes.size - 1
+
+    @cached_property
+    def ns(self) -> np.ndarray:
+        return _frozen(np.flatnonzero(self.amplitudes), "occupied numbers")
 
 
 def jm_labels(ns, na, convention: PrimitiveConvention = PrimitiveConvention.PHOTONIC):
@@ -329,8 +328,7 @@ def _coherent_state(alpha: complex, n_max: int) -> SingleModeState:
 
 def single_to_two_mode(state: SingleModeState) -> TwoModeState:
     """Embed |psi>_s |0>_a as a two-mode state (auxiliary mode off)."""
-    ns = np.flatnonzero(state.amplitudes)
-    return TwoModeState(ns, np.zeros_like(ns), state.amplitudes[ns], state.n_max)
+    return TwoModeState(state.ns, np.zeros_like(state.ns), state.amplitudes[state.ns], state.n_max)
 
 
 def _from_mapping(amps: dict[tuple[int, int], complex], n_max: int) -> TwoModeState:
@@ -348,8 +346,7 @@ def _from_mapping(amps: dict[tuple[int, int], complex], n_max: int) -> TwoModeSt
 
 def state_to_json(state: SingleModeState | TwoModeState) -> str:
     """One [n_s, n_a, re, im] row per nonzero amplitude, in (n_s, n_a) order."""
-    two = isinstance(state, TwoModeState)
-    ns = state.ns if two else np.flatnonzero(state.amplitudes)
+    two, ns = isinstance(state, TwoModeState), state.ns
     na, values = (state.na, state.values) if two else (np.zeros_like(ns), state.amplitudes[ns])
     rows = [[s, a, v.real, v.imag] for s, a, v in zip(ns.tolist(), na.tolist(), values.tolist())]
     return json.dumps({"kind": "two" if two else "single", "n_max": state.n_max, "amps": rows})

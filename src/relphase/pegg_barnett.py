@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import SingleModeState, _frozen, _index, _support, angular_grid, scatter_series
+from .fock import SingleModeState, _frozen, _index, angular_grid, scatter_series
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +41,9 @@ class DiscretePhasePmf:
 
 def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:
     """Discrete-phase masses of the state truncated to n <= s, renormalized by fock's rule."""
-    if _support(state.amplitudes).start > (s := _index(s, "truncation")):
+    if (s := _index(s, "truncation")) < 0:
+        raise ValueError(f"truncation {s} is negative")
+    if state.ns[0] > s:
         raise ValueError(f"state has no support at or below n={s}")
     psi = SingleModeState.from_amplitudes(state.amplitudes[: s + 1]).amplitudes
     values = scatter_series((), s + 1, (), np.arange(psi.size), psi)  # a DFT of length s + 1
@@ -64,7 +66,7 @@ def phase_cdf(state: SingleModeState, x: np.ndarray) -> np.ndarray:
     d = c[1:] / (-1j * k)
     z = np.exp(-1j * x)
     series = np.zeros(x.shape, dtype=complex)
-    for dk in d[::-1]:
+    for dk in d[: state.ns[-1] - state.ns[0]][::-1]:  # c_k is exactly 0 past the support's span
         series *= z
         series += dk
     series *= z
@@ -79,7 +81,7 @@ def kolmogorov_distance(pmf: DiscretePhasePmf, state: SingleModeState) -> float:
     at a step angle approached from either side. A pmf of s below the highest
     occupied n is of a truncated state, not of this one, and is refused.
     """
-    if pmf.s < (n := _support(state.amplitudes).stop - 1):
+    if pmf.s < (n := state.ns[-1]):
         raise ValueError(f"s={pmf.s} truncates the state (occupied up to n={n})")
     cont = phase_cdf(state, pmf.theta)
     cum = np.cumsum(pmf.masses)

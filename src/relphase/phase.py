@@ -42,9 +42,8 @@ class AngularPdf:
 def phase_wavefunction(state: SingleModeState, k: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """psi(phi_k) = sum_n psi_n e^{-i n phi_k} over the occupied n on angular_grid(k), evaluated
     by FFT: a read-only complex array of k samples, finite and of mean |psi|^2 1 as the state is."""
-    n = np.flatnonzero(state.amplitudes)
-    check_grid(k, n)  # the series then checks the working set
-    values = scatter_series((), k, (), n, state.amplitudes[n])
+    check_grid(k, state.ns)  # the series then checks the working set
+    values = scatter_series((), k, (), state.ns, state.amplitudes[state.ns])
     values.setflags(write=False)
     return values
 

@@ -198,6 +198,24 @@ def series_cdf(psi, xs):
     return out
 
 
+def horner_cdf(psi, xs):
+    """The closed-form CDF by the library's own arithmetic, with its Horner loop over every
+    coefficient c_1..c_n_max, the exact zeros past the occupied span included: the reference
+    that a loop over the span alone must match bit for bit."""
+    xs = np.asarray(xs, dtype=float)
+    c = np.correlate(psi, psi, "full")[psi.size - 1 :]
+    k = np.arange(1, psi.size)
+    d = c[1:] / (-1j * k)
+    z = np.exp(-1j * xs)
+    series = np.zeros(xs.shape, dtype=complex)
+    for dk in d[::-1]:
+        series *= z
+        series += dk
+    series *= z
+    anchor = np.sum(d * (-1.0) ** k)
+    return (c[0].real * (xs + np.pi) + 2.0 * (series - anchor).real) / (2.0 * np.pi)
+
+
 def value_at(pdf, phi):
     """Density of a sampled pdf (its .density on the K-point grid -pi + 2 pi j / K) at a
     grid-aligned angle in [-pi, pi], by exact index lookup; pi reads the -pi cell."""

@@ -107,6 +107,11 @@ CASES = [
     ("timepdf shuffled file", ["timepdf", "--pol", "file:{inputs}/shuffled.json"]),
     ("sweep single-mode file", ["sweep", "--pol", "file:{inputs}/single345.json", "--kt", "9",
                                 "--k", "16"]),
+    # a single-mode state holds its occupied n: the CDF's Horner loop spans them, not 0..n_max
+    ("pb num:2000 s 2000", ["pb", "--state", "num:2000", "--s", "2000", "--report", "pb.json",
+                            "--out", "pb.csv"]),
+    ("pb sparse file s 400,1000,2048", ["pb", "--state", "file:{inputs}/sparse.json",
+                                        "--s", "400,1000,2048", "--report", "pb.json", "--out", "pb.csv"]),
 ]
 
 # cases whose outputs must match each other's in one tree, byte for byte
@@ -135,6 +140,8 @@ def write_inputs(inputs: Path) -> None:
     (inputs / "shuffled.json").write_text(
         '{"kind": "two", "n_max": 3, "amps": [[2, 0, 0.5, 0], [0, 0, 0.0, 0.0], [0, 1, 0.3, -0.2], '
         '[1, 1, 0, -0.0], [0, 3, 0.1, 0.4], [1, 0, -0.6, 0.1]]}')
+    (inputs / "sparse.json").write_text(
+        '{"kind": "single", "n_max": 1000, "amps": [[10, 0, 0.6, -0.3], [400, 0, 0.2, 0.7]]}')
     (inputs / "zero.json").write_text('{"kind": "two", "n_max": 1, "amps": [[0, 0, 0.0, 0.0]]}')
     huge = "1" + "0" * 400
     (inputs / "huge1.json").write_text(f'{{"kind": "single", "n_max": 1, "amps": [[0, 0, {huge}, 0]]}}')

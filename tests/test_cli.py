@@ -412,6 +412,7 @@ def test_json_non_finite_or_huge_amplitude_is_exit_2(capsys, tmp_path, command, 
         (["phase", "--state", "file:{n_a}"], "single-mode rows must have n_a = 0"),
         (["ellipse", "--pol", "wat:1"], "unknown polarization spec 'wat:1'"),
         (["pb", "--state", "coh:1", "--s", ","], "need at least one truncation in --s"),
+        (["pb", "--state", "coh:1", "--s=-1"], "truncation -1 is negative"),
     ],
 )
 def test_each_spec_refusal_is_its_own_line_and_exit_2(capsys, tmp_path, argv, line):

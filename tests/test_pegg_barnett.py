@@ -125,10 +125,18 @@ def test_distance_refuses_a_pmf_of_a_truncated_state():
     assert kolmogorov_distance(pb_pmf(padded, 1), padded) == want
 
 
-@pytest.mark.parametrize("s", [-3, -1, 2])
+@pytest.mark.parametrize("s", [0, 2])
 def test_pmf_refuses_a_truncation_without_support(s):
     with pytest.raises(ValueError, match=f"no support at or below n={s}"):
         pb_pmf(make_number_state(3, 5), s)
+
+
+@pytest.mark.parametrize("s", [-3, -1])
+def test_pmf_refuses_a_negative_truncation(s):
+    # whatever the support: |0> has support at every s >= 0
+    for state in (make_number_state(3, 5), make_number_state(0, 5)):
+        with pytest.raises(ValueError, match=f"^truncation {s} is negative$"):
+            pb_pmf(state, s)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

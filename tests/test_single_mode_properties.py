@@ -22,6 +22,7 @@ from relphase import (
     y_moments,
 )
 from relphase.fock import angular_grid
+from relphase.pegg_barnett import kolmogorov_distance
 
 MAX_N = 24
 amplitude = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -99,3 +100,35 @@ def test_two_sided_density_of_a_single_mode_is_its_phase_density(case):
     one_sided = phase_pdf(state, k)
     assert np.array_equal(two_sided.phi, one_sided.phi)
     assert np.max(np.abs(two_sided.density - one_sided.density)) < 1e-12
+
+
+@st.composite
+def sparse_states(draw):
+    """States at n_max <= 300 with leading and trailing zeros: |n>, or a few occupied n."""
+    n_max = draw(st.integers(0, 300))
+    if draw(st.booleans()):
+        return make_number_state(draw(st.integers(0, n_max)), n_max)
+    occupied = draw(st.dictionaries(st.integers(0, n_max), near_unit, min_size=1, max_size=6))
+    amps = np.zeros(n_max + 1, dtype=complex)
+    amps[list(occupied)] = list(occupied.values())
+    return SingleModeState.from_amplitudes(amps)
+
+
+@given(sparse_states(), st.lists(st.floats(-4.0, 4.0), max_size=8))
+def test_the_occupied_support_is_held_once_and_bounds_the_cdf_loop_and_the_truncations(state, xs):
+    ns = state.ns
+    assert np.array_equal(ns, np.flatnonzero(state.amplitudes)) and not ns.flags.writeable
+    assert state.ns is ns
+    lo, hi = int(ns[0]), int(ns[-1])
+    # the CDF's Horner loop over the occupied span gives the full loop's bits
+    for x in (pb_pmf(state, hi).theta, np.array(xs, dtype=float)):
+        got, want = phase_cdf(state, x), oracles.horner_cdf(state.amplitudes, x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # pb_pmf refuses just below the lowest occupied n, kolmogorov_distance just below the highest
+    pb_pmf(state, lo)
+    with pytest.raises(ValueError, match="is negative" if lo == 0 else "no support at or below"):
+        pb_pmf(state, lo - 1)
+    kolmogorov_distance(pb_pmf(state, hi), state)
+    if hi > lo:
+        with pytest.raises(ValueError, match="truncates the state"):
+            kolmogorov_distance(pb_pmf(state, hi - 1), state)
