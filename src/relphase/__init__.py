@@ -34,8 +34,8 @@ _EXPORTS = {
         "heterodyne_moments",
         "y_moments",
     ),
-    "pegg_barnett": ("DiscretePhasePmf", "pb_convergence", "pb_pmf", "phase_cdf"),
-    "phase": ("AngularPdf", "phase_pdf", "phase_wavefunction"),
+    "pegg_barnett": ("pb_convergence", "pb_pmf", "phase_cdf"),
+    "phase": ("phase_pdf", "phase_wavefunction"),
     "polarization": (
         "LinearPolSpec",
         "XCoherent",

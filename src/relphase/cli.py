@@ -141,12 +141,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str | None, chunks: Iterable[str]) -> None:
-    """Write text chunks atomically (temp file + rename); '-' or None means stdout.
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write text chunks atomically (temp file + rename); '-' means stdout.
 
     The file gets open()'s mode (0666 less the umask); errors name the path.
     """
-    if path is None or path == "-":
+    if path == "-":
         sys.stdout.writelines(chunks)
         sys.stdout.flush()  # a closed pipe fails here, inside main's error handling
         return
@@ -173,8 +173,8 @@ def _write_table(args, header: Sequence[str], groups) -> None:
 
 def cmd_phase(args) -> int:
     from .phase import phase_pdf
-    pdf = phase_pdf(parse_single_spec(args.state, args.n_max, args.tail_tol), args.k)
-    _write_table(args, ("phi", "density"), [((), pdf.phi, pdf.density)])
+    density = phase_pdf(parse_single_spec(args.state, args.n_max, args.tail_tol), args.k)
+    _write_table(args, ("phi", "density"), [((), angular_grid(density.size), density)])
     return 0
 
 
@@ -187,7 +187,8 @@ def cmd_pb(args) -> int:
     pmfs = [pb_pmf(state, s) for s in s_values]
     # the report may refuse the truncations: find out before anything is written
     distances = None if args.report is None else [kolmogorov_distance(p, state) for p in pmfs]
-    _write_table(args, ("s", "theta", "mass"), [((p.s,), p.theta, p.masses) for p in pmfs])
+    groups = [((p.size - 1,), angular_grid(p.size), p) for p in pmfs]
+    _write_table(args, ("s", "theta", "mass"), groups)
     if distances is not None:
         doc = [{"s": s, "distance": d} for s, d in zip(s_values, distances)]
         _write(args.report, [json.dumps(doc) + "\n"])
@@ -207,28 +208,28 @@ def cmd_sweep(args) -> int:
     state = parse_pol_spec(args.pol, args.n_max, args.tail_tol)
     times = np.linspace(0.0, np.pi, time_grid(state, args.kt))
     slices = snapshot_sweep(state, times, args.k)
-    if gaps := slices.count(None):
+    if gaps := sum(pdf is None for pdf in slices):  # list.count(None) compares arrays to None
         print(f"skipped {gaps} time(s) of vanishing conditioning probability", file=sys.stderr)
     phi = angular_grid(args.k)  # one grid for every slice: the table formats its column once
-    live = [((t,), phi, pdf.density) for t, pdf in zip(times.tolist(), slices) if pdf is not None]
+    live = [((t,), phi, pdf) for t, pdf in zip(times.tolist(), slices) if pdf is not None]
     _write_table(args, ("t", "phi", "density"), live)
     return 0
 
 
 def cmd_ellipse(args) -> int:
     from .pom import marginal_pdf
-    pdf = marginal_pdf(parse_pol_spec(args.pol, args.n_max, args.tail_tol), args.k)
+    density = marginal_pdf(parse_pol_spec(args.pol, args.n_max, args.tail_tol), args.k)
     if args.db:
         from .polarization import db_view
-    header, values = (("phi", "db"), db_view(pdf)) if args.db else (("phi", "density"), pdf.density)
-    _write_table(args, header, [((), pdf.phi, values)])
+    header, values = (("phi", "db"), db_view(density)) if args.db else (("phi", "density"), density)
+    _write_table(args, header, [((), angular_grid(density.size), values)])
     return 0
 
 
 def cmd_timepdf(args) -> int:
     from .pom import absolute_time_pdf
-    pdf = absolute_time_pdf(parse_pol_spec(args.pol, args.n_max, args.tail_tol), args.kt)
-    _write_table(args, ("t", "density"), [((), pdf.phi, pdf.density)])
+    density = absolute_time_pdf(parse_pol_spec(args.pol, args.n_max, args.tail_tol), args.kt)
+    _write_table(args, ("t", "density"), [((), angular_grid(density.size), density)])
     return 0
 
 

@@ -78,8 +78,13 @@ def _frozen(samples, what: str, dtype=None) -> np.ndarray:
     samples = np.array(samples, dtype=dtype)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-d sequence")
-    samples.setflags(write=False)
-    return samples
+    return _read_only(samples)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array itself, made read-only: a kernel's result is handed out without a copy."""
+    array.setflags(write=False)
+    return array
 
 
 def _index(value, what: str) -> int:
@@ -151,8 +156,7 @@ def angular_grid(k: int) -> np.ndarray:
         raise ValueError("grid size must be positive")
     grid = np.arange(k, dtype=float)
     np.add(np.divide(np.multiply(grid, 2.0 * np.pi, out=grid), k, out=grid), -np.pi, out=grid)
-    grid.setflags(write=False)
-    return grid
+    return _read_only(grid)
 
 
 def check_grid(k: int, freqs: np.ndarray) -> None:

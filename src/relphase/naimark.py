@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SupportError
-from .fock import DEFAULT_GRID_SIZE, SingleModeState, TwoModeState, check_grid, scatter_series
-from .phase import AngularPdf
+from .fock import (DEFAULT_GRID_SIZE, SingleModeState, TwoModeState, _read_only, check_grid,
+                   scatter_series)
 
 
 def _ladder_expectations(state: SingleModeState) -> tuple[complex, complex, float]:
@@ -63,10 +63,10 @@ def y_moments(state: SingleModeState) -> dict[str, float]:
             "second_Y2": second_Y2, "vac_prob": vac}
 
 
-def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
-    """Two-sided phase density |sum_m psi_m e^{-i m phi}|^2 / 2pi of a shift-subspace state,
-    with m = n_s - n_a whatever the state's convention: m >= 0 reads psi_{m,0}, m < 0
-    reads psi_{0,-m}. Raises SupportError for amplitudes with both modes excited."""
+def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """Two-sided phase density |sum_m psi_m e^{-i m phi}|^2 / 2pi of a shift-subspace state on
+    angular_grid(k), with m = n_s - n_a whatever the state's convention: m >= 0 reads psi_{m,0},
+    m < 0 reads psi_{0,-m}. Raises SupportError for amplitudes with both modes excited."""
     if (both := state.ns * state.na != 0).any():
         raise SupportError(f"state has support at (n_s, n_a) = ({state.ns[both][0]}, "
                            f"{state.na[both][0]}); need n_s * n_a = 0")
@@ -74,4 +74,4 @@ def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> An
     check_grid(k, m)
     values = scatter_series((), k, (), m, state.values)
     # off the both-excited cells, the coefficients are all of a unit state's amplitudes
-    return AngularPdf(np.abs(values) ** 2 / (2.0 * np.pi))
+    return _read_only(np.abs(values) ** 2 / (2.0 * np.pi))

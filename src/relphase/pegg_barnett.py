@@ -8,46 +8,23 @@ Kolmogorov distance below quantifies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .fock import SingleModeState, _frozen, _index, angular_grid, scatter_series
+from .fock import SingleModeState, _index, _read_only, angular_grid, scatter_series
 
 
-@dataclass(frozen=True, eq=False)
-class DiscretePhasePmf:
-    """Masses at the s + 1 angles theta = angular_grid(s + 1), s = masses.size - 1."""
-
-    masses: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "masses", _frozen(self.masses, "masses", float))
-        if not (self.masses.min() >= 0 and self.masses.max() < np.inf):  # nan fails both
-            raise ValueError("masses must be finite and non-negative")
-        if abs(self.masses.sum() - 1.0) > 1e-10:
-            raise ValueError("masses must sum to 1")
-
-    @property
-    def s(self) -> int:
-        return self.masses.size - 1
-
-    @cached_property
-    def theta(self) -> np.ndarray:
-        return angular_grid(self.masses.size)
-
-
-def pb_pmf(state: SingleModeState, s: int) -> DiscretePhasePmf:
-    """Discrete-phase masses of the state truncated to n <= s, renormalized by fock's rule."""
+def pb_pmf(state: SingleModeState, s: int) -> np.ndarray:
+    """Discrete-phase masses of the state truncated to n <= s, renormalized by fock's rule: a
+    read-only array of s + 1 masses at theta = angular_grid(s + 1)."""
     if (s := _index(s, "truncation")) < 0:
         raise ValueError(f"truncation {s} is negative")
     if state.ns[0] > s:
         raise ValueError(f"state has no support at or below n={s}")
     psi = SingleModeState.from_amplitudes(state.amplitudes[: s + 1]).amplitudes
     values = scatter_series((), s + 1, (), np.arange(psi.size), psi)  # a DFT of length s + 1
-    return DiscretePhasePmf(np.abs(values) ** 2 / (s + 1))
+    return _read_only(np.abs(values) ** 2 / (s + 1))
 
 
 def phase_cdf(state: SingleModeState, x: np.ndarray) -> np.ndarray:
@@ -74,18 +51,19 @@ def phase_cdf(state: SingleModeState, x: np.ndarray) -> np.ndarray:
     return (c[0].real * (x + np.pi) + 2.0 * (series - anchor).real) / (2.0 * np.pi)
 
 
-def kolmogorov_distance(pmf: DiscretePhasePmf, state: SingleModeState) -> float:
-    """sup_x |F_discrete(x) - F_continuous(x)| with right-continuous steps.
+def kolmogorov_distance(masses: np.ndarray, state: SingleModeState) -> float:
+    """sup_x |F_discrete(x) - F_continuous(x)| with right-continuous steps, for pb_pmf's
+    masses at s = masses.size - 1.
 
     Both CDFs are monotone between step angles, so the supremum is attained
-    at a step angle approached from either side. A pmf of s below the highest
-    occupied n is of a truncated state, not of this one, and is refused.
+    at a step angle approached from either side. Masses of s below the highest
+    occupied n are of a truncated state, not of this one, and are refused.
     """
-    if pmf.s < (n := state.ns[-1]):
-        raise ValueError(f"s={pmf.s} truncates the state (occupied up to n={n})")
-    cont = phase_cdf(state, pmf.theta)
-    cum = np.cumsum(pmf.masses)
-    before = cum - pmf.masses
+    if (s := masses.size - 1) < (n := state.ns[-1]):
+        raise ValueError(f"s={s} truncates the state (occupied up to n={n})")
+    cont = phase_cdf(state, angular_grid(masses.size))
+    cum = np.cumsum(masses)
+    before = cum - masses
     return float(max(np.abs(cont - cum).max(), np.abs(cont - before).max()))
 
 

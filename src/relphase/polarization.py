@@ -18,7 +18,6 @@ import numpy as np
 from .errors import TruncationError
 from .fock import (DEFAULT_TAIL_TOL, TwoModeState, _coherent_state, _from_mapping, _index,
                    check_budget, coherent_truncation)
-from .phase import AngularPdf
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,9 @@ def to_circular(
     raise TypeError(f"unknown polarization spec {spec!r}")
 
 
-def db_view(pdf: AngularPdf) -> np.ndarray:
+def db_view(density: np.ndarray) -> np.ndarray:
     """10 log10(p/p_peak) + 60 (the peak at 60 dB), floored at 0 so polar radii stay positive."""
-    peak = pdf.density.max()
+    peak = density.max()
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(pdf.density / peak) + 60.0
+        db = 10.0 * np.log10(density / peak) + 60.0
     return np.maximum(db, 0.0)

@@ -22,9 +22,8 @@ import math
 import numpy as np
 
 from .errors import AliasingError, ConditioningError, SupportError
-from .fock import (DEFAULT_GRID_SIZE, DEFAULT_KT, TwoModeState, angular_grid, check_cells, check_grid,
-                   jm_labels, scatter_series)
-from .phase import AngularPdf
+from .fock import (DEFAULT_GRID_SIZE, DEFAULT_KT, TwoModeState, _read_only, angular_grid, check_cells,
+                   check_grid, jm_labels, scatter_series)
 
 C_MIN = 1e-12
 _BLOCK_CELLS = 1 << 16  # cells of one block of snapshot_sweep's angular transients
@@ -71,15 +70,14 @@ def branch_wavefunctions(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> dic
     """{j: Psi_j} with Psi_j(phi) = sum_m Psi_{j,m} e^{-i m phi} on angular_grid(k), for every
     occupied j: read-only rows of one array, whose mean |Psi_j|^2 sum to 1 as the state's norm."""
     js, values = _branches(state, k)
-    values.setflags(write=False)
-    return dict(zip(js.tolist(), values))
+    return dict(zip(js.tolist(), _read_only(values)))
 
 
-def marginal_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
-    """Time-averaged distribution: branch probabilities added in ascending j."""
+def marginal_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """Time-averaged density on angular_grid(k): branch probabilities added in ascending j."""
     power = sum(np.abs(row) ** 2 for row in _branches(state, k)[1])
     total = float(np.mean(power))  # the branch norms' sum
-    return AngularPdf(power / (2.0 * np.pi * total))
+    return _read_only(power / (2.0 * np.pi * total))
 
 
 def conditioning_probability(state: TwoModeState, t: float) -> float:
@@ -87,8 +85,8 @@ def conditioning_probability(state: TwoModeState, t: float) -> float:
     return float(_conditioned(*_cells(state), [t])[2][0])
 
 
-def snapshot_pdf(state: TwoModeState, t: float, k: int = DEFAULT_GRID_SIZE) -> AngularPdf:
-    """Conditional distribution at time t: branch amplitudes added.
+def snapshot_pdf(state: TwoModeState, t: float, k: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """Conditional density at time t on angular_grid(k): branch amplitudes added.
 
     Refuses times of numerically vanishing conditioning probability instead
     of renormalizing noise.
@@ -100,9 +98,9 @@ def snapshot_pdf(state: TwoModeState, t: float, k: int = DEFAULT_GRID_SIZE) -> A
     return pdf
 
 
-def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> list[AngularPdf | None]:
+def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> list[np.ndarray | None]:
     """Snapshots along a time grid; refused times yield None (gaps). The live times' densities
-    are made _BLOCK_CELLS at a time, each row copied into its AngularPdf: no kt x K transient."""
+    are made _BLOCK_CELLS at a time, each a read-only row of its block: no kt x K transient."""
     j, m, v = _cells(state)
     check_grid(k, m)
     # snapshots add amplitudes across m: mixed integer/half-integer m interfere 4pi-periodically
@@ -118,8 +116,9 @@ def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> li
     for lo in range(0, live.size, step):
         rows = live[lo : lo + step]
         values = scatter_series((rows.size,), k, (...,), freqs, b[rows])
-        for t, density in zip(rows.tolist(), np.abs(values) ** 2 / (2.0 * np.pi * c[rows, None])):
-            pdfs[t] = AngularPdf(density)
+        densities = _read_only(np.abs(values) ** 2 / (2.0 * np.pi * c[rows, None]))
+        for t, density in zip(rows.tolist(), densities):
+            pdfs[t] = density
     return pdfs
 
 
@@ -134,7 +133,7 @@ def time_grid(state: TwoModeState, k_t: int | None = None) -> int:
     return k_t
 
 
-def absolute_time_pdf(state: TwoModeState, k_t: int | None = None) -> AngularPdf:
+def absolute_time_pdf(state: TwoModeState, k_t: int | None = None) -> np.ndarray:
     """Density of the conditioning time, C(t)/2pi, on time_grid(state, k_t) points of [-pi, pi).
     Refuses fewer than int(j_max - j_min) + 1 points, the size from which a periodic grid
     integrates C(t), and on one m lattice each C-weighted snapshot, exactly: j - m is an integer
@@ -143,4 +142,4 @@ def absolute_time_pdf(state: TwoModeState, k_t: int | None = None) -> AngularPdf
     k_t = time_grid(state, k_t)
     if k_t < (needed := int(j.max() - j.min()) + 1):
         raise AliasingError(f"time grid {k_t} is below the exact-quadrature size {needed}")
-    return AngularPdf(_conditioned(j, m, v, angular_grid(k_t))[2] / (2.0 * np.pi))
+    return _read_only(_conditioned(j, m, v, angular_grid(k_t))[2] / (2.0 * np.pi))

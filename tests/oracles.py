@@ -216,18 +216,44 @@ def horner_cdf(psi, xs):
     return (c[0].real * (xs + np.pi) + 2.0 * (series - anchor).real) / (2.0 * np.pi)
 
 
-def value_at(pdf, phi):
-    """Density of a sampled pdf (its .density on the K-point grid -pi + 2 pi j / K) at a
+def value_at(density, phi):
+    """A sampled density (on the K-point grid -pi + 2 pi j / K, K = density.size) at a
     grid-aligned angle in [-pi, pi], by exact index lookup; pi reads the -pi cell."""
     if not -np.pi <= phi <= np.pi:  # nan included
         raise ValueError(f"phi={phi} is not an angle in [-pi, pi]")
-    k = pdf.density.size
+    k = density.size
     idx = (phi + np.pi) * k / (2.0 * np.pi)
     j = int(round(idx))
     # a grid angle's rounding grows like K ulp(pi) / 2pi in index units (K 2**-53 at most to K 2**26)
     if abs(idx - j) > 1e-9 + k * 2.0**-50:
         raise ValueError(f"phi={phi} is not on the {k}-point grid")
-    return float(pdf.density[j % k])
+    return float(density[j % k])
+
+
+def integral(density):
+    """The periodic Riemann sum of a sampled density over [-pi, pi): mean * 2pi, np.mean's bits."""
+    return float(density.sum() / density.size) * 2.0 * np.pi
+
+
+def _check_samples(values):
+    assert type(values) is np.ndarray and values.dtype == np.float64 and values.ndim == 1
+    assert values.size > 0 and not values.flags.writeable
+    assert values.min() >= 0 and values.max() < np.inf  # nan fails both
+
+
+def check_density(density):
+    """A produced density: a read-only float64 1-d array, finite and non-negative, whose
+    Riemann sum is 1 within 1e-8. True if so."""
+    _check_samples(density)
+    assert abs(integral(density) - 1.0) <= 1e-8, integral(density)
+    return True
+
+
+def check_masses(masses):
+    """Produced Pegg-Barnett masses: as check_density, but summing to 1 within 1e-10. True if so."""
+    _check_samples(masses)
+    assert abs(masses.sum() - 1.0) <= 1e-10, masses.sum()
+    return True
 
 
 def local_maxima(density, floor=0.0):

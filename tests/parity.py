@@ -112,6 +112,8 @@ CASES = [
                             "--out", "pb.csv"]),
     ("pb sparse file s 400,1000,2048", ["pb", "--state", "file:{inputs}/sparse.json",
                                         "--s", "400,1000,2048", "--report", "pb.json", "--out", "pb.csv"]),
+    # a gap sweep: C(pi/2) of (|0,0> + |1,1>)/sqrt(2) is 0, and stderr counts the skipped time
+    ("sweep gap file kt 3", ["sweep", "--pol", "file:{inputs}/gap.json", "--kt", "3", "--k", "16"]),
 ]
 
 # cases whose outputs must match each other's in one tree, byte for byte
@@ -142,6 +144,9 @@ def write_inputs(inputs: Path) -> None:
         '[1, 1, 0, -0.0], [0, 3, 0.1, 0.4], [1, 0, -0.6, 0.1]]}')
     (inputs / "sparse.json").write_text(
         '{"kind": "single", "n_max": 1000, "amps": [[10, 0, 0.6, -0.3], [400, 0, 0.2, 0.7]]}')
+    r = 1 / np.sqrt(2)
+    (inputs / "gap.json").write_text(json.dumps({"kind": "two", "n_max": 2,
+                                                 "amps": [[0, 0, r, 0], [1, 1, r, 0]]}))
     (inputs / "zero.json").write_text('{"kind": "two", "n_max": 1, "amps": [[0, 0, 0.0, 0.0]]}')
     huge = "1" + "0" * 400
     (inputs / "huge1.json").write_text(f'{{"kind": "single", "n_max": 1, "amps": [[0, 0, {huge}, 0]]}}')

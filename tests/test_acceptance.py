@@ -33,7 +33,7 @@ from relphase import (
     to_circular,
     y_moments,
 )
-from relphase.phase import angular_grid
+from relphase.fock import angular_grid
 
 PHOTONIC = PrimitiveConvention.PHOTONIC
 FERMIONIC = PrimitiveConvention.FERMIONIC
@@ -69,10 +69,10 @@ def test_criterion_02_snapshot_suppression():
     analytic = ((1 - math.sqrt(2) + 2**-0.5) / (1 + math.sqrt(2) + 2**-0.5)) ** 2
     assert abs(ratio - analytic) < 1e-10
     # single visible maximum at phi=0 (0.1 density floor, the plotted contour base)
-    visible = oracles.local_maxima(snap0.density, floor=0.1)
-    assert len(visible) == 1 and snap0.phi[visible[0]] == 0.0
+    visible = oracles.local_maxima(snap0, floor=0.1)
+    assert len(visible) == 1 and angular_grid(snap0.size)[visible[0]] == 0.0
     snap_pi = snapshot_pdf(state, math.pi, 1024)
-    assert snap_pi.phi[np.argmax(snap_pi.density)] == -np.pi
+    assert angular_grid(snap_pi.size)[np.argmax(snap_pi)] == -np.pi
     report(2, f"P_C(pi)/P_C(0) = {ratio:.6e} (analytic {analytic:.6e}); peak flips to +-pi")
 
 
@@ -93,7 +93,7 @@ def test_criterion_03_weak_coherent_y_axis_probability():
 def test_criterion_04_db_contrasts():
     def contrast(mean):
         pdf = marginal_pdf(to_circular(XCoherent(mean)), 1024)
-        return 10 * math.log10(pdf.density.max() / oracles.value_at(pdf, np.pi / 2))
+        return 10 * math.log10(pdf.max() / oracles.value_at(pdf, np.pi / 2))
 
     c9 = contrast(9.0)
     c4 = contrast(4.0)
@@ -104,8 +104,8 @@ def test_criterion_04_db_contrasts():
 
 def test_criterion_05_n9_snapshot_and_time_facts():
     state = to_circular(XCoherent(9.0))
-    peak0 = snapshot_pdf(state, 0.0, 1024).density.max()
-    peak_half = snapshot_pdf(state, math.pi / 2, 1024).density.max()
+    peak0 = snapshot_pdf(state, 0.0, 1024).max()
+    peak_half = snapshot_pdf(state, math.pi / 2, 1024).max()
     ratio = peak_half / peak0
     assert 0.25 < ratio < 1.0
     time_ratio = conditioning_probability(state, math.pi / 2) / conditioning_probability(state, 0.0)
@@ -170,8 +170,8 @@ def test_criterion_08_mixture_identity():
         acc = np.zeros(k)
         for t in ts:
             c = conditioning_probability(state, float(t))
-            acc += c * snapshot_pdf(state, float(t), k).density
-        worst = max(worst, np.abs(acc / ts.size - marginal_pdf(state, k).density).max())
+            acc += c * snapshot_pdf(state, float(t), k)
+        worst = max(worst, np.abs(acc / ts.size - marginal_pdf(state, k)).max())
     assert worst < 1e-8
     report(8, f"C-weighted snapshot average = marginal, max dev {worst:.2e} (20 states)")
 
@@ -217,15 +217,15 @@ def test_criterion_11_subspace_equivalence_and_normalization():
         state = TwoModeState(*oracles.cells(amp), 9)
         snap = snapshot_pdf(state, 0.0, 256)
         gen = generalized_phase_pdf(state, 256)
-        worst_equiv = max(worst_equiv, np.abs(snap.density - gen.density).max())
+        worst_equiv = max(worst_equiv, np.abs(snap - gen).max())
     for _ in range(20):
         psi = oracles.random_single(rng, 25)
         wf = phase_wavefunction(SingleModeState(psi), 256)
         worst_parseval = max(worst_parseval, abs(np.mean(np.abs(wf) ** 2) - 1.0))
         amp = oracles.random_two_amp(rng, 7)
         state = TwoModeState(*oracles.cells(amp), 7)
-        worst_norm = max(worst_norm, abs(marginal_pdf(state, 64).integral() - 1.0))
-        worst_norm = max(worst_norm, abs(snapshot_pdf(state, 0.4, 64).integral() - 1.0))
+        worst_norm = max(worst_norm, abs(oracles.integral(marginal_pdf(state, 64)) - 1.0))
+        worst_norm = max(worst_norm, abs(oracles.integral(snapshot_pdf(state, 0.4, 64)) - 1.0))
     assert worst_equiv < 1e-10
     assert worst_parseval < 1e-10
     assert worst_norm < 1e-8

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from relphase import (
     TwoModeState,
+    angular_grid,
     heterodyne_moments,
     make_coherent_state,
     make_number_state,
@@ -752,7 +753,8 @@ def test_csv_numbers_of_sweep_densities_match_per_value_writer(spec, k):
     (xcoh:9) and 1e-20 (xcoh:30), in fixed and in exponent notation."""
     state = cli.parse_pol_spec(spec, None, 1e-12)
     times = np.linspace(0.0, np.pi, 40)
-    groups = [((t,), pdf.phi, pdf.density) for t, pdf in zip(times, snapshot_sweep(state, times, k))]
+    phi = angular_grid(k)
+    groups = [((t,), phi, pdf) for t, pdf in zip(times, snapshot_sweep(state, times, k))]
     assert min(g[2].min() for g in groups) < 1e-7 and max(g[2].max() for g in groups) > 1
     got = "".join(table_chunks(("t", "phi", "density"), groups, "csv"))
     want = oracles.reference_table(("t", "phi", "density"), rows_of_groups(groups), "csv")
@@ -789,7 +791,7 @@ def test_pb_table_of_two_truncations_matches_per_value_writer(capsys, fmt):
     assert code == 0
     state = cli.parse_single_spec("coh:4", None, 1e-12)
     pmfs = [pegg_barnett.pb_pmf(state, s) for s in s_values]
-    rows = rows_of_groups([((p.s,), p.theta, p.masses) for p in pmfs])
+    rows = rows_of_groups([((p.size - 1,), angular_grid(p.size), p) for p in pmfs])
     assert first_difference(out, oracles.reference_table(("s", "theta", "mass"), rows, fmt)) is None
 
 
@@ -815,7 +817,7 @@ def test_multi_block_sweep_with_gaps_matches_per_value_writer(capsys, tmp_path, 
         slices = snapshot_sweep(state, times, k)
         rows = [
             (t, phi, dens) for t, pdf in zip(times, slices) if pdf is not None
-            for phi, dens in zip(pdf.phi, pdf.density)
+            for phi, dens in zip(angular_grid(pdf.size), pdf)
         ]
         return oracles.reference_table(("t", "phi", "density"), rows, fmt), len(rows)
 
@@ -830,7 +832,7 @@ def test_multi_block_sweep_with_gaps_matches_per_value_writer(capsys, tmp_path, 
         assert first_difference(out.read_text(), want) is None
     for t, k in ((0.3, 64), (1.0, BLOCK_ROWS + 1)):
         (pdf,) = snapshot_sweep(state, [t], k)
-        chunks = table_chunks(("t", "phi", "density"), [((t,), pdf.phi, pdf.density)], fmt)
+        chunks = table_chunks(("t", "phi", "density"), [((t,), angular_grid(pdf.size), pdf)], fmt)
         got = "".join(counted(chunks))
         assert first_difference(got, reference([t], k)[0]) is None
     assert max(chunk_rows) == BLOCK_ROWS

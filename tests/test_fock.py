@@ -158,8 +158,8 @@ def test_evolution_shifts_generalized_phase_wavefunction(side):
     else:
         amp = {(0, n): vec[n] for n in range(6)}
     state = two_mode(amp, 6)
-    before = generalized_phase_pdf(state, k).density
-    after = generalized_phase_pdf(evolved(state, tau), k).density
+    before = generalized_phase_pdf(state, k)
+    after = generalized_phase_pdf(evolved(state, tau), k)
     shift = -steps if side == "s" else steps
     assert np.abs(after - np.roll(before, shift)).max() < 1e-10
 

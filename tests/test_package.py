@@ -19,8 +19,8 @@ AliasingError ConditioningError RelphaseError SupportError TruncationError
 PrimitiveConvention SingleModeState TwoModeState jm_labels make_coherent_state
 make_number_state single_to_two_mode state_from_json state_to_json
 generalized_phase_pdf heterodyne_moments y_moments
-DiscretePhasePmf pb_convergence pb_pmf phase_cdf
-AngularPdf angular_grid phase_pdf phase_wavefunction
+pb_convergence pb_pmf phase_cdf
+angular_grid phase_pdf phase_wavefunction
 LinearPolSpec XCoherent XNumber XSuperposition db_view to_circular
 absolute_time_pdf branch_wavefunctions conditioning_probability marginal_pdf
 snapshot_pdf snapshot_sweep
@@ -121,7 +121,7 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
 
 # the modules the CLI imports only in the commands that use them
 KERNELS = ("naimark", "pegg_barnett", "phase", "pom", "polarization", "table")
-TWO_MODE = ["phase", "pom", "polarization", "table"]  # what sweep, ellipse and timepdf load
+TWO_MODE = ["pom", "polarization", "table"]  # what sweep, ellipse and timepdf load
 
 
 def test_cli_import_loads_no_kernel_module():
@@ -129,13 +129,13 @@ def test_cli_import_loads_no_kernel_module():
     assert fresh(code) == "[]"
 
 
-FROM_FILE = ["phase", "pom", "table"]  # a file: state needs no polarization front end
+FROM_FILE = ["pom", "table"]  # a file: state needs no polarization front end
 
 
 @pytest.mark.parametrize("argv,loaded", [
     (["phase", "--state", "num:1", "--k", "8"], ["phase", "table"]),
     (["pb", "--state", "num:1", "--s", "4"], ["pegg_barnett", "table"]),
-    (["moments", "--state", "num:1"], ["naimark", "phase"]),
+    (["moments", "--state", "num:1"], ["naimark"]),
     (["sweep", "--pol", "xnum:1", "--kt", "8", "--k", "8"], TWO_MODE),
     (["ellipse", "--pol", "xnum:1", "--k", "8"], TWO_MODE),
     (["timepdf", "--pol", "xnum:1"], TWO_MODE),

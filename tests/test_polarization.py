@@ -10,6 +10,7 @@ from relphase import (
     XCoherent,
     XNumber,
     XSuperposition,
+    angular_grid,
     db_view,
     marginal_pdf,
     snapshot_pdf,
@@ -64,13 +65,13 @@ def test_ellipse_one_photon():
     assert abs(oracles.value_at(pdf, 0.0) - oracles.value_at(pdf, -np.pi)) < 1e-14  # equal peaks
     assert oracles.value_at(pdf, np.pi / 2) < 1e-14
     assert oracles.value_at(pdf, -np.pi / 2) < 1e-14
-    expected = np.cos(pdf.phi) ** 2 / np.pi
-    assert np.abs(pdf.density - expected).max() < 1e-13
+    expected = np.cos(angular_grid(pdf.size)) ** 2 / np.pi
+    assert np.abs(pdf - expected).max() < 1e-13
 
 
 def test_ellipse_vacuum_uniform():
     pdf = marginal_pdf(to_circular(XCoherent(0.0)), 128)
-    assert np.allclose(pdf.density, 1 / (2 * np.pi))
+    assert np.allclose(pdf, 1 / (2 * np.pi))
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -94,15 +95,15 @@ def test_even_photon_numbers_can_point_along_y(n):
 def test_x_axis_mirror_symmetry():
     for spec in (XNumber(2), XCoherent(3.0), XSuperposition(((0, 1.0), (3, 0.5)))):
         pdf = marginal_pdf(to_circular(spec), 256)
-        mirrored = np.roll(pdf.density[::-1], 1)
-        assert np.abs(pdf.density - mirrored).max() < 1e-13
+        mirrored = np.roll(pdf[::-1], 1)
+        assert np.abs(pdf - mirrored).max() < 1e-13
 
 
 def test_number_state_ellipse_equals_any_snapshot():
     state = to_circular(XNumber(4))
     pdf = marginal_pdf(to_circular(XNumber(4)), 128)
     for t in (0.0, 0.9, 2.2):
-        assert np.abs(snapshot_pdf(state, t, 128).density - pdf.density).max() < 1e-12
+        assert np.abs(snapshot_pdf(state, t, 128) - pdf).max() < 1e-12
 
 
 def test_y_axis_probability_decreases_with_mean():
@@ -123,17 +124,17 @@ def test_db_view_peak_and_floor():
 
 def test_weak_coherent_counter_rotating_peaks():
     (pdf,) = snapshot_sweep(to_circular(XCoherent(1.0)), [math.pi / 2], 512)
-    peaks = oracles.local_maxima(pdf.density)
+    peaks = oracles.local_maxima(pdf)
     assert len(peaks) == 2
-    angles = sorted(pdf.phi[i] for i in peaks)
+    angles = sorted(angular_grid(pdf.size)[i] for i in peaks)
     assert abs(angles[0] + angles[1]) < 1e-9  # symmetric about zero
 
 
 def test_coherent_mid_range_slices_split_in_two():
     for pdf in snapshot_sweep(to_circular(XCoherent(4.0)), np.linspace(1.0, 2.0, 5), 512):
-        peaks = oracles.local_maxima(pdf.density)
+        peaks = oracles.local_maxima(pdf)
         assert len(peaks) == 2
-        angles = sorted(pdf.phi[i] for i in peaks)
+        angles = sorted(angular_grid(pdf.size)[i] for i in peaks)
         assert abs(angles[0] + angles[1]) < 1e-9
 
 
@@ -141,12 +142,12 @@ def test_superposition_snapshot_sequence_anchors():
     # t=0 peaks only up along x (above the 0.1 visibility floor);
     # t=pi peaks at the branch cut
     t0, tpi = snapshot_sweep(to_circular(XSuperposition(((1, 1.0), (2, 1.0)))), [0.0, math.pi], 512)
-    visible = oracles.local_maxima(t0.density, floor=0.1)
+    visible = oracles.local_maxima(t0, floor=0.1)
     assert len(visible) == 1
-    assert t0.phi[visible[0]] == 0.0
-    assert tpi.phi[np.argmax(tpi.density)] == -np.pi  # +-pi by periodicity
+    assert angular_grid(t0.size)[visible[0]] == 0.0
+    assert angular_grid(tpi.size)[np.argmax(tpi)] == -np.pi  # +-pi by periodicity
     # bare-threshold structure is richer: frozen from the direct oracle
-    assert len(oracles.local_maxima(t0.density)) == 4
+    assert len(oracles.local_maxima(t0)) == 4
 
 
 def test_n9_sidelobes_near_half_pi_on_db_scale():
@@ -157,8 +158,8 @@ def test_n9_sidelobes_near_half_pi_on_db_scale():
     assert oracles.value_at(pdf, -np.pi) > 1e-4
     assert abs(oracles.value_at(pdf, 0.0) - oracles.value_at(pdf, -np.pi)) < 1e-6
     db = db_view(pdf)
-    assert db[pdf.phi.size // 2] > 25.0
-    assert len(oracles.local_maxima(pdf.density)) == 2
+    assert db[pdf.size // 2] > 25.0
+    assert len(oracles.local_maxima(pdf)) == 2
 
 
 def test_snapshot_gaps_reported_as_none():

@@ -20,7 +20,7 @@ from relphase import (
     snapshot_pdf,
     snapshot_sweep,
 )
-from relphase.phase import angular_grid
+from relphase.fock import angular_grid
 from relphase.pom import DEFAULT_KT, time_grid
 from relphase.polarization import XCoherent, to_circular
 
@@ -69,26 +69,26 @@ def test_marginal_matches_direct_oracle():
     for _ in range(10):
         amp = oracles.random_two_amp(rng, 6)
         pdf = marginal_pdf(two_mode(amp, 6), 128)
-        want = oracles.direct_marginal(oracles.jm_map(amp), pdf.phi)
-        assert np.abs(pdf.density - want).max() < 1e-12
+        want = oracles.direct_marginal(oracles.jm_map(amp), angular_grid(pdf.size))
+        assert np.abs(pdf - want).max() < 1e-12
 
 
 def test_marginal_vacuum_uniform():
     pdf = marginal_pdf(two_mode({(0, 0): 1.0}, 0), 64)
-    assert np.allclose(pdf.density, 1 / (2 * np.pi))
+    assert np.allclose(pdf, 1 / (2 * np.pi))
 
 
 def test_marginal_of_superposition_peaks_both_ends():
     pdf = marginal_pdf(eq67_state(), 512)
     mid = oracles.value_at(pdf, 0.0)
     edge = oracles.value_at(pdf, -np.pi)
-    interior_min = pdf.density.min()
+    interior_min = pdf.min()
     assert mid > 10 * interior_min
     assert edge > 10 * interior_min
     # both branch squares peak at both ends
-    k = pdf.phi.size
-    assert pdf.density[k // 2] == pdf.density.max()
-    assert pdf.density[0] > pdf.density[k // 4]
+    k = pdf.size
+    assert pdf[k // 2] == pdf.max()
+    assert pdf[0] > pdf[k // 4]
 
 
 def test_single_j_snapshot_equals_marginal_everywhere():
@@ -97,7 +97,7 @@ def test_single_j_snapshot_equals_marginal_everywhere():
     pm = marginal_pdf(state, 128)
     for t in (0.0, 0.7, 2.9):
         ps = snapshot_pdf(state, t, 128)
-        assert np.abs(ps.density - pm.density).max() < 1e-12
+        assert np.abs(ps - pm).max() < 1e-12
         assert abs(conditioning_probability(state, t) - 1.0) < 1e-12
 
 
@@ -126,15 +126,15 @@ def test_snapshot_matches_direct_oracle():
         t = float(rng.uniform(-math.pi, math.pi))
         got = snapshot_pdf(state, t, 128)
         want = oracles.direct_snapshot(oracles.jm_map(amp), t, phis)
-        assert np.abs(got.density - want).max() < 1e-11
+        assert np.abs(got - want).max() < 1e-11
 
 
 def test_snapshot_and_marginal_normalized():
     rng = np.random.default_rng(3)
     for _ in range(20):
         state = random_state(rng, 8)
-        assert abs(marginal_pdf(state, 64).integral() - 1.0) < 1e-8
-        assert abs(snapshot_pdf(state, 0.3, 64).integral() - 1.0) < 1e-8
+        assert abs(oracles.integral(marginal_pdf(state, 64)) - 1.0) < 1e-8
+        assert abs(oracles.integral(snapshot_pdf(state, 0.3, 64)) - 1.0) < 1e-8
 
 
 def test_mixture_identity():
@@ -148,9 +148,9 @@ def test_mixture_identity():
         acc = np.zeros(k)
         for t in ts:
             c = conditioning_probability(state, float(t))
-            acc += c * snapshot_pdf(state, float(t), k).density
+            acc += c * snapshot_pdf(state, float(t), k)
         mixture = acc / k_t
-        want = marginal_pdf(state, k).density
+        want = marginal_pdf(state, k)
         assert np.abs(mixture - want).max() < 1e-8
 
 
@@ -161,18 +161,18 @@ def test_hprime_snapshot_equals_generalized_pdf():
         state = two_mode(amp, 7)
         snap = snapshot_pdf(state, 0.0, 128)
         gen = generalized_phase_pdf(state, 128)
-        assert np.abs(snap.density - gen.density).max() < 1e-10
+        assert np.abs(snap - gen).max() < 1e-10
 
 
 def test_absolute_time_pdf_single_branch_uniform():
     pdf = absolute_time_pdf(two_mode(oracles.xnumber_amp(2), 2), 64)
-    assert np.allclose(pdf.density, 1 / (2 * np.pi))
+    assert np.allclose(pdf, 1 / (2 * np.pi))
 
 
 def test_absolute_time_pdf_two_branch_interference():
     pdf = absolute_time_pdf(two_mode(SHARED_M, 2), 64)
-    want = (1 + np.cos(2 * pdf.phi)) / (2 * np.pi)
-    assert np.abs(pdf.density - want).max() < 1e-12
+    want = (1 + np.cos(2 * angular_grid(pdf.size))) / (2 * np.pi)
+    assert np.abs(pdf - want).max() < 1e-12
 
 
 def test_absolute_time_pdf_normalized_and_matches_c():
@@ -180,10 +180,10 @@ def test_absolute_time_pdf_normalized_and_matches_c():
     for _ in range(10):
         state = random_state(rng, 7)
         pdf = absolute_time_pdf(state)
-        assert abs(pdf.integral() - 1.0) < 1e-8
+        assert abs(oracles.integral(pdf) - 1.0) < 1e-8
         for idx in (0, 5, 11):
-            t = float(pdf.phi[idx])
-            assert abs(pdf.density[idx] - conditioning_probability(state, t) / (2 * np.pi)) < 1e-12
+            t = float(angular_grid(pdf.size)[idx])
+            assert abs(pdf[idx] - conditioning_probability(state, t) / (2 * np.pi)) < 1e-12
 
 
 @pytest.mark.parametrize("convention", [PHOTONIC, FERMIONIC])
@@ -196,20 +196,20 @@ def test_one_time_has_the_bits_of_the_same_time_on_a_grid(convention):
     state = TwoModeState.from_cells(coh.ns[even], coh.na[even], coh.values[even], coh.n_max, convention)
     times = np.linspace(0.0, math.pi, 17)
     for t, pdf in zip(times.tolist(), snapshot_sweep(state, times, 128)):
-        assert np.array_equal(snapshot_pdf(state, t, 128).density, pdf.density)
+        assert np.array_equal(snapshot_pdf(state, t, 128), pdf)
     pdf = absolute_time_pdf(state)
-    one_by_one = [conditioning_probability(state, t) / (2 * np.pi) for t in pdf.phi.tolist()]
-    assert one_by_one == pdf.density.tolist()
+    one_by_one = [conditioning_probability(state, t) / (2 * np.pi) for t in angular_grid(pdf.size)]
+    assert one_by_one == pdf.tolist()
     assert snapshot_sweep(state, [], 128) == []
 
 
 def test_default_time_grid_is_the_larger_of_256_and_the_state_size():
     # the default is a display default, max(256, 4 (j_max + 1)); exact grids need j_max - j_min + 1
     small = two_mode(oracles.xnumber_amp(2), 2)  # j = 2 alone: exact from 1 time
-    assert absolute_time_pdf(small).phi.size == time_grid(small) == DEFAULT_KT == 256
+    assert absolute_time_pdf(small).size == time_grid(small) == DEFAULT_KT == 256
     assert time_grid_size(small) == 1
     large = to_circular(XCoherent(100.0))  # j = 0..178: exact from 179 times, displayed on 716
-    assert absolute_time_pdf(large).phi.size == time_grid(large) == 716
+    assert absolute_time_pdf(large).size == time_grid(large) == 716
     assert time_grid_size(large) == time_grid(large, 179) == 179
     assert time_grid(large, 800) == 800
     with pytest.raises(AliasingError, match="time grid 178 is below the exact-quadrature size 179"):
@@ -222,9 +222,9 @@ def test_fermionic_branches_and_time_density():
     amp = oracles.random_two_amp(rng, 5)
     state = two_mode(amp, 5, FERMIONIC)
     assert any(jm_labels(*key, FERMIONIC)[0] % 1 for key in amp)  # genuinely half-integer
-    assert abs(marginal_pdf(state, 64).integral() - 1.0) < 1e-10
+    assert abs(oracles.integral(marginal_pdf(state, 64)) - 1.0) < 1e-10
     pdf = absolute_time_pdf(state)
-    assert abs(pdf.integral() - 1.0) < 1e-8
+    assert abs(oracles.integral(pdf) - 1.0) < 1e-8
 
 
 def test_fermionic_snapshot_needs_single_m_lattice():
@@ -238,7 +238,7 @@ def test_fermionic_snapshot_needs_single_m_lattice():
     norm = math.sqrt(sum(abs(v) ** 2 for v in amp.values()))
     amp = {k: v / norm for k, v in amp.items()}
     odd = two_mode(amp, 6, FERMIONIC)
-    assert abs(snapshot_pdf(odd, 0.9, 64).integral() - 1.0) < 1e-10
+    assert abs(oracles.integral(snapshot_pdf(odd, 0.9, 64)) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("kernel", [marginal_pdf, branch_wavefunctions])

@@ -98,7 +98,7 @@ def test_branch_wavefunctions_and_marginal_match_oracle(state, convention):
     for j, values in want.items():
         assert np.abs(branches[j] - values).max() < 1e-12
     marginal = marginal_pdf(state, k)
-    assert np.abs(marginal.density - oracles.direct_marginal(jm, marginal.phi)).max() < 1e-12
+    assert np.abs(marginal - oracles.direct_marginal(jm, angular_grid(marginal.size))).max() < 1e-12
 
 
 @given(one_lattice_sweeps(), st.sampled_from([8, 9, 16]))
@@ -113,7 +113,7 @@ def test_snapshot_sweep_matches_oracle_with_gaps(sweep, k):
         if pdf is not None:
             want = oracles.direct_snapshot(amps, t, phis)
             # densities stay O(1); the round-off of b grows like 1/sqrt(C)
-            assert np.abs(pdf.density - want).max() < 1e-11 / math.sqrt(c)
+            assert np.abs(pdf - want).max() < 1e-11 / math.sqrt(c)
 
 
 @given(two_mode_states(), conventions, st.integers(0, 5))
@@ -122,8 +122,8 @@ def test_absolute_time_pdf_matches_oracle(state, convention, extra):
     k_t = time_grid_size(state) + extra
     pdf = absolute_time_pdf(state, k_t)
     amps = oracles.jm_map(oracles.state_dict(state), photonic=convention is PHOTONIC)
-    want = [oracles.direct_C(amps, t) / (2 * np.pi) for t in pdf.phi]
-    assert np.abs(pdf.density - want).max() < 1e-12
+    want = [oracles.direct_C(amps, t) / (2 * np.pi) for t in angular_grid(pdf.size)]
+    assert np.abs(pdf - want).max() < 1e-12
 
 
 @given(st.data(), st.booleans(), st.sampled_from([None, 0, 1, 5]))
@@ -134,12 +134,12 @@ def test_time_average_of_weighted_snapshots_is_the_marginal(data, gap, extra):
     state = data.draw(two_mode_states(gap=gap))
     k = 16
     times = absolute_time_pdf(state, None if extra is None else time_grid_size(state) + extra)
-    slices = snapshot_sweep(state, times.phi, k)
+    slices = snapshot_sweep(state, angular_grid(times.size), k)
     assert slices[0] is None or not gap
-    weighted = [2 * np.pi * c * pdf.density for c, pdf in zip(times.density, slices)
+    weighted = [2 * np.pi * c * pdf for c, pdf in zip(times, slices)
                 if pdf is not None]
-    average = sum(weighted) / times.phi.size
-    assert np.abs(average - marginal_pdf(state, k).density).max() < 1e-10
+    average = sum(weighted) / times.size
+    assert np.abs(average - marginal_pdf(state, k)).max() < 1e-10
 
 
 
@@ -148,7 +148,7 @@ def test_time_density_integrates_to_one_on_the_exact_time_grid(state, convention
     """On time_grid_size times the mean of C(t) is exact, mixed m included: C adds
     |.|^2 over m columns, and within one column j - j' is an integer."""
     state = TwoModeState(state.ns, state.na, state.values, state.n_max, convention)
-    assert abs(absolute_time_pdf(state, time_grid_size(state)).integral() - 1.0) < 1e-12
+    assert abs(oracles.integral(absolute_time_pdf(state, time_grid_size(state))) - 1.0) < 1e-12
 
 
 @given(one_lattice_sweeps())
@@ -158,12 +158,12 @@ def test_mixture_identity_holds_on_the_exact_time_grid(sweep):
     amps, convention, _ = sweep
     state, k = occupation_state(amps, convention), 16
     times = absolute_time_pdf(state, time_grid_size(state))
-    assert abs(times.integral() - 1.0) < 1e-12
-    slices = snapshot_sweep(state, times.phi, k)
-    weighted = [2 * np.pi * c * pdf.density for c, pdf in zip(times.density, slices)
+    assert abs(oracles.integral(times) - 1.0) < 1e-12
+    slices = snapshot_sweep(state, angular_grid(times.size), k)
+    weighted = [2 * np.pi * c * pdf for c, pdf in zip(times, slices)
                 if pdf is not None]
-    average = sum(weighted) / times.phi.size
-    assert np.abs(average - marginal_pdf(state, k).density).max() < 1e-12
+    average = sum(weighted) / times.size
+    assert np.abs(average - marginal_pdf(state, k)).max() < 1e-12
 
 
 # occupations (n_s, n_a) with n_s + n_a up to 200: j_max reaches past 63, where the default
@@ -191,7 +191,7 @@ def test_one_time_below_time_grid_size_misses_the_integral():
     r = 1 / math.sqrt(2)
     state = TwoModeState(*oracles.cells({(0, 0): r, (1, 1): r}), 2)
     assert time_grid_size(state) == 3
-    assert abs(absolute_time_pdf(state, 3).integral() - 1.0) < 1e-12
+    assert abs(oracles.integral(absolute_time_pdf(state, 3)) - 1.0) < 1e-12
     assert abs(np.mean([conditioning_probability(state, t) for t in angular_grid(2)]) - 2.0) < 1e-12
     with pytest.raises(AliasingError, match="time grid 2 is below the exact-quadrature size 3"):
         absolute_time_pdf(state, 2)
@@ -220,7 +220,7 @@ def assert_blocked_sweep_is_the_whole_array_sweep(state, times, k, rows):
     with blocks_of(rows, k):
         slices = snapshot_sweep(state, times, k)
     assert type(slices) is list and [pdf is not None for pdf in slices] == live.tolist()
-    got = np.array([pdf.density for pdf in slices if pdf is not None]).reshape(whole.shape)
+    got = np.array([pdf for pdf in slices if pdf is not None]).reshape(whole.shape)
     assert got.tobytes() == whole.tobytes()
 
 
@@ -249,7 +249,7 @@ def test_blocked_sweep_is_bytewise_one_whole_array_evaluation_around_a_mid_grid_
 
 def time_shift_gap(state):
     """C(t + pi) against C(t) on the default time grid, which is even, so t + pi is on it."""
-    c = absolute_time_pdf(state).density
+    c = absolute_time_pdf(state)
     return np.abs(np.roll(c, c.size // 2) - c).max() / c.max()
 
 
@@ -258,12 +258,12 @@ def snapshot_shift_gap(state, t, k):
     now, later = snapshot_sweep(state, [t, t + math.pi], k)
     if now is None and later is None:  # C(t) = C(t + pi) below C_MIN: both are gaps
         return 0.0
-    return np.abs(later.density - np.roll(now.density, -k // 2)).max() / now.density.max()
+    return np.abs(later - np.roll(now, -k // 2)).max() / now.max()
 
 
 def marginal_shift_gap(state, k):
     """P_M(phi + pi) against P_M(phi) on the even K-point grid."""
-    p = marginal_pdf(state, k).density
+    p = marginal_pdf(state, k)
     return np.abs(np.roll(p, k // 2) - p).max() / p.max()
 
 

@@ -1,16 +1,23 @@
-"""The sampled result types hold only their samples: each grid is fock's angular_grid
-of the sample count, read-only and built once per result. Every value type holds a
-read-only copy of its input, so the caller's array stays writable and theirs. Amplitude
-samples are no value type: they are read-only arrays on angular_grid(K)."""
+"""Every distribution is a read-only float64 array whose grid is fock's angular_grid of its
+size: phase_pdf, generalized_phase_pdf, marginal_pdf, snapshot_pdf, absolute_time_pdf, each
+live slice of snapshot_sweep and pb_pmf's masses (s = masses.size - 1). No value type wraps
+them: a state is the only validated value type, and it holds a read-only copy of its input,
+so the caller's array stays writable and theirs. Amplitude samples are read-only arrays too.
+
+A distribution is fixed once its state is: its finiteness, sign and unit total follow from
+the state's, and the hypothesis property below checks them on random states."""
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from relphase import (
-    AngularPdf,
-    DiscretePhasePmf,
+    PrimitiveConvention,
+    RelphaseError,
     SingleModeState,
     TwoModeState,
     XSuperposition,
@@ -25,54 +32,39 @@ from relphase import (
     phase_wavefunction,
     single_to_two_mode,
     snapshot_pdf,
+    snapshot_sweep,
     to_circular,
 )
 from relphase.pegg_barnett import kolmogorov_distance
 
-# each type with a valid 4-sample input (the 2-d and empty cases reshape it)
-BUILDERS = {
-    "AngularPdf": (AngularPdf, np.full(4, 1 / (2 * np.pi))),
-    "DiscretePhasePmf": (DiscretePhasePmf, np.full(4, 0.25)),
-}
-
-
-@pytest.mark.parametrize("name", BUILDERS)
-@pytest.mark.parametrize("shape", ["2-d", "empty"])
-def test_samples_must_be_a_non_empty_1d_array(name, shape):
-    build, unit = BUILDERS[name]
-    build(unit)  # the 1-d samples are accepted
-    bad = np.tile(unit, (2, 1)) if shape == "2-d" else unit[:0]
-    with pytest.raises(ValueError, match="must be a non-empty 1-d sequence"):
-        build(bad)
-
-
-# the value types that hold input arrays: the sampled results and the two states
+# the value types that hold input arrays: the two states
 OWNERS = {
-    **BUILDERS,
     "SingleModeState": (SingleModeState, np.array([0.6, 0.8j])),
     "TwoModeState": (lambda values: TwoModeState([0, 1], [0, 0], values, 1), np.array([0.6, 0.8j])),
 }
 
 
 @pytest.mark.parametrize("name", OWNERS)
+@pytest.mark.parametrize("shape", ["2-d", "empty"])
+def test_samples_must_be_a_non_empty_1d_array(name, shape):
+    build, unit = OWNERS[name]
+    build(unit)  # the 1-d samples are accepted
+    bad = np.tile(unit, (2, 1)) if shape == "2-d" else unit[:0]
+    with pytest.raises(ValueError, match="must be a non-empty 1-d sequence"):
+        build(bad)
+
+
+@pytest.mark.parametrize("name", OWNERS)
 def test_each_value_type_holds_a_copy_and_leaves_the_callers_array_writable(name):
     build, unit = OWNERS[name]
-    given = unit.copy()
-    result = build(given)
+    caller = unit.copy()
+    result = build(caller)
     fields = [f.name for f in dataclasses.fields(result)]
     held = getattr(result, "values" if "values" in fields else fields[0])  # a two-mode state's values
-    assert given.flags.writeable and not held.flags.writeable
+    assert caller.flags.writeable and not held.flags.writeable
     kept = held.tobytes()
-    given *= 2  # the caller's array is theirs to change
-    assert held.tobytes() == kept and given.tobytes() != kept
-
-
-@pytest.mark.parametrize("cls, fields", [
-    (AngularPdf, ["density"]),
-    (DiscretePhasePmf, ["masses"]),
-])
-def test_no_result_type_stores_a_grid(cls, fields):
-    assert [f.name for f in dataclasses.fields(cls)] == fields
+    caller *= 2  # the caller's array is theirs to change
+    assert held.tobytes() == kept and caller.tobytes() != kept
 
 
 STATE = SingleModeState.from_amplitudes([1.0, 0.5j, -0.25])
@@ -80,20 +72,27 @@ TWO_MODE = to_circular(XSuperposition(((1, 1.0), (2, 0.5))))
 K = 16
 
 
-@pytest.mark.parametrize("produce, grid, samples", [
-    (lambda: phase_pdf(STATE, K), "phi", "density"),
-    (lambda: generalized_phase_pdf(single_to_two_mode(STATE), K), "phi", "density"),
-    (lambda: marginal_pdf(TWO_MODE, K), "phi", "density"),
-    (lambda: snapshot_pdf(TWO_MODE, 0.3, K), "phi", "density"),
-    (lambda: absolute_time_pdf(TWO_MODE, 40), "phi", "density"),
-    (lambda: pb_pmf(STATE, 6), "theta", "masses"),
+@pytest.mark.parametrize("produce, size", [
+    (lambda: phase_pdf(STATE, K), K),
+    (lambda: generalized_phase_pdf(single_to_two_mode(STATE), K), K),
+    (lambda: marginal_pdf(TWO_MODE, K), K),
+    (lambda: snapshot_pdf(TWO_MODE, 0.3, K), K),
+    (lambda: absolute_time_pdf(TWO_MODE, 40), 40),
+    (lambda: pb_pmf(STATE, 6), 7),
 ])
-def test_each_producers_grid_is_angular_grid_of_its_sample_count(produce, grid, samples):
+def test_each_producer_returns_a_read_only_float_array_of_its_grid_size(produce, size):
     result = produce()
-    count = getattr(result, samples).size
-    got = getattr(result, grid)
-    assert got.dtype == float and got.tobytes() == angular_grid(count).tobytes()
-    assert getattr(result, grid) is got and not got.flags.writeable
+    assert type(result) is np.ndarray and result.dtype == np.float64 and result.shape == (size,)
+    assert not result.flags.writeable
+
+
+def test_live_sweep_slices_are_read_only_rows_of_one_block_and_gaps_are_none():
+    gap = TwoModeState.from_cells([0, 1], [0, 1], [1.0, 1.0], 2)  # C(pi/2) = 0
+    slices = snapshot_sweep(gap, [0.0, math.pi / 2, 1.0], K)
+    assert slices[1] is None and sum(pdf is None for pdf in slices) == 1
+    live = [slices[0], slices[2]]
+    assert all(pdf.shape == (K,) and not pdf.flags.writeable for pdf in live)
+    assert live[0].base is not None and live[0].base is live[1].base  # no copy per slice
 
 
 def test_amplitude_samples_are_read_only_complex_arrays_of_k_samples():
@@ -110,14 +109,13 @@ def test_amplitude_samples_are_read_only_complex_arrays_of_k_samples():
 
 def test_pb_pmf_s_is_its_truncation():
     for s in (2, 6, 31):
-        pmf = pb_pmf(STATE, s)
-        assert pmf.s == s and pmf.theta.size == pmf.masses.size == s + 1
+        assert pb_pmf(STATE, s).size == s + 1
 
 
 def test_uniform_masses_sit_on_the_grid_for_the_distance():
     # four equal masses at -pi, -pi/2, 0, pi/2 against |1>'s flat density: steps of 1/4
-    pmf = DiscretePhasePmf([0.25] * 4)
-    assert math.isclose(kolmogorov_distance(pmf, make_number_state(1, 1)), 0.25, abs_tol=1e-15)
+    masses = np.full(4, 0.25)
+    assert math.isclose(kolmogorov_distance(masses, make_number_state(1, 1)), 0.25, abs_tol=1e-15)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 1000, 1024, 4097, 100003])
@@ -127,19 +125,49 @@ def test_angular_grid_is_read_only_with_the_bits_of_the_written_formula(k):
     assert grid.tobytes() == (-np.pi + 2.0 * np.pi * np.arange(k) / k).tobytes()
 
 
-# each type's refusal of a sample that is nan, inf or -inf
-NON_FINITE = {
-    "AngularPdf": "densities must be finite and non-negative",
-    "DiscretePhasePmf": "masses must be finite and non-negative",
-}
+# --- every producer on random states --------------------------------------------------------
+
+parts = st.floats(-1.0, 1.0, allow_nan=False)
+amplitudes = st.builds(complex, parts, parts)
 
 
-@pytest.mark.parametrize("name", BUILDERS)
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_each_sampled_type_refuses_a_non_finite_sample(name, bad):
-    build, unit = BUILDERS[name]
-    samples = unit.copy()
-    samples[0] = bad
-    with pytest.raises(ValueError) as err:
-        build(samples)
-    assert str(err.value) == NON_FINITE[name]
+@st.composite
+def single_states(draw):
+    """A unit state of n_max <= 12 with at least one amplitude of magnitude 1e-3 or more."""
+    amps = draw(st.lists(amplitudes, min_size=1, max_size=13))
+    if max(abs(a) for a in amps) < 1e-3:
+        amps[draw(st.integers(0, len(amps) - 1))] = 1.0
+    return SingleModeState.from_amplitudes(amps)
+
+
+@st.composite
+def two_mode_states(draw):
+    """A unit state on up to 8 cells of the n_max <= 5 simplex, in either convention."""
+    n_max = draw(st.integers(0, 5))
+    cells = st.tuples(st.integers(0, n_max), st.integers(0, n_max)).filter(lambda c: sum(c) <= n_max)
+    amps = draw(st.dictionaries(cells, amplitudes, min_size=1, max_size=8))
+    if max(abs(a) for a in amps.values()) < 1e-3:
+        amps[next(iter(amps))] = 1.0
+    ns, na = (np.array(x, dtype=int) for x in zip(*sorted(amps)))
+    values = [amps[cell] for cell in sorted(amps)]
+    convention = draw(st.sampled_from(list(PrimitiveConvention)))
+    return TwoModeState.from_cells(ns, na, values, n_max, convention)
+
+
+@given(single_states(), two_mode_states(), st.integers(0, 6),
+       st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4))
+def test_every_producer_returns_a_checked_read_only_array(single, two, extra, times):
+    k = 2 * int(single.ns[-1]) + 1 + extra  # above 2 max n
+    oracles.check_density(phase_pdf(single, k))
+    oracles.check_density(generalized_phase_pdf(single_to_two_mode(single), k))
+    oracles.check_masses(pb_pmf(single, int(single.ns[0]) + extra))
+    k = 4 * two.n_max + 4 + extra  # above 2 max|m| in either convention
+    oracles.check_density(marginal_pdf(two, k))
+    oracles.check_density(absolute_time_pdf(two))
+    for kernel in (lambda: snapshot_sweep(two, times, k), lambda: [snapshot_pdf(two, times[0], k)],
+                   lambda: [generalized_phase_pdf(two, k)]):
+        try:
+            pdfs = kernel()
+        except RelphaseError:  # a gap time, m lattices mixed, or both modes excited
+            continue
+        assert all(pdf is None or oracles.check_density(pdf) for pdf in pdfs)

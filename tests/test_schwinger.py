@@ -150,8 +150,8 @@ def test_rotation_shifts_angle_distribution():
     k = 128
     steps = 9
     theta = steps * 2 * np.pi / k
-    base = marginal_pdf(state, k).density
-    moved = marginal_pdf(rotate_z(state, theta), k).density
+    base = marginal_pdf(state, k)
+    moved = marginal_pdf(rotate_z(state, theta), k)
     assert np.abs(moved - np.roll(base, -steps)).max() < 1e-12
 
 

@@ -1,6 +1,6 @@
 """A state is a finite unit vector by construction, so every kernel that takes one returns
-finite output that passes its own type's check; amplitude samples, which are arrays, meet
-what such a check would ask: one sample count, finite, and of unit total norm.
+finite output: each distribution is a read-only array that is finite, non-negative and of
+unit total, and amplitude samples have one sample count, are finite and of unit total norm.
 
 The constructors refuse, with one ValueError line, amplitudes whose squared norm is off 1 by
 more than 1e-10: nan, +-inf, zero and off-unit arrays alike. The hypothesis property below
@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relphase import (AngularPdf, DiscretePhasePmf, PrimitiveConvention, RelphaseError, SingleModeState,
-                      TwoModeState, absolute_time_pdf, apply_jminus, apply_jplus, apply_jz,
+import oracles
+from relphase import (PrimitiveConvention, RelphaseError, SingleModeState, TwoModeState,
+                      absolute_time_pdf, angular_grid, apply_jminus, apply_jplus, apply_jz,
                       branch_wavefunctions, conditioning_probability, generalized_phase_pdf,
                       heterodyne_moments, marginal_pdf, pb_convergence, pb_pmf, phase_cdf, phase_pdf,
                       phase_wavefunction, rotate_z, single_to_two_mode, snapshot_pdf, snapshot_sweep,
@@ -121,12 +122,12 @@ def test_every_single_mode_kernel_gives_finite_checked_output(amps):
         return
     psi = phase_wavefunction(state, K)
     assert psi.shape == (K,) and finite(psi) and abs(np.mean(np.abs(psi) ** 2) - 1.0) <= 1e-10
-    AngularPdf(phase_pdf(state, K).density)
-    pmf = pb_pmf(state, state.n_max)
-    DiscretePhasePmf(pmf.masses)
-    cdf = phase_cdf(state, pmf.theta)
+    oracles.check_density(phase_pdf(state, K))
+    masses = pb_pmf(state, state.n_max)
+    oracles.check_masses(masses)
+    cdf = phase_cdf(state, angular_grid(masses.size))
     assert finite(cdf) and abs(phase_cdf(state, np.array([np.pi]))[0] - 1.0) < 1e-10
-    assert finite(kolmogorov_distance(pmf, state), pb_convergence(state, [state.n_max, 8]))
+    assert finite(kolmogorov_distance(masses, state), pb_convergence(state, [state.n_max, 8]))
     for moments in (heterodyne_moments(state), y_moments(state)):
         assert finite(list(moments.values()))
     assert 0.0 <= y_moments(state)["vac_prob"] <= 1.0 + 1e-10
@@ -140,11 +141,11 @@ def test_every_two_mode_kernel_gives_finite_checked_output(amps, convention):
     if state is None:
         assert not unit(amps)
         return
-    AngularPdf(marginal_pdf(state, K).density)
+    oracles.check_density(marginal_pdf(state, K))
     rows = np.array(list(branch_wavefunctions(state, K).values()))
     assert rows.shape[1:] == (K,) and finite(rows)
     assert abs(math.fsum(np.mean(np.abs(rows) ** 2, axis=1)) - 1.0) <= 1e-10  # the branch norms
-    assert finite(time_grid(state), absolute_time_pdf(state).density)
+    assert finite(time_grid(state)) and oracles.check_density(absolute_time_pdf(state))
     c = conditioning_probability(state, 0.3)
     assert finite(c) and c >= 0.0
     for kernel in (lambda: snapshot_sweep(state, [0.0, 0.3], K), lambda: [snapshot_pdf(state, 0.3, K)],
@@ -154,7 +155,7 @@ def test_every_two_mode_kernel_gives_finite_checked_output(amps, convention):
         except RelphaseError:  # a gap time, m lattices mixed, or both modes excited
             continue
         for pdf in pdfs:
-            assert pdf is None or AngularPdf(pdf.density)
+            assert pdf is None or oracles.check_density(pdf)
     assert finite(apply_jz(state), apply_jplus(state), apply_jminus(state))
     assert rotate_z(state, 0.7).convention is convention  # a state: its constructor checked it
     assert state_from_json(state_to_json(state)).n_max == state.n_max
@@ -165,8 +166,6 @@ def test_every_two_mode_kernel_gives_finite_checked_output(amps, convention):
 HOLDERS = {
     "SingleModeState": lambda: SingleModeState([1.0]),
     "TwoModeState": lambda: TwoModeState([0], [0], [1.0], 0),
-    "AngularPdf": lambda: AngularPdf(np.full(4, 1.0 / (2.0 * np.pi))),
-    "DiscretePhasePmf": lambda: DiscretePhasePmf(np.full(4, 0.25)),
 }
 
 
