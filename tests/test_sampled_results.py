@@ -78,6 +78,7 @@ K = 16
     (lambda: marginal_pdf(TWO_MODE, K), K),
     (lambda: snapshot_pdf(TWO_MODE, 0.3, K), K),
     (lambda: absolute_time_pdf(TWO_MODE, 40), 40),
+    (lambda: snapshot_sweep(TWO_MODE, [0.3], K)[0], K),
     (lambda: pb_pmf(STATE, 6), 7),
 ])
 def test_each_producer_returns_a_read_only_float_array_of_its_grid_size(produce, size):
@@ -154,20 +155,73 @@ def two_mode_states(draw):
     return TwoModeState.from_cells(ns, na, values, n_max, convention)
 
 
-@given(single_states(), two_mode_states(), st.integers(0, 6),
-       st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4))
-def test_every_producer_returns_a_checked_read_only_array(single, two, extra, times):
-    k = 2 * int(single.ns[-1]) + 1 + extra  # above 2 max n
-    oracles.check_density(phase_pdf(single, k))
-    oracles.check_density(generalized_phase_pdf(single_to_two_mode(single), k))
-    oracles.check_masses(pb_pmf(single, int(single.ns[0]) + extra))
-    k = 4 * two.n_max + 4 + extra  # above 2 max|m| in either convention
-    oracles.check_density(marginal_pdf(two, k))
-    oracles.check_density(absolute_time_pdf(two))
-    for kernel in (lambda: snapshot_sweep(two, times, k), lambda: [snapshot_pdf(two, times[0], k)],
-                   lambda: [generalized_phase_pdf(two, k)]):
-        try:
-            pdfs = kernel()
-        except RelphaseError:  # a gap time, m lattices mixed, or both modes excited
-            continue
-        assert all(pdf is None or oracles.check_density(pdf) for pdf in pdfs)
+def single_grid(single, extra):
+    return 2 * int(single.ns[-1]) + 1 + extra  # above 2 max n
+
+
+def two_grid(two, extra):
+    return 4 * two.n_max + 4 + extra  # above 2 max|m| in either convention
+
+
+# each producer on a drawn state: (its output, one array or a list with None at gap times; its check)
+PRODUCERS = {
+    "phase_pdf": lambda single, two, extra, times: (
+        phase_pdf(single, single_grid(single, extra)), oracles.check_density),
+    "generalized_phase_pdf-single": lambda single, two, extra, times: (
+        generalized_phase_pdf(single_to_two_mode(single), single_grid(single, extra)),
+        oracles.check_density),
+    "pb_pmf": lambda single, two, extra, times: (
+        pb_pmf(single, int(single.ns[0]) + extra), oracles.check_masses),
+    "marginal_pdf": lambda single, two, extra, times: (
+        marginal_pdf(two, two_grid(two, extra)), oracles.check_density),
+    "absolute_time_pdf": lambda single, two, extra, times: (
+        absolute_time_pdf(two), oracles.check_density),
+    "snapshot_sweep": lambda single, two, extra, times: (
+        snapshot_sweep(two, times, two_grid(two, extra)), oracles.check_density),
+    "snapshot_pdf": lambda single, two, extra, times: (
+        snapshot_pdf(two, times[0], two_grid(two, extra)), oracles.check_density),
+    "generalized_phase_pdf-two": lambda single, two, extra, times: (
+        generalized_phase_pdf(two, two_grid(two, extra)), oracles.check_density),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCERS)
+@given(single=single_states(), two=two_mode_states(), extra=st.integers(0, 6),
+       times=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4))
+def test_every_producer_returns_a_checked_read_only_array(name, single, two, extra, times):
+    try:
+        result, check = PRODUCERS[name](single, two, extra, times)
+    except RelphaseError:  # a gap time, m lattices mixed, or both modes excited
+        return
+    assert all(pdf is None or check(pdf) for pdf in (result if isinstance(result, list) else [result]))
+
+
+UNIFORM = {  # a sample each check accepts, and the bound on its total that it was given
+    "check_density": (oracles.check_density, np.full(8, 1.0 / (2.0 * np.pi)), 1e-8),
+    "check_masses": (oracles.check_masses, np.full(8, 1.0 / 8.0), 1e-10),
+}
+DEFECTS = {
+    "nan": lambda x, bound: x.__setitem__(3, np.nan),
+    "inf": lambda x, bound: x.__setitem__(3, np.inf),
+    "-inf": lambda x, bound: x.__setitem__(3, -np.inf),
+    "negative": lambda x, bound: x.__setitem__(3, -1e-300),
+    "off-unit": lambda x, bound: x.__imul__(1.0 + 2.0 * bound),
+    "writable": None,
+}
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+@pytest.mark.parametrize("name", UNIFORM)
+def test_each_retired_check_refuses_what_its_value_type_refused(name, defect):
+    """The oracle checks carry the retired types' refusals: a property over them shows
+    something only if each defect is refused."""
+    check, sample, bound = UNIFORM[name]
+    sample = sample.copy()
+    sample.flags.writeable = False
+    assert check(sample)
+    sample.flags.writeable = True
+    if DEFECTS[defect] is not None:
+        DEFECTS[defect](sample, bound)
+        sample.flags.writeable = False
+    with pytest.raises(AssertionError):
+        check(sample)
