@@ -29,11 +29,7 @@ _EXPORTS = {
         "state_from_json",
         "state_to_json",
     ),
-    "naimark": (
-        "generalized_phase_pdf",
-        "heterodyne_moments",
-        "y_moments",
-    ),
+    "naimark": ("heterodyne_moments", "y_moments"),
     "pegg_barnett": ("pb_convergence", "pb_pmf", "phase_cdf"),
     "phase": ("phase_pdf", "phase_wavefunction"),
     "polarization": (

@@ -208,11 +208,12 @@ def cmd_sweep(args) -> int:
     state = parse_pol_spec(args.pol, args.n_max, args.tail_tol)
     times = np.linspace(0.0, np.pi, time_grid(state, args.kt))
     slices = snapshot_sweep(state, times, args.k)
-    if gaps := sum(pdf is None for pdf in slices):  # list.count(None) compares arrays to None
+    live = [(t, pdf) for t, pdf in zip(times.tolist(), slices) if pdf is not None]
+    if gaps := len(slices) - len(live):
         print(f"skipped {gaps} time(s) of vanishing conditioning probability", file=sys.stderr)
-    phi = angular_grid(args.k)  # one grid for every slice: the table formats its column once
-    live = [((t,), phi, pdf) for t, pdf in zip(times.tolist(), slices) if pdf is not None]
-    _write_table(args, ("t", "phi", "density"), live)
+    # one grid, of the kernel's size, for every slice: the table formats its column once
+    phi = angular_grid(live[0][1].size) if live else None
+    _write_table(args, ("t", "phi", "density"), [((t,), phi, pdf) for t, pdf in live])
     return 0
 
 

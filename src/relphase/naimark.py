@@ -7,18 +7,12 @@ zero-point noise. The shift-operator extension does the analogue for the
 cosine/sine pair built from the one-sided lowering operator, with the
 inflation |psi_0|^2/4 carried by the vacuum amplitude, and its joint
 outcome has unit magnitude: second_Y1 + second_Y2 = 1.
-
-On the subspace where at most one mode is excited (n_s * n_a = 0) the
-extension acts as a two-sided shift, and the corresponding two-sided
-Fourier series gives the generalized phase density.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SupportError
-from .fock import (DEFAULT_GRID_SIZE, SingleModeState, TwoModeState, _read_only, check_grid,
-                   scatter_series)
+from .fock import SingleModeState
 
 
 def _ladder_expectations(state: SingleModeState) -> tuple[complex, complex, float]:
@@ -62,16 +56,3 @@ def y_moments(state: SingleModeState) -> dict[str, float]:
     return {"mean_Y1": s1.real, "mean_Y2": s1.imag, "second_Y1": second_Y1,
             "second_Y2": second_Y2, "vac_prob": vac}
 
-
-def generalized_phase_pdf(state: TwoModeState, k: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Two-sided phase density |sum_m psi_m e^{-i m phi}|^2 / 2pi of a shift-subspace state on
-    angular_grid(k), with m = n_s - n_a whatever the state's convention: m >= 0 reads psi_{m,0},
-    m < 0 reads psi_{0,-m}. Raises SupportError for amplitudes with both modes excited."""
-    if (both := state.ns * state.na != 0).any():
-        raise SupportError(f"state has support at (n_s, n_a) = ({state.ns[both][0]}, "
-                           f"{state.na[both][0]}); need n_s * n_a = 0")
-    m = state.ns - state.na
-    check_grid(k, m)
-    values = scatter_series((), k, (), m, state.values)
-    # off the both-excited cells, the coefficients are all of a unit state's amplitudes
-    return _read_only(np.abs(values) ** 2 / (2.0 * np.pi))

@@ -114,6 +114,9 @@ CASES = [
                                         "--s", "400,1000,2048", "--report", "pb.json", "--out", "pb.csv"]),
     # a gap sweep: C(pi/2) of (|0,0> + |1,1>)/sqrt(2) is 0, and stderr counts the skipped time
     ("sweep gap file kt 3", ["sweep", "--pol", "file:{inputs}/gap.json", "--kt", "3", "--k", "16"]),
+    # ... and C(0) of (|0,0> - |1,1>)/sqrt(2) is 0: every time is a gap, and the table is its header
+    ("sweep all-gap file kt 1", ["sweep", "--pol", "file:{inputs}/allgap.json", "--kt", "1",
+                                 "--k", "16"]),
 ]
 
 # cases whose outputs must match each other's in one tree, byte for byte
@@ -147,6 +150,8 @@ def write_inputs(inputs: Path) -> None:
     r = 1 / np.sqrt(2)
     (inputs / "gap.json").write_text(json.dumps({"kind": "two", "n_max": 2,
                                                  "amps": [[0, 0, r, 0], [1, 1, r, 0]]}))
+    (inputs / "allgap.json").write_text(json.dumps({"kind": "two", "n_max": 2,
+                                                    "amps": [[0, 0, r, 0], [1, 1, -r, 0]]}))
     (inputs / "zero.json").write_text('{"kind": "two", "n_max": 1, "amps": [[0, 0, 0.0, 0.0]]}')
     huge = "1" + "0" * 400
     (inputs / "huge1.json").write_text(f'{{"kind": "single", "n_max": 1, "amps": [[0, 0, {huge}, 0]]}}')

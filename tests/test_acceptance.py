@@ -22,12 +22,12 @@ from relphase import (
     branch_wavefunctions,
     commutator_residuals,
     conditioning_probability,
-    generalized_phase_pdf,
     heterodyne_moments,
     make_coherent_state,
     make_number_state,
     marginal_pdf,
     pb_convergence,
+    phase_pdf,
     phase_wavefunction,
     snapshot_pdf,
     to_circular,
@@ -216,7 +216,7 @@ def test_criterion_11_subspace_equivalence_and_normalization():
         amp = oracles.random_hprime_amp(rng, 9)
         state = TwoModeState(*oracles.cells(amp), 9)
         snap = snapshot_pdf(state, 0.0, 256)
-        gen = generalized_phase_pdf(state, 256)
+        gen = phase_pdf(state, 256)
         worst_equiv = max(worst_equiv, np.abs(snap - gen).max())
     for _ in range(20):
         psi = oracles.random_single(rng, 25)

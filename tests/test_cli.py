@@ -512,6 +512,16 @@ def test_grid_over_working_set_budget_is_exit_3(capsys, tmp_path, argv):
     assert "over the working-set budget of 67108864 cells" in err
 
 
+def test_an_all_gap_sweep_writes_its_header_alone_at_any_grid_size(capsys, tmp_path):
+    # C(0) of (|0,0> - |1,1>)/sqrt(2) is 0: no slice is live, so no K-point grid is built
+    path = tmp_path / "state.json"
+    path.write_text(state_to_json(TwoModeState(*oracles.cells({(0, 0): 1 / math.sqrt(2),
+                                                                (1, 1): -1 / math.sqrt(2)}), 2)))
+    code, out, err = run(capsys, "sweep", "--pol", f"file:{path}", "--kt", "1", "--k", HUGE)
+    assert (code, out) == (0, "t,phi,density\n")
+    assert err == "skipped 1 time(s) of vanishing conditioning probability\n"
+
+
 @pytest.mark.parametrize("spec", ["coh:inf", "coh:nan", "coh:-inf", "xcoh:inf", "xcoh:nan"])
 def test_non_finite_mean_is_exit_2(capsys, spec):
     command = "phase" if spec.startswith("coh") else "ellipse"

@@ -15,7 +15,6 @@ from relphase import (
     TwoModeState,
     TruncationError,
     absolute_time_pdf,
-    generalized_phase_pdf,
     jm_labels,
     make_coherent_state,
     make_number_state,
@@ -158,8 +157,8 @@ def test_evolution_shifts_generalized_phase_wavefunction(side):
     else:
         amp = {(0, n): vec[n] for n in range(6)}
     state = two_mode(amp, 6)
-    before = generalized_phase_pdf(state, k)
-    after = generalized_phase_pdf(evolved(state, tau), k)
+    before = phase_pdf(state, k)
+    after = phase_pdf(evolved(state, tau), k)
     shift = -steps if side == "s" else steps
     assert np.abs(after - np.roll(before, shift)).max() < 1e-10
 

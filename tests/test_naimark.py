@@ -9,11 +9,11 @@ from relphase import (
     SingleModeState,
     SupportError,
     TwoModeState,
-    generalized_phase_pdf,
     heterodyne_moments,
     make_coherent_state,
     make_number_state,
     phase_pdf,
+    single_to_two_mode,
     y_moments,
 )
 
@@ -124,13 +124,14 @@ def test_commutator_check_edge_state():
     assert commutator < 1e-12
 
 
-def test_generalized_pdf_reduces_to_single_mode():
+def test_phase_pdf_of_a_single_mode_embedding_is_the_single_modes_bit_for_bit():
     rng = np.random.default_rng(5)
     psi = oracles.random_single(rng, 9)
+    single = SingleModeState(psi)
     two = TwoModeState(*oracles.cells({(n, 0): psi[n] for n in range(10)}), 9)
-    got = generalized_phase_pdf(two, 128)
-    want = phase_pdf(SingleModeState(psi), 128)
-    assert np.array_equal(got, want)  # no renormalization of a unit state
+    want = phase_pdf(single, 128)
+    assert np.array_equal(phase_pdf(two, 128), want)  # no renormalization of a unit state
+    assert np.array_equal(phase_pdf(single_to_two_mode(single), 128), want)
 
 
 def test_generalized_pdf_flat_two_sided_is_dirichlet():
@@ -138,7 +139,7 @@ def test_generalized_pdf_flat_two_sided_is_dirichlet():
         count = 2 * m_range + 1
         amp = {(m, 0): 1 / math.sqrt(count) for m in range(m_range + 1)}
         amp.update({(0, m): 1 / math.sqrt(count) for m in range(1, m_range + 1)})
-        pdf = generalized_phase_pdf(TwoModeState(*oracles.cells(amp), m_range), 256)
+        pdf = phase_pdf(TwoModeState(*oracles.cells(amp), m_range), 256)
         assert abs(oracles.value_at(pdf, 0.0) - count / (2 * np.pi)) < 1e-10
 
 
@@ -148,13 +149,13 @@ def test_two_sided_peak_grows_without_single_mode_bound():
         count = 2 * m_range + 1
         amp = {(m, 0): 1 / math.sqrt(count) for m in range(m_range + 1)}
         amp.update({(0, m): 1 / math.sqrt(count) for m in range(1, m_range + 1)})
-        pdf = generalized_phase_pdf(TwoModeState(*oracles.cells(amp), m_range), 256)
+        pdf = phase_pdf(TwoModeState(*oracles.cells(amp), m_range), 256)
         peaks.append(pdf.max())
     assert all(a < b for a, b in zip(peaks, peaks[1:]))
 
 
 def test_one_auxiliary_photon_is_uniform():
-    pdf = generalized_phase_pdf(TwoModeState(*oracles.cells({(0, 1): 1.0}), 1), 64)
+    pdf = phase_pdf(TwoModeState(*oracles.cells({(0, 1): 1.0}), 1), 64)
     assert np.allclose(pdf, 1 / (2 * np.pi))
 
 
@@ -162,12 +163,12 @@ def test_two_sided_density_refuses_a_grid_that_aliases_its_largest_m():
     # |0,3> + |2,0> spans m = -3..2: K = 6 fits the span but aliases m = -3 onto m = 3
     state = TwoModeState([0, 2], [3, 0], np.array([1.0, 1.0]) / math.sqrt(2), 3)
     with pytest.raises(AliasingError, match="need K > 6"):
-        generalized_phase_pdf(state, 6)
-    assert generalized_phase_pdf(state, 7).size == 7
+        phase_pdf(state, 6)
+    assert phase_pdf(state, 7).size == 7
 
 
 def test_off_subspace_support_is_rejected():
     state = TwoModeState(*oracles.cells({(1, 1): 0.6, (1, 2): 0.48, (2, 1): 0.64}), 3)
     with pytest.raises(SupportError) as err:
-        generalized_phase_pdf(state, 64)
+        phase_pdf(state, 64)
     assert "(1, 1)" in str(err.value)  # the first such cell in (n_s, n_a) order

@@ -18,7 +18,7 @@ EXPORTS = """
 AliasingError ConditioningError RelphaseError SupportError TruncationError
 PrimitiveConvention SingleModeState TwoModeState jm_labels make_coherent_state
 make_number_state single_to_two_mode state_from_json state_to_json
-generalized_phase_pdf heterodyne_moments y_moments
+heterodyne_moments y_moments
 pb_convergence pb_pmf phase_cdf
 angular_grid phase_pdf phase_wavefunction
 LinearPolSpec XCoherent XNumber XSuperposition db_view to_circular

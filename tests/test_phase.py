@@ -3,11 +3,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from relphase import (
     AliasingError,
+    PrimitiveConvention,
     SingleModeState,
+    SupportError,
+    TwoModeState,
     make_coherent_state,
     make_number_state,
     phase_pdf,
@@ -169,3 +174,61 @@ def test_value_at_accepts_grid_angles_and_refuses_off_grid_ones_at_k_2_24():
         for off in (1e-6 * step, -1e-6 * step):
             with pytest.raises(ValueError, match="is not on the 16777216-point grid"):
                 oracles.value_at(density, float(phi[i]) + off)
+
+
+# --- the two-sided series of a shift-subspace state ------------------------------------------
+
+parts = st.floats(-1.0, 1.0, allow_nan=False)
+amplitudes = st.builds(complex, parts, parts)
+
+
+@st.composite
+def shift_subspace_cells(draw):
+    """{(n_s, n_a): amplitude} on cells (m, 0) and (0, m) of the n_max <= 12 simplex, with at
+    least one negative m = n_s - n_a, and that n_max."""
+    n_max = draw(st.integers(1, 12))
+    cells = [(m, 0) for m in range(n_max + 1)] + [(0, m) for m in range(1, n_max + 1)]
+    amps = draw(st.dictionaries(st.sampled_from(cells), amplitudes, max_size=len(cells)))
+    amps[(0, draw(st.integers(1, n_max)))] = draw(amplitudes.filter(lambda a: abs(a) >= 1e-3))
+    return amps, n_max
+
+
+def two_mode(amps, n_max, convention):
+    cells = sorted(amps)
+    ns, na = (np.array(x, dtype=int) for x in zip(*cells))
+    return TwoModeState.from_cells(ns, na, [amps[c] for c in cells], n_max, convention)
+
+
+conventions = st.sampled_from(list(PrimitiveConvention))
+
+
+@given(shift_subspace_cells(), conventions, st.integers(1, 60))
+def test_two_sided_density_is_the_direct_series_over_m(case, convention, k):
+    state = two_mode(*case, convention)
+    m = state.ns - state.na  # whatever the convention
+    if k <= 2 * np.abs(m).max():
+        for evaluate in (phase_pdf, phase_wavefunction):
+            with pytest.raises(AliasingError, match=f"grid size {k} admits aliasing"):
+                evaluate(state, k)
+        return
+    want = oracles.direct_series(dict(zip(m.tolist(), state.values.tolist())), angular_grid(k))
+    assert np.max(np.abs(phase_pdf(state, k) - np.abs(want) ** 2 / (2 * np.pi))) <= 1e-12
+    psi = phase_wavefunction(state, k)
+    assert type(psi) is np.ndarray and psi.dtype == complex and psi.shape == (k,)
+    assert not psi.flags.writeable
+    assert abs(np.mean(np.abs(psi) ** 2) - 1.0) <= 1e-12
+
+
+@given(shift_subspace_cells(), conventions, st.data())
+def test_a_cell_with_both_modes_excited_is_refused_at_any_grid(case, convention, data):
+    amps, n_max = case
+    n_max += 1  # room for a cell with both modes excited
+    both = data.draw(st.lists(st.tuples(st.integers(1, n_max - 1), st.integers(1, n_max - 1))
+                              .filter(lambda c: sum(c) <= n_max), min_size=1, max_size=3))
+    amps.update((cell, 1.0) for cell in both)
+    state = two_mode(amps, n_max, convention)
+    first = min(both)  # row-major order
+    for k in (1, data.draw(st.integers(2, 4 * n_max + 8))):
+        for evaluate in (phase_pdf, phase_wavefunction):
+            with pytest.raises(SupportError, match=re.escape(f"(n_s, n_a) = {first};")):
+                evaluate(state, k)

@@ -14,9 +14,9 @@ from relphase import (
     absolute_time_pdf,
     branch_wavefunctions,
     conditioning_probability,
-    generalized_phase_pdf,
     marginal_pdf,
     jm_labels,
+    phase_pdf,
     snapshot_pdf,
     snapshot_sweep,
 )
@@ -160,7 +160,7 @@ def test_hprime_snapshot_equals_generalized_pdf():
         amp = oracles.random_hprime_amp(rng, 7)
         state = two_mode(amp, 7)
         snap = snapshot_pdf(state, 0.0, 128)
-        gen = generalized_phase_pdf(state, 128)
+        gen = phase_pdf(state, 128)
         assert np.abs(snap - gen).max() < 1e-10
 
 

@@ -1,5 +1,5 @@
 """Every distribution is a read-only float64 array whose grid is fock's angular_grid of its
-size: phase_pdf, generalized_phase_pdf, marginal_pdf, snapshot_pdf, absolute_time_pdf, each
+size: phase_pdf of either state type, marginal_pdf, snapshot_pdf, absolute_time_pdf, each
 live slice of snapshot_sweep and pb_pmf's masses (s = masses.size - 1). No value type wraps
 them: a state is the only validated value type, and it holds a read-only copy of its input,
 so the caller's array stays writable and theirs. Amplitude samples are read-only arrays too.
@@ -24,7 +24,6 @@ from relphase import (
     absolute_time_pdf,
     angular_grid,
     branch_wavefunctions,
-    generalized_phase_pdf,
     make_number_state,
     marginal_pdf,
     pb_pmf,
@@ -74,7 +73,7 @@ K = 16
 
 @pytest.mark.parametrize("produce, size", [
     (lambda: phase_pdf(STATE, K), K),
-    (lambda: generalized_phase_pdf(single_to_two_mode(STATE), K), K),
+    (lambda: phase_pdf(single_to_two_mode(STATE), K), K),
     (lambda: marginal_pdf(TWO_MODE, K), K),
     (lambda: snapshot_pdf(TWO_MODE, 0.3, K), K),
     (lambda: absolute_time_pdf(TWO_MODE, 40), 40),
@@ -167,8 +166,8 @@ def two_grid(two, extra):
 PRODUCERS = {
     "phase_pdf": lambda single, two, extra, times: (
         phase_pdf(single, single_grid(single, extra)), oracles.check_density),
-    "generalized_phase_pdf-single": lambda single, two, extra, times: (
-        generalized_phase_pdf(single_to_two_mode(single), single_grid(single, extra)),
+    "phase_pdf-embedded": lambda single, two, extra, times: (
+        phase_pdf(single_to_two_mode(single), single_grid(single, extra)),
         oracles.check_density),
     "pb_pmf": lambda single, two, extra, times: (
         pb_pmf(single, int(single.ns[0]) + extra), oracles.check_masses),
@@ -180,8 +179,8 @@ PRODUCERS = {
         snapshot_sweep(two, times, two_grid(two, extra)), oracles.check_density),
     "snapshot_pdf": lambda single, two, extra, times: (
         snapshot_pdf(two, times[0], two_grid(two, extra)), oracles.check_density),
-    "generalized_phase_pdf-two": lambda single, two, extra, times: (
-        generalized_phase_pdf(two, two_grid(two, extra)), oracles.check_density),
+    "phase_pdf-two-mode": lambda single, two, extra, times: (
+        phase_pdf(two, two_grid(two, extra)), oracles.check_density),
 }
 
 

@@ -11,7 +11,6 @@ import oracles
 from relphase import (
     AliasingError,
     SingleModeState,
-    generalized_phase_pdf,
     heterodyne_moments,
     make_coherent_state,
     make_number_state,
@@ -92,9 +91,9 @@ def test_two_sided_density_of_a_single_mode_is_its_phase_density(case):
         with pytest.raises(AliasingError):
             phase_pdf(state, k)
         with pytest.raises(AliasingError):
-            generalized_phase_pdf(two, k)
+            phase_pdf(two, k)
         return
-    two_sided = generalized_phase_pdf(two, k)
+    two_sided = phase_pdf(two, k)
     want = oracles.direct_phase_pdf(state.amplitudes, angular_grid(k))
     assert np.max(np.abs(two_sided - want)) < 1e-12
     one_sided = phase_pdf(state, k)

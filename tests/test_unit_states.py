@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 import oracles
 from relphase import (PrimitiveConvention, RelphaseError, SingleModeState, TwoModeState,
                       absolute_time_pdf, angular_grid, apply_jminus, apply_jplus, apply_jz,
-                      branch_wavefunctions, conditioning_probability, generalized_phase_pdf,
-                      heterodyne_moments, marginal_pdf, pb_convergence, pb_pmf, phase_cdf, phase_pdf,
-                      phase_wavefunction, rotate_z, single_to_two_mode, snapshot_pdf, snapshot_sweep,
-                      state_from_json, state_to_json, y_moments)
+                      branch_wavefunctions, conditioning_probability, heterodyne_moments,
+                      marginal_pdf, pb_convergence, pb_pmf, phase_cdf, phase_pdf, phase_wavefunction,
+                      rotate_z, single_to_two_mode, snapshot_pdf, snapshot_sweep, state_from_json,
+                      state_to_json, y_moments)
 from relphase.pegg_barnett import kolmogorov_distance
 from relphase.pom import time_grid
 
@@ -149,7 +149,7 @@ def test_every_two_mode_kernel_gives_finite_checked_output(amps, convention):
     c = conditioning_probability(state, 0.3)
     assert finite(c) and c >= 0.0
     for kernel in (lambda: snapshot_sweep(state, [0.0, 0.3], K), lambda: [snapshot_pdf(state, 0.3, K)],
-                   lambda: [generalized_phase_pdf(state, K)]):
+                   lambda: [phase_pdf(state, K)]):
         try:
             pdfs = kernel()
         except RelphaseError:  # a gap time, m lattices mixed, or both modes excited
