@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "AliasingError",
-        "ConditioningError",
         "RelphaseError",
         "SupportError",
         "TruncationError",
@@ -30,7 +29,7 @@ _EXPORTS = {
         "state_to_json",
     ),
     "naimark": ("heterodyne_moments", "y_moments"),
-    "pegg_barnett": ("pb_convergence", "pb_pmf", "phase_cdf"),
+    "pegg_barnett": ("kolmogorov_distance", "pb_pmf", "phase_cdf"),
     "phase": ("phase_pdf", "phase_wavefunction"),
     "polarization": (
         "LinearPolSpec",
@@ -45,7 +44,6 @@ _EXPORTS = {
         "branch_wavefunctions",
         "conditioning_probability",
         "marginal_pdf",
-        "snapshot_pdf",
         "snapshot_sweep",
     ),
     "schwinger": (

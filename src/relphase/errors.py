@@ -27,6 +27,3 @@ class AliasingError(RelphaseError):
 class SupportError(RelphaseError):
     """State supported outside the domain an operation requires."""
 
-
-class ConditioningError(RelphaseError):
-    """Snapshot requested at a time of (numerically) vanishing probability."""

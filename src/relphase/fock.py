@@ -150,11 +150,16 @@ def check_cells(shape: tuple[int, ...], what: str) -> None:
 # --- the angular grid phi_j = -pi + 2 pi j / K and its one Fourier placement rule ---
 
 
-def angular_grid(k: int) -> np.ndarray:
-    """K uniformly spaced angles -pi + 2 pi j / K on [-pi, pi), built in place and read-only."""
+def _grid_size(k) -> int:
+    """k read by operator.index, refused unless positive: the size of an angular or time grid."""
     if (k := _index(k, "grid size")) < 1:
         raise ValueError("grid size must be positive")
-    grid = np.arange(k, dtype=float)
+    return k
+
+
+def angular_grid(k: int) -> np.ndarray:
+    """K uniformly spaced angles -pi + 2 pi j / K on [-pi, pi), built in place and read-only."""
+    grid = np.arange(k := _grid_size(k), dtype=float)
     np.add(np.divide(np.multiply(grid, 2.0 * np.pi, out=grid), k, out=grid), -np.pi, out=grid)
     return _read_only(grid)
 
@@ -255,7 +260,8 @@ def coherent_n_max(mean: float, tail_tol: float, modes: int = 1) -> int:
     within the size budget.
     """
     _check_tail_tol(tail_tol)
-    _check_mean(mean)
+    if not 0.0 <= mean < math.inf:  # nan included
+        raise ValueError(f"mean photon number must be finite and >= 0, got {mean!r}")
     # generous cap; the tail decays superexponentially past the mean
     limit = budget_n_max(modes)
     cap = min(int(mean + 200 * math.sqrt(mean + 1) + 200), limit)
@@ -282,11 +288,6 @@ def coherent_n_max(mean: float, tail_tol: float, modes: int = 1) -> int:
 def _check_tail_tol(tail_tol: float) -> None:
     if not 0.0 < tail_tol < 1.0:  # nan included
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
-
-
-def _check_mean(mean: float) -> None:
-    if not 0.0 <= mean < math.inf:  # nan included
-        raise ValueError(f"mean photon number must be finite and >= 0, got {mean!r}")
 
 
 def coherent_truncation(mean: float, n_max: int | None, tail_tol: float, modes: int = 1) -> int:

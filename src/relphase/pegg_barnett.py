@@ -8,8 +8,6 @@ Kolmogorov distance below quantifies.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .fock import SingleModeState, _index, _read_only, angular_grid, scatter_series
@@ -66,7 +64,3 @@ def kolmogorov_distance(masses: np.ndarray, state: SingleModeState) -> float:
     before = cum - masses
     return float(max(np.abs(cont - cum).max(), np.abs(cont - before).max()))
 
-
-def pb_convergence(state: SingleModeState, s_list: Sequence[int]) -> list[float]:
-    """Kolmogorov distances to the continuous phase CDF for each truncation."""
-    return [kolmogorov_distance(pb_pmf(state, s), state) for s in s_list]

@@ -21,9 +21,9 @@ import math
 
 import numpy as np
 
-from .errors import AliasingError, ConditioningError, SupportError
-from .fock import (DEFAULT_GRID_SIZE, DEFAULT_KT, TwoModeState, _read_only, angular_grid, check_cells,
-                   check_grid, jm_labels, scatter_series)
+from .errors import AliasingError, SupportError
+from .fock import (DEFAULT_GRID_SIZE, DEFAULT_KT, TwoModeState, _grid_size, _read_only, angular_grid,
+                   check_cells, check_grid, jm_labels, scatter_series)
 
 C_MIN = 1e-12
 _BLOCK_CELLS = 1 << 16  # cells of one block of snapshot_sweep's angular transients
@@ -85,19 +85,6 @@ def conditioning_probability(state: TwoModeState, t: float) -> float:
     return float(_conditioned(*_cells(state), [t])[2][0])
 
 
-def snapshot_pdf(state: TwoModeState, t: float, k: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Conditional density at time t on angular_grid(k): branch amplitudes added.
-
-    Refuses times of numerically vanishing conditioning probability instead
-    of renormalizing noise.
-    """
-    (pdf,) = snapshot_sweep(state, [t], k)
-    if pdf is None:
-        c = conditioning_probability(state, t)
-        raise ConditioningError(f"conditioning probability {c:.3e} at t={t} is below {C_MIN:g}")
-    return pdf
-
-
 def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> list[np.ndarray | None]:
     """Snapshots along a time grid; refused times yield None (gaps). The live times' densities
     are made _BLOCK_CELLS at a time, each a read-only row of its block: no kt x K transient."""
@@ -123,13 +110,13 @@ def snapshot_sweep(state: TwoModeState, times, k: int = DEFAULT_GRID_SIZE) -> li
 
 
 def time_grid(state: TwoModeState, k_t: int | None = None) -> int:
-    """k_t, by default the display default max(DEFAULT_KT, 4 (ceil(j_max) + 1)), j_max from
-    the largest occupied n_s + n_a; refuses a k_t over the working-set budget. Sweep times
-    need nothing more: each snapshot is normalized at its own time."""
+    """k_t, by default max(DEFAULT_KT, 4 (ceil(j_max) + 1)), j_max from the largest occupied
+    n_s + n_a; refuses a k_t that is not a positive integer, then one over the working-set budget.
+    Sweep times need nothing more: each snapshot is normalized at its own time."""
     if k_t is None:
         n_sum = (state.ns + state.na).max()
         k_t = max(DEFAULT_KT, 4 * (math.ceil(jm_labels(n_sum, 0, state.convention)[0]) + 1))
-    check_cells((k_t,), "a time grid")
+    check_cells((k_t := _grid_size(k_t),), "a time grid")
     return k_t
 
 

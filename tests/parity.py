@@ -117,6 +117,8 @@ CASES = [
     # ... and C(0) of (|0,0> - |1,1>)/sqrt(2) is 0: every time is a gap, and the table is its header
     ("sweep all-gap file kt 1", ["sweep", "--pol", "file:{inputs}/allgap.json", "--kt", "1",
                                  "--k", "16"]),
+    # ... and a live one-time sweep: its single time runs as two equal rows of E @ a, not gemv's one
+    ("sweep xcoh:9 kt 1", ["sweep", "--pol", "xcoh:9", "--kt", "1", "--k", "128"]),
 ]
 
 # cases whose outputs must match each other's in one tree, byte for byte

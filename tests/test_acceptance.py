@@ -24,12 +24,13 @@ from relphase import (
     conditioning_probability,
     heterodyne_moments,
     make_coherent_state,
+    kolmogorov_distance,
     make_number_state,
     marginal_pdf,
-    pb_convergence,
+    pb_pmf,
     phase_pdf,
     phase_wavefunction,
-    snapshot_pdf,
+    snapshot_sweep,
     to_circular,
     y_moments,
 )
@@ -64,14 +65,14 @@ def test_criterion_01_branch_wavefunction_golden():
 
 def test_criterion_02_snapshot_suppression():
     state = eq67_state()
-    snap0 = snapshot_pdf(state, 0.0, 1024)
+    snap0 = snapshot_sweep(state, [0.0], 1024)[0]
     ratio = oracles.value_at(snap0, -np.pi) / oracles.value_at(snap0, 0.0)
     analytic = ((1 - math.sqrt(2) + 2**-0.5) / (1 + math.sqrt(2) + 2**-0.5)) ** 2
     assert abs(ratio - analytic) < 1e-10
     # single visible maximum at phi=0 (0.1 density floor, the plotted contour base)
     visible = oracles.local_maxima(snap0, floor=0.1)
     assert len(visible) == 1 and angular_grid(snap0.size)[visible[0]] == 0.0
-    snap_pi = snapshot_pdf(state, math.pi, 1024)
+    snap_pi = snapshot_sweep(state, [math.pi], 1024)[0]
     assert angular_grid(snap_pi.size)[np.argmax(snap_pi)] == -np.pi
     report(2, f"P_C(pi)/P_C(0) = {ratio:.6e} (analytic {analytic:.6e}); peak flips to +-pi")
 
@@ -104,8 +105,8 @@ def test_criterion_04_db_contrasts():
 
 def test_criterion_05_n9_snapshot_and_time_facts():
     state = to_circular(XCoherent(9.0))
-    peak0 = snapshot_pdf(state, 0.0, 1024).max()
-    peak_half = snapshot_pdf(state, math.pi / 2, 1024).max()
+    peak0 = snapshot_sweep(state, [0.0], 1024)[0].max()
+    peak_half = snapshot_sweep(state, [math.pi / 2], 1024)[0].max()
     ratio = peak_half / peak0
     assert 0.25 < ratio < 1.0
     time_ratio = conditioning_probability(state, math.pi / 2) / conditioning_probability(state, 0.0)
@@ -120,7 +121,7 @@ def test_criterion_06_odd_even_rule():
         assert oracles.value_at(pm, np.pi / 2) < 1e-14
         assert oracles.value_at(pm, -np.pi / 2) < 1e-14
         for t in (0.0, 0.8, 2.3):
-            snap = snapshot_pdf(state, t, 1024)
+            snap = snapshot_sweep(state, [t], 1024)[0]
             assert oracles.value_at(snap, np.pi / 2) < 1e-14
             assert oracles.value_at(snap, -np.pi / 2) < 1e-14
     for n in (2, 4):
@@ -170,7 +171,7 @@ def test_criterion_08_mixture_identity():
         acc = np.zeros(k)
         for t in ts:
             c = conditioning_probability(state, float(t))
-            acc += c * snapshot_pdf(state, float(t), k)
+            acc += c * snapshot_sweep(state, [float(t)], k)[0]
         worst = max(worst, np.abs(acc / ts.size - marginal_pdf(state, k)).max())
     assert worst < 1e-8
     report(8, f"C-weighted snapshot average = marginal, max dev {worst:.2e} (20 states)")
@@ -186,7 +187,7 @@ def test_criterion_09_pb_convergence():
     ]
     worst_final = 0.0
     for state in corpus:
-        d64, d128, d256 = pb_convergence(state, [64, 128, 256])
+        d64, d128, d256 = (kolmogorov_distance(pb_pmf(state, s), state) for s in (64, 128, 256))
         assert d64 > d128 > d256
         worst_final = max(worst_final, d256)
     assert worst_final < 0.02
@@ -215,7 +216,7 @@ def test_criterion_11_subspace_equivalence_and_normalization():
     for _ in range(20):
         amp = oracles.random_hprime_amp(rng, 9)
         state = TwoModeState(*oracles.cells(amp), 9)
-        snap = snapshot_pdf(state, 0.0, 256)
+        snap = snapshot_sweep(state, [0.0], 256)[0]
         gen = phase_pdf(state, 256)
         worst_equiv = max(worst_equiv, np.abs(snap - gen).max())
     for _ in range(20):
@@ -225,7 +226,7 @@ def test_criterion_11_subspace_equivalence_and_normalization():
         amp = oracles.random_two_amp(rng, 7)
         state = TwoModeState(*oracles.cells(amp), 7)
         worst_norm = max(worst_norm, abs(oracles.integral(marginal_pdf(state, 64)) - 1.0))
-        worst_norm = max(worst_norm, abs(oracles.integral(snapshot_pdf(state, 0.4, 64)) - 1.0))
+        worst_norm = max(worst_norm, abs(oracles.integral(snapshot_sweep(state, [0.4], 64)[0]) - 1.0))
     assert worst_equiv < 1e-10
     assert worst_parseval < 1e-10
     assert worst_norm < 1e-8

@@ -12,7 +12,7 @@ import numpy as np
 import oracles
 import oracles_mp
 from relphase import (SingleModeState, TwoModeState, absolute_time_pdf, angular_grid, marginal_pdf,
-                      pb_pmf, phase_cdf, phase_pdf, snapshot_pdf)
+                      pb_pmf, phase_cdf, phase_pdf, snapshot_sweep)
 from relphase.cli import parse_pol_spec, parse_single_spec
 
 BOUND = 1e-14
@@ -65,7 +65,7 @@ def test_marginal_of_xcoh_30_is_within_the_bound_of_the_oracle():
 def test_a_live_snapshot_of_xcoh_30_is_within_the_bound_of_the_oracle():
     state = parse_pol_spec("xcoh:30", None, 1e-12)
     k, t = 512, math.pi / 8  # a time of the sweep --kt 9 grid, read as its float
-    density = snapshot_pdf(state, t, k)
+    density = snapshot_sweep(state, [t], k)[0]
     points = four_points(density)
     want = oracles_mp.snapshot_density(oracles.jm_map(oracles.state_dict(state)), t,
                                        [oracles_mp.grid_angle(i, k) for i in points])

@@ -15,15 +15,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the package's public names; each must resolve both ways
 EXPORTS = """
-AliasingError ConditioningError RelphaseError SupportError TruncationError
+AliasingError RelphaseError SupportError TruncationError
 PrimitiveConvention SingleModeState TwoModeState jm_labels make_coherent_state
 make_number_state single_to_two_mode state_from_json state_to_json
 heterodyne_moments y_moments
-pb_convergence pb_pmf phase_cdf
+kolmogorov_distance pb_pmf phase_cdf
 angular_grid phase_pdf phase_wavefunction
 LinearPolSpec XCoherent XNumber XSuperposition db_view to_circular
 absolute_time_pdf branch_wavefunctions conditioning_probability marginal_pdf
-snapshot_pdf snapshot_sweep
+snapshot_sweep
 apply_jminus apply_jplus apply_jz commutator_residuals rotate_z
 """.split()
 
@@ -71,19 +71,37 @@ def test_every_export_resolves_by_star_import_and_attribute():
     assert fresh(code) == str(len(EXPORTS))
 
 
+def layout_rows() -> dict[str, str]:
+    """{module: contents} of the rows of README's "Library layout" table."""
+    section = (SRC.parent / "README.md").read_text(encoding="utf-8").split("## Library layout")[1]
+    rows = re.findall(r"^\| `(relphase\.\w+)` \| (.*) \|$", section.split("\n## ")[0], re.MULTILINE)
+    assert len(rows) >= 9, "no layout table found"
+    return dict(rows)
+
+
 def test_readme_layout_names_resolve_on_their_module():
     """Every backticked `name(` in a row of README's "Library layout" table is an
     attribute of the module that the row names."""
-    section = (SRC.parent / "README.md").read_text(encoding="utf-8").split("## Library layout")[1]
-    rows = re.findall(r"^\| `(relphase\.\w+)` \| (.*) \|$", section.split("\n## ")[0], re.MULTILINE)
-    calls = [(module, name) for module, text in rows for name in re.findall(r"`(\w+)\(", text)]
-    assert len(rows) >= 9 and calls, "no layout table found"
+    calls = [(module, name) for module, text in layout_rows().items()
+             for name in re.findall(r"`(\w+)\(", text)]
+    assert calls, "no call named in the layout table"
     code = (
         "import importlib\n"
         f"calls = {calls!r}\n"
         "print([c for c in calls if not hasattr(importlib.import_module(c[0]), c[1])])\n"
     )
     assert fresh(code) == "[]"
+
+
+def test_every_export_is_named_in_its_modules_layout_row():
+    """The converse: each name in relphase.__all__ appears backticked (`name`, `name(` or
+    `name.`) in the layout row of the module that defines it."""
+    rows = layout_rows()
+    # the package's own map, since an alias such as LinearPolSpec has typing's __module__
+    modules = json.loads(fresh("import json, relphase; print(json.dumps(relphase._MODULE_OF))"))
+    assert sorted(modules) == sorted(EXPORTS)
+    missing = [n for n, m in modules.items() if not re.search(rf"`{n}\b", rows.get(f"relphase.{m}", ""))]
+    assert missing == []
 
 
 def test_only_jm_labels_and_commutator_residuals_take_a_convention():

@@ -7,13 +7,12 @@ import oracles
 from relphase import (
     SingleModeState,
     make_coherent_state,
+    kolmogorov_distance,
     make_number_state,
-    pb_convergence,
     pb_pmf,
     phase_cdf,
 )
 from relphase.fock import angular_grid
-from relphase.pegg_barnett import kolmogorov_distance
 
 TWO_TERM = SingleModeState(np.array([1.0, 1.0]) / math.sqrt(2))
 
@@ -84,31 +83,34 @@ def test_phase_cdf_matches_termwise_series(n_max):
 
 def test_vacuum_distance_bounded_by_grid_spacing():
     for s in (3, 10, 101):
-        (d,) = pb_convergence(make_number_state(0, 0), [s])
+        state = make_number_state(0, 0)
+        d = kolmogorov_distance(pb_pmf(state, s), state)
         assert d <= 1 / (s + 1) + 1e-12
 
 
 def test_one_photon_distance_bounded_by_grid_spacing():
     for s in (1, 33, 128):
-        (d,) = pb_convergence(make_number_state(1, 1), [s])
+        state = make_number_state(1, 1)
+        d = kolmogorov_distance(pb_pmf(state, s), state)
         assert d <= 1 / (s + 1) + 1e-12
 
 
 def test_two_term_distances_strictly_decrease():
-    d64, d128, d256 = pb_convergence(TWO_TERM, [64, 128, 256])
+    d64, d128, d256 = (kolmogorov_distance(pb_pmf(TWO_TERM, s), TWO_TERM) for s in (64, 128, 256))
     assert d64 > d128 > d256
 
 
 def test_distances_halve_along_doubling_truncations():
     state = make_coherent_state(1.0)
-    ds = pb_convergence(state, [32, 64, 128, 256, 512])
+    ds = [kolmogorov_distance(pb_pmf(state, s), state) for s in (32, 64, 128, 256, 512)]
     for a, b in zip(ds, ds[1:]):
         assert b < a
 
 
 def test_rejects_truncating_s():
     with pytest.raises(ValueError):
-        pb_convergence(make_number_state(3, 3), [2])
+        state = make_number_state(3, 3)
+        kolmogorov_distance(pb_pmf(state, 2), state)
 
 
 def test_distance_refuses_a_pmf_of_a_truncated_state():
@@ -149,8 +151,7 @@ def test_phase_cdf_refuses_a_point_that_is_not_finite(bad):
     # each once met numpy's "slice indices must be integers or None or have an __index__ method"
     (lambda state: pb_pmf(state, 20.5), "20.5"),
     (lambda state: pb_pmf(state, 20.0), "20.0"),
-    (lambda state: pb_convergence(state, [20.5]), "20.5"),
-], ids=["pb_pmf", "pb_pmf-float", "pb_convergence"])
+], ids=["pb_pmf", "pb_pmf-float"])
 def test_a_truncation_that_is_not_an_integer_is_refused(call, value):
     with pytest.raises(TypeError) as err:
         call(make_coherent_state(1.0))

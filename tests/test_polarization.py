@@ -13,7 +13,6 @@ from relphase import (
     angular_grid,
     db_view,
     marginal_pdf,
-    snapshot_pdf,
     snapshot_sweep,
     to_circular,
 )
@@ -81,7 +80,7 @@ def test_odd_photon_numbers_never_point_along_y(n):
     assert oracles.value_at(pdf, -np.pi / 2) < 1e-14
     state = to_circular(XNumber(n))
     for t in (0.0, 1.1):
-        snap = snapshot_pdf(state, t, 512)
+        snap = snapshot_sweep(state, [t], 512)[0]
         assert oracles.value_at(snap, np.pi / 2) < 1e-14
 
 
@@ -103,7 +102,7 @@ def test_number_state_ellipse_equals_any_snapshot():
     state = to_circular(XNumber(4))
     pdf = marginal_pdf(to_circular(XNumber(4)), 128)
     for t in (0.0, 0.9, 2.2):
-        assert np.abs(snapshot_pdf(state, t, 128) - pdf).max() < 1e-12
+        assert np.abs(snapshot_sweep(state, [t], 128)[0] - pdf).max() < 1e-12
 
 
 def test_y_axis_probability_decreases_with_mean():

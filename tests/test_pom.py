@@ -7,7 +7,6 @@ import oracles
 from oracles import time_grid_size
 from relphase import (
     AliasingError,
-    ConditioningError,
     PrimitiveConvention,
     SupportError,
     TwoModeState,
@@ -17,7 +16,6 @@ from relphase import (
     marginal_pdf,
     jm_labels,
     phase_pdf,
-    snapshot_pdf,
     snapshot_sweep,
 )
 from relphase.fock import angular_grid
@@ -96,7 +94,7 @@ def test_single_j_snapshot_equals_marginal_everywhere():
     state = two_mode(amp, 3)
     pm = marginal_pdf(state, 128)
     for t in (0.0, 0.7, 2.9):
-        ps = snapshot_pdf(state, t, 128)
+        ps = snapshot_sweep(state, [t], 128)[0]
         assert np.abs(ps - pm).max() < 1e-12
         assert abs(conditioning_probability(state, t) - 1.0) < 1e-12
 
@@ -111,10 +109,9 @@ def test_conditioning_probability_values():
     assert abs(conditioning_probability(mixed, math.pi) - 2.0) < 1e-12
 
 
-def test_snapshot_refuses_vanishing_conditioning():
+def test_a_one_time_sweep_at_vanishing_conditioning_is_a_gap():
     mixed = two_mode(SHARED_M, 2)
-    with pytest.raises(ConditioningError):
-        snapshot_pdf(mixed, math.pi / 2, 64)
+    assert snapshot_sweep(mixed, [math.pi / 2], 64) == [None]
 
 
 def test_snapshot_matches_direct_oracle():
@@ -124,7 +121,7 @@ def test_snapshot_matches_direct_oracle():
         amp = oracles.random_two_amp(rng, 6)
         state = two_mode(amp, 6)
         t = float(rng.uniform(-math.pi, math.pi))
-        got = snapshot_pdf(state, t, 128)
+        got = snapshot_sweep(state, [t], 128)[0]
         want = oracles.direct_snapshot(oracles.jm_map(amp), t, phis)
         assert np.abs(got - want).max() < 1e-11
 
@@ -134,7 +131,7 @@ def test_snapshot_and_marginal_normalized():
     for _ in range(20):
         state = random_state(rng, 8)
         assert abs(oracles.integral(marginal_pdf(state, 64)) - 1.0) < 1e-8
-        assert abs(oracles.integral(snapshot_pdf(state, 0.3, 64)) - 1.0) < 1e-8
+        assert abs(oracles.integral(snapshot_sweep(state, [0.3], 64)[0]) - 1.0) < 1e-8
 
 
 def test_mixture_identity():
@@ -148,7 +145,7 @@ def test_mixture_identity():
         acc = np.zeros(k)
         for t in ts:
             c = conditioning_probability(state, float(t))
-            acc += c * snapshot_pdf(state, float(t), k)
+            acc += c * snapshot_sweep(state, [float(t)], k)[0]
         mixture = acc / k_t
         want = marginal_pdf(state, k)
         assert np.abs(mixture - want).max() < 1e-8
@@ -159,7 +156,7 @@ def test_hprime_snapshot_equals_generalized_pdf():
     for _ in range(10):
         amp = oracles.random_hprime_amp(rng, 7)
         state = two_mode(amp, 7)
-        snap = snapshot_pdf(state, 0.0, 128)
+        snap = snapshot_sweep(state, [0.0], 128)[0]
         gen = phase_pdf(state, 128)
         assert np.abs(snap - gen).max() < 1e-10
 
@@ -188,15 +185,16 @@ def test_absolute_time_pdf_normalized_and_matches_c():
 
 @pytest.mark.parametrize("convention", [PHOTONIC, FERMIONIC])
 def test_one_time_has_the_bits_of_the_same_time_on_a_grid(convention):
-    """snapshot_pdf and conditioning_probability at one time equal the sweep's slice
-    and absolute_time_pdf's density at that time bit for bit (a one-row product
-    would go to gemv, not to a grid's gemm)."""
+    """A one-time sweep and conditioning_probability equal the sweep's slice and
+    absolute_time_pdf's density at that time bit for bit (a one-row product would
+    go to gemv, not to a grid's gemm)."""
     coh = to_circular(XCoherent(9.0))  # its even totals: one m lattice in either convention
     even = (coh.ns + coh.na) % 2 == 0
     state = TwoModeState.from_cells(coh.ns[even], coh.na[even], coh.values[even], coh.n_max, convention)
     times = np.linspace(0.0, math.pi, 17)
     for t, pdf in zip(times.tolist(), snapshot_sweep(state, times, 128)):
-        assert np.array_equal(snapshot_pdf(state, t, 128), pdf)
+        (one,) = snapshot_sweep(state, [t], 128)
+        assert pdf is not None and np.array_equal(one, pdf)
     pdf = absolute_time_pdf(state)
     one_by_one = [conditioning_probability(state, t) / (2 * np.pi) for t in angular_grid(pdf.size)]
     assert one_by_one == pdf.tolist()
@@ -216,6 +214,24 @@ def test_default_time_grid_is_the_larger_of_256_and_the_state_size():
         absolute_time_pdf(large, 178)
 
 
+@pytest.mark.parametrize("k_t, error, message", [
+    (2.5, TypeError, "grid size 2.5 is not an integer"),
+    (40.5, TypeError, "grid size 40.5 is not an integer"),
+    ("8", TypeError, "grid size '8' is not an integer"),
+    (0, ValueError, "grid size must be positive"),
+    (-1, ValueError, "grid size must be positive"),
+], ids=["2.5", "40.5", "str", "0", "-1"])
+def test_a_time_grid_size_is_read_as_an_angular_grid_size_is(k_t, error, message):
+    """k_t goes through operator.index and angular_grid's refusal below 1, ahead of the budget
+    and of xcoh:9's exact-quadrature size 38, in time_grid and so in absolute_time_pdf."""
+    state = to_circular(XCoherent(9.0))
+    for call in (angular_grid, lambda k: time_grid(state, k), lambda k: absolute_time_pdf(state, k)):
+        with pytest.raises(error) as err:
+            call(k_t)
+        assert str(err.value) == message
+    assert type(time_grid(state, np.int64(38))) is int and absolute_time_pdf(state, np.int64(38)).size == 38
+
+
 def test_fermionic_branches_and_time_density():
     # half-integer branches: marginal and time density stay 2 pi-periodic
     rng = np.random.default_rng(7)
@@ -232,13 +248,13 @@ def test_fermionic_snapshot_needs_single_m_lattice():
     rng = np.random.default_rng(7)
     mixed = two_mode(oracles.random_two_amp(rng, 5), 5, FERMIONIC)
     with pytest.raises(SupportError):
-        snapshot_pdf(mixed, 0.9, 64)
+        snapshot_sweep(mixed, [0.9], 64)
     # same-parity totals keep all m on one lattice: snapshot is well defined
     amp = {k: v for k, v in oracles.random_two_amp(rng, 6).items() if (k[0] + k[1]) % 2 == 1}
     norm = math.sqrt(sum(abs(v) ** 2 for v in amp.values()))
     amp = {k: v / norm for k, v in amp.items()}
     odd = two_mode(amp, 6, FERMIONIC)
-    assert abs(oracles.integral(snapshot_pdf(odd, 0.9, 64)) - 1.0) < 1e-10
+    assert abs(oracles.integral(snapshot_sweep(odd, [0.9], 64)[0]) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("kernel", [marginal_pdf, branch_wavefunctions])
@@ -290,13 +306,13 @@ def test_grid_check_runs_before_the_m_lattice_check():
     "kernel",
     [
         lambda state, t: snapshot_sweep(state, [0.0, t], 8),
-        lambda state, t: snapshot_pdf(state, t, 8),
+        lambda state, t: snapshot_sweep(state, [t], 8),
         lambda state, t: conditioning_probability(state, t),
     ],
-    ids=["snapshot_sweep", "snapshot_pdf", "conditioning_probability"],
+    ids=["snapshot_sweep", "snapshot_sweep-one-time", "conditioning_probability"],
 )
 def test_a_time_that_is_not_finite_is_refused(kernel, bad):
-    # a nan time once read as a gap, a false ConditioningError or a nan C
+    # a nan time once read as a gap, a false refusal of vanishing conditioning or a nan C
     state = two_mode({(1, 0): 0.6, (0, 1): 0.8}, 1)
     with pytest.raises(ValueError) as err:
         kernel(state, bad)

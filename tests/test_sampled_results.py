@@ -1,6 +1,6 @@
 """Every distribution is a read-only float64 array whose grid is fock's angular_grid of its
-size: phase_pdf of either state type, marginal_pdf, snapshot_pdf, absolute_time_pdf, each
-live slice of snapshot_sweep and pb_pmf's masses (s = masses.size - 1). No value type wraps
+size: phase_pdf of either state type, marginal_pdf, absolute_time_pdf, each live slice of
+snapshot_sweep (of one time or many) and pb_pmf's masses (s = masses.size - 1). No value type wraps
 them: a state is the only validated value type, and it holds a read-only copy of its input,
 so the caller's array stays writable and theirs. Amplitude samples are read-only arrays too.
 
@@ -30,7 +30,6 @@ from relphase import (
     phase_pdf,
     phase_wavefunction,
     single_to_two_mode,
-    snapshot_pdf,
     snapshot_sweep,
     to_circular,
 )
@@ -75,7 +74,6 @@ K = 16
     (lambda: phase_pdf(STATE, K), K),
     (lambda: phase_pdf(single_to_two_mode(STATE), K), K),
     (lambda: marginal_pdf(TWO_MODE, K), K),
-    (lambda: snapshot_pdf(TWO_MODE, 0.3, K), K),
     (lambda: absolute_time_pdf(TWO_MODE, 40), 40),
     (lambda: snapshot_sweep(TWO_MODE, [0.3], K)[0], K),
     (lambda: pb_pmf(STATE, 6), 7),
@@ -177,8 +175,8 @@ PRODUCERS = {
         absolute_time_pdf(two), oracles.check_density),
     "snapshot_sweep": lambda single, two, extra, times: (
         snapshot_sweep(two, times, two_grid(two, extra)), oracles.check_density),
-    "snapshot_pdf": lambda single, two, extra, times: (
-        snapshot_pdf(two, times[0], two_grid(two, extra)), oracles.check_density),
+    "snapshot_sweep-one-time": lambda single, two, extra, times: (
+        snapshot_sweep(two, times[:1], two_grid(two, extra)), oracles.check_density),
     "phase_pdf-two-mode": lambda single, two, extra, times: (
         phase_pdf(two, two_grid(two, extra)), oracles.check_density),
 }
