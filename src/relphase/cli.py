@@ -52,15 +52,11 @@ from .fock import (
 STATE_FORMAT_VERSION = 1
 
 
-class SpecError(ValueError):
-    """Malformed state/polarization spec string (usage error)."""
-
-
 def _int(token: str, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise SpecError(f"bad {what} {token!r}") from None
+        raise ValueError(f"bad {what} {token!r}") from None
 
 
 def _finite(token: str, what: str, cast):
@@ -70,13 +66,13 @@ def _finite(token: str, what: str, cast):
             return value
     except ValueError:
         pass
-    raise SpecError(f"bad {what} {token!r}")
+    raise ValueError(f"bad {what} {token!r}")
 
 
 def _mean(token: str) -> float:
     """A finite, non-negative mean photon number."""
     if (value := _finite(token, "mean photon number", float)) < 0:
-        raise SpecError(f"negative mean photon number {token!r}")
+        raise ValueError(f"negative mean photon number {token!r}")
     return value
 
 
@@ -107,17 +103,17 @@ def parse_single_spec(text: str, n_max: int | None, tail_tol: float) -> SingleMo
     if kind == "coh":
         return make_coherent_state(math.sqrt(_mean(rest)), n_max, tail_tol)
     if kind == "file":
-        state = state_from_json(_read(rest))
+        state = state_from_json(_read(rest, n_max))
         if not isinstance(state, SingleModeState):
-            raise SpecError(f"{rest!r} holds a two-mode state; this command needs a single mode")
+            raise ValueError(f"{rest!r} holds a two-mode state; this command needs a single mode")
         return state
-    raise SpecError(f"unknown state spec {text!r}")
+    raise ValueError(f"unknown state spec {text!r}")
 
 
 def parse_pol_spec(text: str, n_max: int | None, tail_tol: float) -> TwoModeState:
     kind, _, rest = text.partition(":")
     if kind == "file":
-        state = state_from_json(_read(rest))
+        state = state_from_json(_read(rest, n_max))
         return single_to_two_mode(state) if isinstance(state, SingleModeState) else state
     from .polarization import XCoherent, XNumber, XSuperposition, to_circular  # x specs only
     if kind == "xnum":
@@ -129,14 +125,16 @@ def parse_pol_spec(text: str, n_max: int | None, tail_tol: float) -> TwoModeStat
         for part in rest.split(";"):
             pieces = part.split(",")
             if len(pieces) != 2:
-                raise SpecError(f"bad superposition term {part!r}")
+                raise ValueError(f"bad superposition term {part!r}")
             weight = _finite(pieces[1], "weight", complex)
             terms.append((_int(pieces[0], "photon number"), weight))
         return to_circular(XSuperposition(tuple(terms)), n_max, tail_tol)
-    raise SpecError(f"unknown polarization spec {text!r}")
+    raise ValueError(f"unknown polarization spec {text!r}")
 
 
-def _read(path: str) -> str:
+def _read(path: str, n_max: int | None) -> str:
+    if n_max is not None:  # a document declares its own truncation
+        raise ValueError(f"--n-max does not apply to file:{path}, which declares its own n_max")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
@@ -183,7 +181,7 @@ def cmd_pb(args) -> int:
     state = parse_single_spec(args.state, args.n_max, args.tail_tol)
     s_values = [_int(tok, "truncation") for tok in args.s.split(",") if tok]
     if not s_values:
-        raise SpecError("need at least one truncation in --s")
+        raise ValueError("need at least one truncation in --s")
     pmfs = [pb_pmf(state, s) for s in s_values]
     # the report may refuse the truncations: find out before anything is written
     distances = None if args.report is None else [kolmogorov_distance(p, state) for p in pmfs]
@@ -298,7 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_tail_tol(args.tail_tol)  # every spec, not only the coherent ones that read it
         return args.fn(args)
-    except (OSError, ValueError) as exc:  # SpecError included
+    except (OSError, ValueError) as exc:
         code, text = 2, str(exc)
     except (RelphaseError, MemoryError) as exc:  # the cell budget bounds arrays, not the process
         code, text = 3, str(exc) or "out of memory"

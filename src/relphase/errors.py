@@ -10,14 +10,7 @@ class RelphaseError(Exception):
 
 
 class TruncationError(RelphaseError):
-    """Requested state does not fit the Fock truncation.
-
-    ``required_n_max`` carries the smallest adequate truncation when known.
-    """
-
-    def __init__(self, message, required_n_max=None):
-        super().__init__(message)
-        self.required_n_max = required_n_max
+    """Requested state does not fit the Fock truncation."""
 
 
 class AliasingError(RelphaseError):

@@ -233,7 +233,7 @@ def make_number_state(n: int, n_max: int) -> SingleModeState:
         raise ValueError("n_max must be >= 0")
     check_budget(n_max, 1)
     if not 0 <= n <= n_max:
-        raise TruncationError(f"number state n={n} exceeds n_max={n_max}", required_n_max=n)
+        raise TruncationError(f"number state n={n} exceeds n_max={n_max}")
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[n] = 1.0
     return SingleModeState(amps)
@@ -301,9 +301,7 @@ def coherent_truncation(mean: float, n_max: int | None, tail_tol: float, modes: 
     if n_max >= (needed := coherent_n_max(mean, tail_tol, modes)):
         return n_max
     raise TruncationError(
-        f"coherent tail mass at n_max={n_max} is not below {tail_tol:g}; "
-        f"need n_max >= {needed}",
-        required_n_max=needed,
+        f"coherent tail mass at n_max={n_max} is not below {tail_tol:g}; need n_max >= {needed}"
     )
 
 

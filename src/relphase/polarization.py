@@ -71,7 +71,7 @@ def to_circular(
         top = max(n for n, _ in terms)
         n_max = top if n_max is None else _index(n_max, "n_max")
         if top > n_max:
-            raise TruncationError(f"{top} photons exceed n_max={n_max}", required_n_max=top)
+            raise TruncationError(f"{top} photons exceed n_max={n_max}")
         check_budget(n_max, 2)
         amps = {}  # (n_s, n_a) -> amplitude; a repeated photon number adds in term order
         for n, w in terms:

@@ -100,6 +100,8 @@ CASES = [
     ("exit 3: ellipse xcoh:9 n-max 20", ["ellipse", "--pol", "xcoh:9", "--n-max", "20"]),
     ("phase coh:9 n-max 4000", ["phase", "--state", "coh:9", "--n-max", "4000", "--k", "2048"]),
     ("moments coh:9 tail-tol 1e-15", ["moments", "--state", "coh:9", "--tail-tol", "1e-15"]),
+    # ... and refused with a file: state, which declares its own n_max
+    ("exit 2: phase file n-max", ["phase", "--state", "file:{inputs}/single345.json", "--n-max", "1"]),
     # a two-mode state is its occupied cells: a sparse state at a large n_max, cells that cancel
     # to exactly 0, document rows out of order with explicit zero rows, and a single-mode embedding
     ("ellipse xnum:4095 k 8192", ["ellipse", "--pol", "xnum:4095", "--k", "8192", "--out", "ellipse.csv"]),

@@ -426,6 +426,19 @@ def test_each_spec_refusal_is_its_own_line_and_exit_2(capsys, tmp_path, argv, li
     assert code == 2 and out == "" and err == f"error: {line.format(**paths)}\n"
 
 
+@pytest.mark.parametrize("argv", [["phase", "--state"], ["pb", "--s", "4", "--state"],
+                                  ["sweep", "--pol"]], ids=["phase", "pb", "sweep"])
+@pytest.mark.parametrize("kind", ["single", "two"])
+def test_n_max_with_a_file_state_is_refused_not_ignored(capsys, tmp_path, argv, kind):
+    path = tmp_path / "s.json"  # refused before it is read, whatever the command's mode count
+    path.write_text(f'{{"kind": "{kind}", "n_max": 3, "amps": [[1, 0, 1, 0]]}}')
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, *argv, f"file:{path}", "--n-max", "1", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == f"error: --n-max does not apply to file:{path}, which declares its own n_max\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("command, flag", [("phase", "--state"), ("ellipse", "--pol")])
 def test_deeply_nested_json_state_is_exit_2(capsys, tmp_path, command, flag):
     # json's decoder recurses once per level, so 200,000 levels pass the interpreter's limit

@@ -64,9 +64,20 @@ def test_coherent_vacuum_probability_matches_poisson():
 
 
 def test_coherent_rejects_inadequate_truncation():
-    with pytest.raises(TruncationError) as err:
+    needed = fock.coherent_n_max(9.0, 1e-10)
+    assert needed > 9
+    with pytest.raises(TruncationError, match=rf"; need n_max >= {needed}$"):
         make_coherent_state(3.0, n_max=9, tail_tol=1e-10)
-    assert err.value.required_n_max > 9
+
+
+def test_number_state_refusal_states_the_photon_number():
+    with pytest.raises(TruncationError, match=r"^number state n=3 exceeds n_max=2$"):
+        make_number_state(3, 2)
+
+
+def test_x_number_refusal_states_the_photon_count():
+    with pytest.raises(TruncationError, match=r"^3 photons exceed n_max=2$"):
+        to_circular(XNumber(3), n_max=2)
 
 
 def test_coherent_default_truncation_obeys_tail():
@@ -534,10 +545,9 @@ def test_an_explicit_n_max_is_kept_exactly_when_its_tail_is_below_tail_tol(
         assert fock.coherent_truncation(mean, n_max, tail_tol, modes) == n_max and kept
     except TruncationError as exc:
         assert not kept
-        if exc.required_n_max is None:  # the search's own refusal
+        if isinstance(expected, str):  # the search's own refusal
             assert f"refused: {exc}" == expected
-        else:
-            assert exc.required_n_max == expected
+        else:  # an explicit n_max below the smallest adequate one, which the message states
             assert str(exc).endswith(f"is not below {tail_tol:g}; need n_max >= {expected}")
 
 
@@ -563,9 +573,8 @@ def test_coherent_truncation_runs_one_search_per_call(monkeypatch):
     assert state.n_max == 178 and len(calls) == 1
     assert to_circular(XCoherent(9.0), n_max=40).n_max == 40 and len(calls) == 2
     message = r"n_max=9 is not below 1e-12; need n_max >= 37"
-    with pytest.raises(TruncationError, match=message) as err:
+    with pytest.raises(TruncationError, match=message):
         to_circular(XCoherent(9.0), n_max=9)
-    assert err.value.required_n_max == 37
     assert len(calls) == 3
     with pytest.raises(ValueError, match="tail_tol"):
         to_circular(XCoherent(9.0), n_max=40, tail_tol=0.0)  # checked on the explicit path too

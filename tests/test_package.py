@@ -150,7 +150,7 @@ def test_cli_import_loads_no_kernel_module():
 FROM_FILE = ["pom", "table"]  # a file: state needs no polarization front end
 
 
-@pytest.mark.parametrize("argv,loaded", [
+LOADS = [
     (["phase", "--state", "num:1", "--k", "8"], ["phase", "table"]),
     (["pb", "--state", "num:1", "--s", "4"], ["pegg_barnett", "table"]),
     (["moments", "--state", "num:1"], ["naimark"]),
@@ -161,7 +161,10 @@ FROM_FILE = ["pom", "table"]  # a file: state needs no polarization front end
     (["ellipse", "--pol", "file:STATE", "--k", "8"], FROM_FILE),
     (["ellipse", "--pol", "file:STATE", "--k", "8", "--db"], TWO_MODE),  # db_view is polarization's
     (["timepdf", "--pol", "file:STATE"], FROM_FILE),
-])
+]
+
+
+@pytest.mark.parametrize("argv,loaded", LOADS)
 def test_each_command_loads_only_its_kernels(argv, loaded, tmp_path):
     state = tmp_path / "state.json"  # |1, 0>: the two-mode form of xnum:1's photon, one branch
     state.write_text(json.dumps({"kind": "two", "n_max": 1, "amps": [[1, 0, 1, 0]]}))
@@ -175,6 +178,18 @@ def test_each_command_loads_only_its_kernels(argv, loaded, tmp_path):
         f"print([m for m in {KERNELS!r} if 'relphase.' + m in sys.modules])"
     )
     assert fresh(code) == str(loaded)
+
+
+def test_readme_lists_the_modules_each_command_loads():
+    """README's bullets "- `cmd`, ... load(s) `module` and ..." name, per command, what
+    the command loads for a num: or file: state: the cases above without an x spec or --db."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    bullets = re.findall(r"^- ((?:`\w+`(?:, | and )?)+) loads? (.*)$", readme, re.MULTILINE)
+    listed = {command: re.findall(r"`(\w+)`", modules)
+              for commands, modules in bullets for command in re.findall(r"`(\w+)`", commands)}
+    expected = {argv[0]: loaded for argv, loaded in LOADS
+                if not argv[2].startswith("x") and "--db" not in argv}
+    assert listed == expected
 
 
 def in_process(argv) -> tuple[int, str, str]:
