@@ -76,30 +76,10 @@ def _mean(token: str) -> float:
     return value
 
 
-def _int_at_least(low: int, rule: str):
-    """argparse type of an integer >= low; anything else exits 2 with usage and
-    "<rule>, not '<text>'"."""
-
-    def parse(text: str) -> int:
-        try:
-            if int(text) >= low:
-                return int(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"{rule}, not {text!r}")
-
-    return parse
-
-
-_grid_size = _int_at_least(1, "grid size must be a positive integer")  # --k and --kt
-_n_max = _int_at_least(0, "n_max must be a non-negative integer")
-
-
 def parse_single_spec(text: str, n_max: int | None, tail_tol: float) -> SingleModeState:
     kind, _, rest = text.partition(":")
     if kind == "num":
-        n = _int(rest, "photon number")
-        return make_number_state(n, n_max if n_max is not None else n)
+        return make_number_state(_int(rest, "photon number"), n_max)
     if kind == "coh":
         return make_coherent_state(math.sqrt(_mean(rest)), n_max, tail_tol)
     if kind == "file":
@@ -251,16 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if k:
             p.add_argument(
-                "--k", type=_grid_size, default=DEFAULT_GRID_SIZE,
+                "--k", type=int, default=DEFAULT_GRID_SIZE,
                 help=f"angular grid size (default {DEFAULT_GRID_SIZE})",
             )
         if kt:
             p.add_argument(
-                "--kt", type=_grid_size, default=None,
+                "--kt", type=int, default=None,
                 help=f"time grid size; timepdf refuses fewer than j_max - j_min + 1 points, sweep "
                 f"does not (display default: the larger of {DEFAULT_KT} and 4 (ceil(j_max) + 1))",
             )
-        p.add_argument("--n-max", type=_n_max, default=None, help="Fock truncation override")
+        p.add_argument("--n-max", type=int, default=None, help="Fock truncation override")
         p.add_argument(
             "--tail-tol", type=float, default=DEFAULT_TAIL_TOL, help="coherent tail tolerance"
         )

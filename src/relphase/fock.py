@@ -129,7 +129,9 @@ def jm_labels(ns, na, convention: PrimitiveConvention = PrimitiveConvention.PHOT
 
 
 def check_budget(n_max: int, modes: int) -> None:
-    """Refuse, before it is built, a state whose basis has over MAX_AMPLITUDES cells."""
+    """Refuse, before it is built, a state of negative n_max or with over MAX_AMPLITUDES cells."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     size = n_max + 1 if modes == 1 else (n_max + 1) * (n_max + 2) // 2
     if size > MAX_AMPLITUDES:
         raise TruncationError(
@@ -165,8 +167,8 @@ def angular_grid(k: int) -> np.ndarray:
 
 
 def check_grid(k: int, freqs: np.ndarray) -> None:
-    """Refuse a K that is not an integer or that aliases the non-empty freqs: K <= 2 max|f|."""
-    if _index(k, "grid size") <= (bound := 2 * np.abs(freqs).max()):
+    """Refuse a K that _grid_size refuses or that aliases the non-empty freqs: K <= 2 max|f|."""
+    if (k := _grid_size(k)) <= (bound := 2 * np.abs(freqs).max()):
         raise AliasingError(f"grid size {k} admits aliasing: need K > {bound:g}")
 
 
@@ -224,15 +226,14 @@ class TwoModeState:
         return cls(*(np.asarray(x)[cells] for x in (ns, na, values)), n_max, convention)
 
 
-def make_number_state(n: int, n_max: int) -> SingleModeState:
-    """|n> on the truncated basis 0..n_max."""
-    n, n_max = _index(n, "photon number"), _index(n_max, "n_max")
+def make_number_state(n: int, n_max: int | None = None) -> SingleModeState:
+    """|n> on the truncated basis 0..n_max, by default 0..n."""
+    n = _index(n, "photon number")
+    n_max = n if n_max is None else _index(n_max, "n_max")
     if n < 0:
         raise ValueError("photon numbers must be >= 0")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     check_budget(n_max, 1)
-    if not 0 <= n <= n_max:
+    if n > n_max:
         raise TruncationError(f"number state n={n} exceeds n_max={n_max}")
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[n] = 1.0

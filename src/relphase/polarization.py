@@ -69,10 +69,9 @@ def to_circular(
         if min(n for n, _ in terms) < 0:
             raise ValueError("photon numbers must be >= 0")
         top = max(n for n, _ in terms)
-        n_max = top if n_max is None else _index(n_max, "n_max")
+        check_budget(n_max := top if n_max is None else _index(n_max, "n_max"), 2)
         if top > n_max:
             raise TruncationError(f"{top} photons exceed n_max={n_max}")
-        check_budget(n_max, 2)
         amps = {}  # (n_s, n_a) -> amplitude; a repeated photon number adds in term order
         for n, w in terms:
             # (a_R† + a_L†)^n / sqrt(2^n n!) |0,0>, C(n, i + 1) = C(n, i) (n - i) / (i + 1) exactly

@@ -67,16 +67,24 @@ def test_phase_aliasing_is_exit_3(capsys):
         ["phase", "--state", "num:0", "--k", "0"],
         ["ellipse", "--pol", "xnum:1", "--k", "-4"],
         ["timepdf", "--pol", "xnum:1", "--kt", "0"],
-        ["sweep", "--pol", "xnum:1", "--k", "1.5"],
+        ["sweep", "--pol", "xnum:1", "--kt", "0"],
+        ["sweep", "--pol", "xnum:1", "--k", "0"],
     ],
 )
-def test_non_positive_grid_size_is_a_usage_error(capsys, argv):
+def test_a_grid_size_below_one_is_a_one_line_exit_2(capsys, tmp_path, argv):
+    """argparse reads --k and --kt as integers; fock's one grid-size check refuses the range."""
+    out = tmp_path / "out.csv"
+    assert run(capsys, *argv, "--out", str(out)) == (2, "", "error: grid size must be positive\n")
+    assert not out.exists()
+
+
+def test_a_non_integer_grid_size_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["sweep", "--pol", "xnum:1", "--k", "1.5"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ")
-    assert f"argument {argv[-2]}: grid size must be a positive integer, not '{argv[-1]}'" in err
+    assert "argument --k: invalid int value: '1.5'" in err
 
 
 def test_bad_spec_is_exit_2(capsys):
@@ -1032,17 +1040,20 @@ def test_abbreviated_option_is_a_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["phase", "--state", "coh:1"],  # exit 3 once, from the truncation search
+        ["phase", "--state", "coh:1"],  # refused before the truncation search runs
         ["phase", "--state", "num:0"],
         ["phase", "--state", "coh:0"],
-        ["ellipse", "--pol", "xnum:0"],  # exit 3 once, from the photon count
+        ["ellipse", "--pol", "xnum:0"],  # refused before the photon count is compared
         ["sweep", "--pol", "xcoh:0"],
         ["pb", "--state", "num:0", "--s", "4"],
     ],
 )
-def test_negative_n_max_is_a_usage_error(capsys, argv):
-    err = usage_error(capsys, [*argv, "--n-max", "-1"])
-    assert "argument --n-max: n_max must be a non-negative integer, not '-1'" in err
+def test_a_negative_n_max_is_a_one_line_exit_2(capsys, tmp_path, argv):
+    """argparse reads --n-max as an integer; fock.check_budget refuses it below 0, for every spec."""
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, *argv, "--n-max", "-1", "--out", str(out))
+    assert (code, stdout, err) == (2, "", "error: n_max must be >= 0\n")
+    assert not out.exists()
 
 
 def test_sweep_formats_its_phi_column_once(capsys, tmp_path, monkeypatch):

@@ -54,8 +54,8 @@ pol_specs = st.one_of(
     st.lists(superposition_terms, min_size=1, max_size=4).map(lambda t: "xsup:" + ";".join(t)),
     documents,
 )
-grid = st.integers(1, 64)
-n_max = st.one_of(st.none(), st.integers(0, 12))
+grid = mostly(st.integers(1, 64), st.integers(-2, 0))  # below 1: fock's one-line refusal
+n_max = st.one_of(st.none(), mostly(st.integers(0, 12), st.integers(-2, -1)))
 formats = st.sampled_from(["csv", "json"])
 
 

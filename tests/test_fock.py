@@ -47,6 +47,30 @@ def test_number_state_beyond_truncation():
         make_number_state(5, 4)
 
 
+def test_number_state_truncation_defaults_to_its_photon_number():
+    assert make_number_state(3).n_max == 3
+    assert np.array_equal(make_number_state(3).amplitudes, [0, 0, 0, 1])
+
+
+NEGATIVE_N_MAX = {
+    "make_number_state": lambda: make_number_state(0, -1),
+    "make_coherent_state": lambda: make_coherent_state(3.0, -1),
+    "coherent_truncation": lambda: fock.coherent_truncation(9.0, -1, 1e-12),
+    "XNumber": lambda: to_circular(XNumber(1), -1),
+    "XCoherent": lambda: to_circular(XCoherent(9.0), -1),
+    "XSuperposition": lambda: to_circular(XSuperposition(((0, 1.0), (2, 1.0))), -1),
+    "TwoModeState": lambda: TwoModeState(np.array([0]), np.array([0]), np.array([1.0]), -1),
+}
+
+
+@pytest.mark.parametrize("build", NEGATIVE_N_MAX.values(), ids=NEGATIVE_N_MAX.keys())
+def test_a_negative_n_max_is_refused_by_check_budget_for_every_builder(build):
+    """fock.check_budget owns the rule, ahead of the truncation search and the photon count."""
+    with pytest.raises(ValueError) as err:
+        build()
+    assert (type(err.value), str(err.value)) == (ValueError, "n_max must be >= 0")
+
+
 def test_negative_number_state_is_a_value_error():
     # refused before the truncation check, which raised TruncationError for it
     with pytest.raises(ValueError, match="photon numbers must be >= 0"):
@@ -591,11 +615,6 @@ def test_truncation_search_refuses_tail_tol_outside_unit_interval(tail_tol):
 def test_angular_grid_refuses_a_size_below_one(k):
     with pytest.raises(ValueError, match="^grid size must be positive$"):
         fock.angular_grid(k)
-
-
-def test_number_state_refuses_a_negative_n_max():
-    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
-        make_number_state(0, -1)
 
 
 @pytest.mark.parametrize("call", [

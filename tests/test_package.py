@@ -218,7 +218,7 @@ def test_run_exits_with_mains_code_and_output(tmp_path):
         assert (done.returncode, done.stderr) == (code, err)
         assert (done.returncode, done.stdout, done.stderr) == in_process(argv)
     assert len(cli_child(*sweep).stdout.splitlines()) == 1 + 20 * 32  # header, 20 live slices
-    usage = cli_child("phase", "--state", "num:1", "--k", "0")  # argparse's SystemExit
+    usage = cli_child("phase", "--state", "num:1", "--k", "1.5")  # argparse's SystemExit
     assert usage.returncode == 2 and usage.stderr.startswith("usage: relphase phase")
 
 

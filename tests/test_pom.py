@@ -18,7 +18,7 @@ from relphase import (
     phase_pdf,
     snapshot_sweep,
 )
-from relphase.fock import angular_grid
+from relphase.fock import angular_grid, check_grid
 from relphase.pom import DEFAULT_KT, time_grid
 from relphase.polarization import XCoherent, to_circular
 
@@ -223,9 +223,11 @@ def test_default_time_grid_is_the_larger_of_256_and_the_state_size():
 ], ids=["2.5", "40.5", "str", "0", "-1"])
 def test_a_time_grid_size_is_read_as_an_angular_grid_size_is(k_t, error, message):
     """k_t goes through operator.index and angular_grid's refusal below 1, ahead of the budget
-    and of xcoh:9's exact-quadrature size 38, in time_grid and so in absolute_time_pdf."""
+    and of xcoh:9's exact-quadrature size 38, in time_grid and so in absolute_time_pdf; so does
+    the K that check_grid reads, ahead of its aliasing bound."""
     state = to_circular(XCoherent(9.0))
-    for call in (angular_grid, lambda k: time_grid(state, k), lambda k: absolute_time_pdf(state, k)):
+    for call in (angular_grid, lambda k: time_grid(state, k), lambda k: absolute_time_pdf(state, k),
+                 lambda k: check_grid(k, np.array([0]))):
         with pytest.raises(error) as err:
             call(k_t)
         assert str(err.value) == message
